@@ -93,6 +93,13 @@ class CheckConfig:
     out_format: str = "json"
     out_path: str | None = None
 
+    def __post_init__(self) -> None:
+        # Zero trials would issue "verified-on-samples" on no samples, and a
+        # window below one has no index to sample from.
+        for name in ("truncation", "trials", "scale_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def to_json(self) -> dict:
         return {
             "checks": list(self.checks),

@@ -77,15 +77,19 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
 
     names = tuple(part.strip() for part in args.checks.split(",") if part.strip())
-    config = CheckConfig(
-        checks=names or ("all",),
-        truncation=args.truncation,
-        trials=args.trials,
-        seed=seed,
-        scale_max=args.scale_max,
-        out_format=args.format,
-        out_path=args.out,
-    )
+    try:
+        config = CheckConfig(
+            checks=names or ("all",),
+            truncation=args.truncation,
+            trials=args.trials,
+            seed=seed,
+            scale_max=args.scale_max,
+            out_format=args.format,
+            out_path=args.out,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = run_checks(config)
     except UnknownCheckError as exc:

@@ -37,15 +37,19 @@ def alpha(k: int, n: int) -> int:
 
 
 def apply_G(x: SparseSeq) -> TailSeq:
-    """Evaluate Gx; head covers indices 1..max(support), tail is -sum(x)."""
-    top = x.max_index()
+    """Evaluate Gx; head covers indices 1..max(support), tail is -sum(x).
+
+    Between support points the image is constant, total - 2*prefix, so each
+    gap repeats one shared value and only support points cost arithmetic.
+    """
     total = x.entry_sum()
-    head = []
-    prefix = Fraction(0)  # sum of x_k for k <= n-1
-    for n in range(1, top + 1):
-        here = x.value(n)
+    head: list[Fraction] = []
+    prefix = Fraction(0)  # sum of x_k for k < n
+    for n, here in x.entries:
         # -prefix + (total - prefix - here)
-        head.append(total - 2 * prefix - here)
+        level = total - 2 * prefix
+        head.extend([level] * (n - 1 - len(head)))
+        head.append(level - here)
         prefix += here
     return TailSeq(tuple(head), (-total,))
 
@@ -93,12 +97,20 @@ def solve_G(y: TailSeq) -> RangeCertificate:
     lim = y.limit()
     if lim is None:
         return RangeCertificate(y, False, obstruction="not in c: tail oscillates, no limit")
-    length = y.head_len()
-    values = []
-    current = -lim - y.value(1)
-    for n in range(1, length + 1):
-        values.append(current)
-        current = (y.value(n) - y.value(n + 1)) - current
+    values = y.head + (lim,)
+    entries = []
+    current = -lim - values[0]
+    negated = -current
+    for n in range(1, len(values)):
+        if current:
+            entries.append((n, current))
+        following = values[n]
+        if following is values[n - 1]:
+            # Inside a run of y the difference vanishes: a sign flip.
+            current, negated = negated, current
+        else:
+            current = (values[n - 1] - following) - current
+            negated = -current
     if current != 0:
         return RangeCertificate(
             y,
@@ -108,7 +120,7 @@ def solve_G(y: TailSeq) -> RangeCertificate:
                 f"{format_rational(abs(current))}, not summable"
             ),
         )
-    candidate = SparseSeq.from_values(values)
+    candidate = SparseSeq(tuple(entries))
     if apply_G(candidate) != y:  # cannot happen for consistent inputs; keep honest
         return RangeCertificate(y, False, obstruction="round-trip mismatch")
     return RangeCertificate(y, True, preimage=candidate)

@@ -111,7 +111,15 @@ def extension_probe(
     membership = SOURCE_MEMBERSHIP.get(graph.source)
     on_analytic_graph = membership(z) if membership is not None else None
     ladder = _scale_ladder(scale_max)
-    cz = coupling_value(z)
+    try:
+        cz = coupling_value(z)
+    except OutsideModelDomain:
+        # z's own coupling is undefined in the model: nothing is decidable.
+        return PropertyVerdict(
+            property="extension",
+            status=INCONCLUSIVE,
+            stats={"pairs_checked": 0, "skipped": 1, "scale_max": scale_max},
+        )
     if cz < 0:
         # Violation against the origin, a graph point of any linear source.
         return PropertyVerdict(

@@ -25,9 +25,11 @@ All types are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Union
 
 
@@ -165,6 +167,32 @@ def _minimal_period(pattern: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return pattern
 
 
+# Dense heads hold long runs of one shared object (see gossez.apply_G), so
+# the element-wise kernels apply an exact operation once per run of
+# identical operands and repeat its result; equal inputs give equal values,
+# so only repeated work is skipped.
+
+
+def _map_runs(f, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    out = []
+    last_v = last = None
+    for v in values:
+        if v is not last_v:
+            last_v, last = v, f(v)
+        out.append(last)
+    return tuple(out)
+
+
+def _zip_runs(op, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    out = []
+    last_a = last_b = last = None
+    for a, b in zip(xs, ys):
+        if a is not last_a or b is not last_b:
+            last_a, last_b, last = a, b, op(a, b)
+        out.append(last)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TailSeq:
     """Bounded sequence with a finite head and an eventually periodic tail.
@@ -187,10 +215,19 @@ class TailSeq:
         if not tail:
             raise ValueError("tail pattern must be nonempty")
         tail = _minimal_period(tail)
-        while head and head[-1] == tail[-1]:
-            head.pop()
-            tail = tail[-1:] + tail[:-1]
-        object.__setattr__(self, "head", tuple(head))
+        # Absorb the head's cancelled end into the cycle: find the shortest
+        # head in one reverse scan, then rotate the pattern once.
+        period = len(tail)
+        keep = len(head)
+        while keep:
+            v, t = head[keep - 1], tail[(keep - len(head) - 1) % period]
+            if v is not t and v != t:
+                break
+            keep -= 1
+        shift = (len(head) - keep) % period
+        if shift:
+            tail = tail[-shift:] + tail[:-shift]
+        object.__setattr__(self, "head", tuple(head[:keep]))
         object.__setattr__(self, "tail", tail)
 
     @staticmethod
@@ -244,30 +281,36 @@ class TailSeq:
         """
         return (max(self.tail) - min(self.tail)) / 2
 
+    def _values_to(self, length: int) -> tuple[Fraction, ...]:
+        """Values at indices 1..length (length > head_len), tail objects repeated."""
+        need = length - len(self.head)
+        return self.head + (self.tail * -(-need // len(self.tail)))[:need]
+
     def _combine(self, other: TailSeq, op) -> TailSeq:
         head_len = max(len(self.head), len(other.head))
         period = math.lcm(len(self.tail), len(other.tail))
-        head = tuple(op(self.value(n), other.value(n)) for n in range(1, head_len + 1))
-        tail = tuple(
-            op(self.value(n), other.value(n))
-            for n in range(head_len + 1, head_len + period + 1)
+        values = _zip_runs(
+            op,
+            self._values_to(head_len + period),
+            other._values_to(head_len + period),
         )
-        return TailSeq(head, tail)
+        return TailSeq(values[:head_len], values[head_len:])
 
     def __add__(self, other: TailSeq) -> TailSeq:
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: TailSeq) -> TailSeq:
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> TailSeq:
-        return TailSeq(tuple(-v for v in self.head), tuple(-v for v in self.tail))
+        return TailSeq(_map_runs(operator.neg, self.head), _map_runs(operator.neg, self.tail))
 
     def scale(self, factor: RationalLike) -> TailSeq:
         factor = as_fraction(factor)
         if factor == 0:
             return TailSeq.zero()
-        return TailSeq(tuple(factor * v for v in self.head), tuple(factor * v for v in self.tail))
+        times = partial(operator.mul, factor)
+        return TailSeq(_map_runs(times, self.head), _map_runs(times, self.tail))
 
     def __mul__(self, factor: RationalLike) -> TailSeq:
         return self.scale(factor)

@@ -1,0 +1,89 @@
+"""Dense per-index reference for the G kernels and TailSeq arithmetic.
+
+These are the original implementations, one exact operation per index,
+kept as the oracle for the run-aware kernels in ``gossez_lab``.  They work
+on plain tuples so that nothing here shares code with the library: a
+sequence is a canonical ``(head, tail)`` pair, a summable sequence a dict
+``{index: value}`` without zeros.
+"""
+
+from fractions import Fraction
+import math
+
+
+def minimal_period(pattern):
+    length = len(pattern)
+    for d in range(1, length + 1):
+        if length % d == 0 and pattern == pattern[:d] * (length // d):
+            return pattern[:d]
+    return pattern
+
+
+def canonical(head, tail):
+    """Minimal period, then absorb the head into the cycle one pop at a time."""
+    head = [Fraction(v) for v in head]
+    tail = minimal_period(tuple(Fraction(v) for v in tail))
+    while head and head[-1] == tail[-1]:
+        head.pop()
+        tail = tail[-1:] + tail[:-1]
+    return tuple(head), tail
+
+
+def value(seq, n):
+    head, tail = seq
+    if n <= len(head):
+        return head[n - 1]
+    return tail[(n - len(head) - 1) % len(tail)]
+
+
+def combine(a, b, op):
+    head_len = max(len(a[0]), len(b[0]))
+    period = math.lcm(len(a[1]), len(b[1]))
+    head = [op(value(a, n), value(b, n)) for n in range(1, head_len + 1)]
+    tail = [op(value(a, n), value(b, n)) for n in range(head_len + 1, head_len + period + 1)]
+    return canonical(head, tail)
+
+
+def negate(a):
+    return canonical([-v for v in a[0]], [-v for v in a[1]])
+
+
+def scale(a, factor):
+    if factor == 0:
+        return canonical((), (Fraction(0),))
+    return canonical([factor * v for v in a[0]], [factor * v for v in a[1]])
+
+
+def apply_G(x):
+    top = max(x, default=0)
+    total = sum(x.values(), Fraction(0))
+    head = []
+    prefix = Fraction(0)
+    for n in range(1, top + 1):
+        here = x.get(n, Fraction(0))
+        head.append(total - 2 * prefix - here)
+        prefix += here
+    return canonical(head, (-total,))
+
+
+def solve_G(y):
+    """(feasible, preimage dict or None, obstruction or None)."""
+    head, tail = y
+    if len(tail) != 1:
+        return False, None, "not in c: tail oscillates, no limit"
+    lim = tail[0]
+    values = []
+    current = -lim - value(y, 1)
+    for n in range(1, len(head) + 1):
+        values.append(current)
+        current = (value(y, n) - value(y, n + 1)) - current
+    if current != 0:
+        magnitude = abs(current)
+        return False, None, (
+            "recurrence forces an alternating tail of magnitude "
+            f"{magnitude.numerator}/{magnitude.denominator}, not summable"
+        )
+    candidate = {n: v for n, v in enumerate(values, start=1) if v != 0}
+    if apply_G(candidate) != y:
+        return False, None, "round-trip mismatch"
+    return True, candidate, None

@@ -174,6 +174,35 @@ def test_cli_io_failure(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("truncation", 0), ("truncation", -3), ("trials", 0), ("trials", -5), ("scale_max", 0)],
+)
+def test_config_rejects_empty_sampling(field, value):
+    with pytest.raises(ValueError, match=field):
+        CheckConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--truncation", "0"),
+        ("--truncation", "-3"),
+        ("--trials", "0"),
+        ("--trials", "-5"),
+        ("--scale-max", "0"),
+    ],
+)
+def test_cli_invalid_config_is_one_line_usage_error(flag, value, capsys):
+    # Before validation these crashed in randrange (exit 1) or issued
+    # verdicts on zero samples; now nothing runs and nothing is emitted.
+    assert main(["run", "--checks", "all", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_usage_error_on_bad_flag():
     with pytest.raises(SystemExit) as err:
         main(["run", "--format", "yaml"])

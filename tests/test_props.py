@@ -34,6 +34,7 @@ from gossez_lab.sampling import (
 from gossez_lab.spaces import (
     DualSystem,
     ModelMeasure,
+    OutsideModelDomain,
     PairPoint,
     SparseSeq,
     TailSeq,
@@ -150,6 +151,22 @@ def test_extension_probe_negative_coupling_refuted_at_origin():
     verdict = extension_probe(g, z)
     assert verdict.status == REFUTED
     assert verdict.witnesses[0]["value"] == -1
+
+
+def test_extension_probe_undefined_own_coupling_is_inconclusive():
+    # Mass at infinity against a periodic y: c(z) has no value in the model,
+    # so the probe records the skip instead of raising.
+    embedded = SampledGraph(
+        DualSystem.SECOND, (embed_first(SparseSeq.unit(1)),), source="Graph G embedded"
+    )
+    z = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([1, -1]))
+    with pytest.raises(OutsideModelDomain):
+        coupling_value(z)
+    verdict = extension_probe(embedded, z)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats["skipped"] == 1
+    assert verdict.stats["pairs_checked"] == 0
+    assert not verdict.witnesses
 
 
 def test_off_graph_probes_all_refuted():
