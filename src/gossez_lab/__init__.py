@@ -14,24 +14,20 @@ from .fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
     OP_NEGG_SECOND,
+    OPERATORS,
     PLUS_INF,
-    RepresentedFunction,
+    Operator,
     SampledGraph,
     TruncatedAnnihilator,
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
-    eval_cA,
     fitz_closed_first,
-    fitz_closed_second_G,
-    fitz_closed_second_negG,
     fitz_sampled,
-    neg_transform,
     orthogonality_report,
 )
 from .gossez import (
     RangeCertificate,
-    alpha,
     apply_G,
     apply_negG,
     range_ratio_family,
@@ -58,8 +54,6 @@ from .spaces import (
     couple,
     coupling_value,
     format_rational,
-    l1_norm,
-    linf_norm,
     natural_couple,
     pair_measure,
     parse_rational,

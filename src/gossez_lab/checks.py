@@ -23,18 +23,13 @@ from .fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
     OP_NEGG_SECOND,
+    OPERATORS,
     PLUS_INF,
     SampledGraph,
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
-    fitz_closed_first,
-    fitz_closed_second_G,
-    fitz_closed_second_negG,
     fitz_sampled,
-    indicator_graph_G,
-    indicator_graph_Gstar,
-    on_graph_negGstar,
     orthogonality_report,
 )
 from .gossez import apply_G, apply_negG, range_ratio_family, solve_G, weakstar_approximate
@@ -47,11 +42,9 @@ from .props import (
 )
 from .sampling import (
     Gstar_graph_samples,
-    embed_first,
     graph_point_first,
     negGstar_graph_samples,
     off_graph_first,
-    random_graph_points,
     random_measure,
     random_rational,
     random_sparse,
@@ -209,9 +202,12 @@ def _run_g_basic(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
             apply_G(x.scale(a) + y.scale(b)) == gx.scale(a) + gy.scale(b),
             {"x": x, "y": y, "a": a, "b": b},
         )
+        # g[n - 1] = (Gx)_n for n = 1..max_index + 1
+        top = x.max_index()
+        xs = dict(x.entries)
+        g = [gx.value(n) for n in range(1, top + 2)]
         recurrence_ok = all(
-            gx.value(n + 1) - gx.value(n) == -(x.value(n) + x.value(n + 1))
-            for n in range(1, x.max_index() + 1)
+            g[n] - g[n - 1] == -(xs.get(n, 0) + xs.get(n + 1, 0)) for n in range(1, top + 1)
         )
         tally.record("difference-recurrence", recurrence_ok, {"x": x})
         tally.record("negation", apply_negG(x) == -gx, {"x": x})
@@ -240,10 +236,8 @@ def _run_g_basic(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
 def _run_g_orth(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     rng = rng_for(cfg.seed, "g-orth")
     tally = _Tally()
-    samples = SampledGraph(
-        DualSystem.FIRST,
-        tuple(random_graph_points(rng, 40, cfg.truncation, 6, 100, 100)),
-        source="Graph G",
+    samples = OPERATORS[OP_G_FIRST].sampled_graph(
+        random_sparse(rng, cfg.truncation, 6, 100, 100) for _ in range(40)
     )
     orth = orthogonality_report(samples, samples)
     tally.record("self-orthogonality", orth.status == VERIFIED)
@@ -368,12 +362,15 @@ def _run_range(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
 def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     rng = rng_for(cfg.seed, "fds")
     tally = _Tally()
-    graph_points = unit_graph_points(12) + random_graph_points(rng, 188, cfg.truncation, 6, 50, 50)
-    graph = SampledGraph(DualSystem.FIRST, tuple(graph_points), source="Graph G")
+    g_first = OPERATORS[OP_G_FIRST]
+    graph = g_first.sampled_graph(
+        [SparseSeq.unit(k) for k in range(1, 13)]
+        + [random_sparse(rng, cfg.truncation, 6, 50, 50) for _ in range(188)]
+    )
     for z in graph.points:
         tally.record(
             "indicator-on-graph",
-            fitz_closed_first(z) == 0 == coupling_value(z),
+            g_first.fitz_closed(z) == 0 == coupling_value(z),
             {"z": z},
         )
     max_value = None
@@ -389,16 +386,16 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         else:
             z = off_graph_first(rng, 1, 16)[0]
         subset = tuple(rng.sample(graph.points, rng.randint(1, 6)))
-        sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
+        sub = SampledGraph(g_first.system, subset, g_first.graph_label)
         sampled = fitz_sampled(z, sub)
-        closed = fitz_closed_first(z)
+        closed = g_first.fitz_closed(z)
         tally.record("sampled-below-closed", sampled <= closed, {"z": z})
         if z in subset:
             tally.record("sampled-exact-on-graph", sampled == 0 == closed, {"z": z})
     probes = ProbeSet.generate(OP_G_FIRST, cfg.seed, cfg.truncation, cfg.trials)
     ni = ni_witness_search(OP_G_FIRST, probes)
     tally.record("ni-holds", ni.status == VERIFIED)
-    representative = representability_check(indicator_graph_G(), graph, probes, seed=cfg.seed)
+    representative = representability_check(g_first, graph, probes, seed=cfg.seed)
     tally.record("representability", representative.status == VERIFIED)
     stats = {
         "graph_points": len(graph.points),
@@ -414,6 +411,7 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
 def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     rng = rng_for(cfg.seed, "sds-i")
     tally = _Tally()
+    g_second = OPERATORS[OP_G_SECOND]
     probes = ProbeSet.generate(OP_G_SECOND, cfg.seed, cfg.truncation, cfg.trials)
     ni = ni_witness_search(OP_G_SECOND, probes)
     canonical = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.ones())
@@ -426,15 +424,11 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     for z in negGstar_graph_samples(cfg.seed, 100):
         assert isinstance(z.x, ModelMeasure)
         a = z.x.infinity_mass
-        tally.record("indicator-on-negGstar-graph", fitz_closed_second_G(z) == 0, {"z": z})
+        tally.record("indicator-on-negGstar-graph", g_second.fitz_closed(z) == 0, {"z": z})
         tally.record("coupling-is-mass-squared", coupling_value(z) == a * a, {"z": z})
     off = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.zero())
-    tally.record("indicator-off-graph", fitz_closed_second_G(off) == PLUS_INF)
-    embedded = SampledGraph(
-        DualSystem.SECOND,
-        tuple(embed_first(random_sparse(rng, 32, 5, 50, 50)) for _ in range(30)),
-        source="Graph G embedded",
-    )
+    tally.record("indicator-off-graph", g_second.fitz_closed(off) == PLUS_INF)
+    embedded = g_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     tally.record("embedded-graph-skew", all(coupling_value(z) == 0 for z in embedded.points))
     for z in negGstar_graph_samples(cfg.seed + 1, 20):
         sampled = fitz_sampled(z, embedded)
@@ -447,22 +441,20 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     negGstar_graph = SampledGraph(
         DualSystem.SECOND,
         tuple(negGstar_graph_samples(cfg.seed + 2, 40, 32)),
-        source="Graph negG*",
+        source=g_second.fitz_graph,
     )
     orth = orthogonality_report(embedded, negGstar_graph)
     tally.record("graph-orthogonal-to-negGstar", orth.status == VERIFIED)
     n = min(cfg.truncation, 32)
-    spanning = [embed_first(SparseSeq.unit(k)) for k in range(1, n + 1)]
+    spanning = [g_second.graph_point(SparseSeq.unit(k)) for k in range(1, n + 1)]
     basis = annihilator_truncated(spanning, n, DualSystem.SECOND)
     tally.record("annihilator-basis-dimension", len(basis.basis) == n + 2)
     tally.record(
         "mass-direction-in-annihilator",
         annihilator_violation(canonical, spanning) is None,
     )
-    unique_support = SampledGraph(
-        DualSystem.SECOND,
-        tuple(embed_first(SparseSeq.unit(k)) for k in range(1, cfg.truncation + 2)),
-        source="Graph G embedded",
+    unique_support = g_second.sampled_graph(
+        SparseSeq.unit(k) for k in range(1, cfg.truncation + 2)
     )
     witnesses_checked = 0
     witnesses_on_graph = 0
@@ -470,7 +462,7 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         verdict = extension_probe(unique_support, z, cfg.scale_max)
         if verdict.status == WITNESS_FOUND:
             witnesses_checked += 1
-            if on_graph_negGstar(z):
+            if g_second.on_fitz_graph(z):
                 witnesses_on_graph += 1
     tally.record(
         "uniqueness-support",
@@ -494,6 +486,7 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
 def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     rng = rng_for(cfg.seed, "sds-ii")
     tally = _Tally()
+    negg_second = OPERATORS[OP_NEGG_SECOND]
     probes = ProbeSet.generate(OP_NEGG_SECOND, cfg.seed, cfg.truncation, cfg.trials)
     ni = ni_witness_search(OP_NEGG_SECOND, probes)
     tally.record("ni-holds", ni.status == VERIFIED)
@@ -504,21 +497,14 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         tally.record("coupling-on-negGstar", pair_measure(mu, -gstar) == a * a, {"mu": mu})
         tally.record("coupling-on-Gstar", pair_measure(mu, gstar) == -a * a, {"mu": mu})
     for z in Gstar_graph_samples(cfg.seed, 50):
-        tally.record("indicator-on-Gstar-graph", fitz_closed_second_negG(z) == 0, {"z": z})
+        tally.record("indicator-on-Gstar-graph", negg_second.fitz_closed(z) == 0, {"z": z})
         mirrored = PairPoint.second(z.x, -z.y)
         tally.record(
             "sign-mirror",
-            fitz_closed_second_negG(z) == fitz_closed_second_G(mirrored),
+            negg_second.fitz_closed(z) == OPERATORS[OP_G_SECOND].fitz_closed(mirrored),
             {"z": z},
         )
-    neg_embedded = SampledGraph(
-        DualSystem.SECOND,
-        tuple(
-            PairPoint.second(ModelMeasure.from_atomic(x), apply_negG(x))
-            for x in (random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
-        ),
-        source="Graph negG embedded",
-    )
+    neg_embedded = negg_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     refuted = 0
     candidates = [z for z in Gstar_graph_samples(cfg.seed + 1, 50) if isinstance(z.x, ModelMeasure) and z.x.infinity_mass != 0]
     for z in candidates:
@@ -526,9 +512,7 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         if verdict.status == REFUTED:
             refuted += 1
     tally.record("no-representable-extension", refuted == len(candidates))
-    representative = representability_check(
-        indicator_graph_Gstar(), neg_embedded, probes, seed=cfg.seed
-    )
+    representative = representability_check(negg_second, neg_embedded, probes, seed=cfg.seed)
     tally.record("representability-on-model", representative.status == VERIFIED)
     notes = (
         "the unique maximal extension (the closure of the graph) adds only "

@@ -1,4 +1,4 @@
-"""Fitzpatrick machinery and truncated conjugate computations.
+"""Fitzpatrick machinery, the operator table and truncated conjugates.
 
 The Fitzpatrick value of a graph A at z is sup over w in A of
 (z.w - c(w)).  Over an infinite graph the sup is not computable, so it is
@@ -6,10 +6,14 @@ split into two routes that check each other:
 
 - ``fitz_sampled``: the exact max over a finite sample, always a lower
   bound for the full value over any superset.
-- closed forms for the graphs in play, where the sup collapses to an
-  indicator: membership in Graph G (first system), Graph(-G*) (the
-  Fitzpatrick function of G seen in the second system), and Graph G* (the
-  Fitzpatrick function of -G there).
+- closed forms, where the sup collapses to an indicator: membership in
+  Graph G (G in the first system), Graph(-G*) (G seen in the second
+  system) and Graph G* (-G there); Fitzpatrick (1988), Gossez (1971).
+
+``OPERATORS`` describes the three operator profiles in one place: each
+``Operator`` holds its dual system, how to sample its graph, its graph
+test, the graph its closed-form Fitzpatrick function is the indicator of,
+and the verdicts the dichotomy expects of it.
 
 Conjugation with respect to the product coupling is implemented for
 indicators of finitely spanned subspaces only: the conjugate of such an
@@ -37,7 +41,7 @@ from .spaces import (
     coupling_value,
     natural_couple,
 )
-from .verdict import INCONCLUSIVE, REFUTED, VERIFIED, PropertyVerdict
+from .verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND, PropertyVerdict
 
 PLUS_INF = math.inf
 MINUS_INF = -math.inf
@@ -93,22 +97,6 @@ class SampledGraph:
         )
 
 
-def neg_transform(graph: SampledGraph) -> SampledGraph:
-    """Flip the sign of every second component; an involution."""
-    points = tuple(PairPoint(p.system, p.x, -p.y) for p in graph.points)
-    return SampledGraph(graph.system, points, source=f"neg({graph.source})")
-
-
-def eval_cA(z: PairPoint, graph: SampledGraph) -> ExtendedRational:
-    """Coupling-plus-indicator: c(z) on the sampled graph, +inf off it.
-
-    The empty graph gives +inf everywhere.
-    """
-    if z in graph.points:
-        return coupling_value(z)
-    return PLUS_INF
-
-
 def fitz_sampled(z: PairPoint, graph: SampledGraph) -> ExtendedRational:
     """Exact max of z.w - c(w) over the sample; -inf for the empty sample.
 
@@ -123,81 +111,99 @@ def fitz_sampled(z: PairPoint, graph: SampledGraph) -> ExtendedRational:
     return best
 
 
-def on_graph_G_first(z: PairPoint) -> bool:
-    assert isinstance(z.x, SparseSeq)
-    return z.y == apply_G(z.x)
+@dataclass(frozen=True)
+class Operator:
+    """One operator profile: G or -G in one dual system.
+
+    ``graph_point`` maps x in l1 to a point of the operator's graph (through
+    the canonical embedding in the second system); sampled graphs of it
+    carry ``graph_label``.  ``on_graph`` decides membership in the analytic
+    graph within the model.  The closed-form Fitzpatrick function is the
+    indicator of the graph labelled ``fitz_graph``, decided by
+    ``on_fitz_graph``.  ``expected`` holds the (NI, representability,
+    extension) verdicts that the dichotomy predicts for ``profile``.
+    """
+
+    id: str
+    system: DualSystem
+    graph_label: str
+    graph_point: Callable[[SparseSeq], PairPoint]
+    on_graph: Callable[[PairPoint], bool]
+    fitz_graph: str
+    on_fitz_graph: Callable[[PairPoint], bool]
+    profile: str
+    expected: tuple[str, str, str]
+
+    def fitz_closed(self, z: PairPoint) -> ExtendedRational:
+        """Closed-form Fitzpatrick value: 0 on the Fitzpatrick graph, +inf off it."""
+        if z.system is not self.system:
+            raise ValueError(f"{self.id} expects a {self.system.value}-system point")
+        return Fraction(0) if self.on_fitz_graph(z) else PLUS_INF
+
+    def sampled_graph(self, xs: Iterable[SparseSeq]) -> SampledGraph:
+        return SampledGraph(self.system, tuple(self.graph_point(x) for x in xs), self.graph_label)
 
 
-def on_graph_negG_first(z: PairPoint) -> bool:
-    assert isinstance(z.x, SparseSeq)
-    return z.y == -apply_G(z.x)
+# The lambdas look apply_G and apply_Gstar up when called, so rebinding the
+# module attributes (as a tracer does) reaches every call.
+OPERATORS: dict[str, Operator] = {
+    op.id: op
+    for op in (
+        # Off the graph some direction u has <u, y - Gx> != 0 and scaling u
+        # blows the sampled values up without bound; on the graph
+        # anti-symmetry kills every term, so the sup is 0.
+        Operator(
+            id=OP_G_FIRST,
+            system=DualSystem.FIRST,
+            graph_label="Graph G",
+            graph_point=lambda x: PairPoint.first(x, apply_G(x)),
+            on_graph=lambda z: z.y == apply_G(z.x),
+            fitz_graph="Graph G",
+            on_fitz_graph=lambda z: z.y == apply_G(z.x),
+            profile="maximal-consistent",
+            expected=(VERIFIED, VERIFIED, REFUTED),
+        ),
+        Operator(
+            id=OP_G_SECOND,
+            system=DualSystem.SECOND,
+            graph_label="Graph G embedded",
+            graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x)),
+            on_graph=lambda z: z.x.infinity_mass == 0 and z.y == apply_G(z.x.atomic),
+            fitz_graph="Graph negG*",
+            on_fitz_graph=lambda z: z.y == -apply_Gstar(z.x),
+            profile="not-maximal-consistent",
+            expected=(WITNESS_FOUND, WITNESS_FOUND, WITNESS_FOUND),
+        ),
+        # The sign mirror of G-second: Graph G* is Graph(-G*) with y negated.
+        Operator(
+            id=OP_NEGG_SECOND,
+            system=DualSystem.SECOND,
+            graph_label="Graph negG embedded",
+            graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), -apply_G(x)),
+            on_graph=lambda z: z.x.infinity_mass == 0 and z.y == -apply_G(z.x.atomic),
+            fitz_graph="Graph G*",
+            on_fitz_graph=lambda z: z.y == apply_Gstar(z.x),
+            profile="NI-but-not-maximal-consistent",
+            expected=(VERIFIED, VERIFIED, REFUTED),
+        ),
+    )
+}
 
+fitz_closed_first = OPERATORS[OP_G_FIRST].fitz_closed
 
-def on_graph_negGstar(z: PairPoint) -> bool:
-    assert isinstance(z.x, ModelMeasure)
-    return z.y == -apply_Gstar(z.x)
-
-
-def on_graph_Gstar(z: PairPoint) -> bool:
-    assert isinstance(z.x, ModelMeasure)
-    return z.y == apply_Gstar(z.x)
-
-
-def on_graph_G_embedded(z: PairPoint) -> bool:
-    assert isinstance(z.x, ModelMeasure)
-    return z.x.infinity_mass == 0 and z.y == apply_G(z.x.atomic)
-
-
-def on_graph_negG_embedded(z: PairPoint) -> bool:
-    assert isinstance(z.x, ModelMeasure)
-    return z.x.infinity_mass == 0 and z.y == -apply_G(z.x.atomic)
-
-
+# Analytic membership tests by sampled-graph label.
 SOURCE_MEMBERSHIP: dict[str, Callable[[PairPoint], bool]] = {
-    "Graph G": on_graph_G_first,
-    "Graph negG": on_graph_negG_first,
-    "Graph G embedded": on_graph_G_embedded,
-    "Graph negG embedded": on_graph_negG_embedded,
-    "Graph negG*": on_graph_negGstar,
-    "Graph G*": on_graph_Gstar,
+    label: test
+    for op in OPERATORS.values()
+    for label, test in ((op.graph_label, op.on_graph), (op.fitz_graph, op.on_fitz_graph))
 }
 
 
-def fitz_closed_first(z: PairPoint) -> ExtendedRational:
-    """Fitzpatrick function of G in the first system: the indicator of its graph.
-
-    Off the graph some direction u has <u, y - Gx> != 0 and scaling u blows
-    the sampled values up without bound; on the graph anti-symmetry kills
-    every term, so the sup is 0.
-    """
-    if z.system is not DualSystem.FIRST:
-        raise ValueError("fitz_closed_first expects a first-system point")
-    return Fraction(0) if on_graph_G_first(z) else PLUS_INF
-
-
-def fitz_closed_second_G(z: PairPoint) -> ExtendedRational:
-    """Fitzpatrick function of G in the second system: indicator of Graph(-G*)."""
-    if z.system is not DualSystem.SECOND:
-        raise ValueError("fitz_closed_second_G expects a second-system point")
-    return Fraction(0) if on_graph_negGstar(z) else PLUS_INF
-
-
-def fitz_closed_second_negG(z: PairPoint) -> ExtendedRational:
-    """Fitzpatrick function of -G in the second system: indicator of Graph G*.
-
-    Mirror of fitz_closed_second_G: the two graphs are sign-mirrored, so
-    this equals fitz_closed_second_G at (mu, -y).
-    """
-    if z.system is not DualSystem.SECOND:
-        raise ValueError("fitz_closed_second_negG expects a second-system point")
-    return Fraction(0) if on_graph_Gstar(z) else PLUS_INF
-
-
-FITZ_CLOSED: dict[str, Callable[[PairPoint], ExtendedRational]] = {
-    OP_G_FIRST: fitz_closed_first,
-    OP_G_SECOND: fitz_closed_second_G,
-    OP_NEGG_SECOND: fitz_closed_second_negG,
-}
+def operator_for(op_id: str) -> Operator:
+    """The table entry for ``op_id``; ValueError for an unknown id."""
+    if op_id not in OPERATORS:
+        raise ValueError(f"unknown operator id {op_id!r}")
+    return OPERATORS[op_id]
 
 
 def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
@@ -229,11 +235,7 @@ def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
     scale = Fraction(1) if margin > 0 else Fraction(-1)
     while scale * margin <= threshold:
         scale *= 10
-    sample = SampledGraph(
-        DualSystem.FIRST,
-        (PairPoint.first(direction.scale(scale), apply_G(direction.scale(scale))),),
-        source="Graph G",
-    )
+    sample = OPERATORS[OP_G_FIRST].sampled_graph([direction.scale(scale)])
     value = fitz_sampled(z, sample)
     return {
         "direction_index": index,
@@ -361,60 +363,3 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
         status=status,
         stats={"pairs_checked": zeros + skipped, "zeros": zeros, "skipped": skipped},
     )
-
-
-@dataclass(frozen=True)
-class RepresentedFunction:
-    """A named extended-rational function on pair points.
-
-    Wraps the indicator and Fitzpatrick constructions so property checkers
-    can treat them uniformly; evaluation is total on representable points.
-    """
-
-    name: str
-    system: DualSystem
-    fn: Callable[[PairPoint], ExtendedRational]
-
-    def __call__(self, z: PairPoint) -> ExtendedRational:
-        return self.fn(z)
-
-
-def indicator_graph_G() -> RepresentedFunction:
-    return RepresentedFunction("indicator(Graph G)", DualSystem.FIRST, fitz_closed_first)
-
-
-def indicator_graph_negGstar() -> RepresentedFunction:
-    return RepresentedFunction("indicator(Graph negG*)", DualSystem.SECOND, fitz_closed_second_G)
-
-
-def indicator_graph_Gstar() -> RepresentedFunction:
-    return RepresentedFunction("indicator(Graph G*)", DualSystem.SECOND, fitz_closed_second_negG)
-
-
-def indicator_closure_model() -> RepresentedFunction:
-    """Model slice of the closed graph of embedded G: mass-free points with
-    y = G(atomic).  The closure's extra points are not representable."""
-
-    def fn(z: PairPoint) -> ExtendedRational:
-        return Fraction(0) if on_graph_G_embedded(z) else PLUS_INF
-
-    return RepresentedFunction("indicator(cl Graph G, model slice)", DualSystem.SECOND, fn)
-
-
-def coupling_plus_indicator(graph: SampledGraph) -> RepresentedFunction:
-    def fn(z: PairPoint) -> ExtendedRational:
-        return eval_cA(z, graph)
-
-    return RepresentedFunction(f"c + indicator({graph.source})", graph.system, fn)
-
-
-def fitzpatrick_sampled(graph: SampledGraph) -> RepresentedFunction:
-    def fn(z: PairPoint) -> ExtendedRational:
-        return fitz_sampled(z, graph)
-
-    return RepresentedFunction(f"fitz_sampled({graph.source})", graph.system, fn)
-
-
-def fitzpatrick_closed(op_id: str) -> RepresentedFunction:
-    system = DualSystem.FIRST if op_id == OP_G_FIRST else DualSystem.SECOND
-    return RepresentedFunction(f"fitz_closed({op_id})", system, FITZ_CLOSED[op_id])

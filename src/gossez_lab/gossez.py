@@ -2,10 +2,9 @@
 
 G maps a finitely supported rational sequence x to the bounded sequence
 
-    (Gx)_n = -(sum of x_k for k < n) + (sum of x_k for k > n),
+    (Gx)_n = -(sum of x_k for k < n) + (sum of x_k for k > n).
 
-equivalently sum_k x_k * alpha(k, n) with the sign kernel alpha below.  For
-finitely supported x the image has a finite head (up to the last support
+For finitely supported x the image has a finite head (up to the last support
 index) followed by the constant -sum(x), so it always lands in the
 convergent-sequence class and is representable as a TailSeq with a constant
 tail.
@@ -25,15 +24,6 @@ from fractions import Fraction
 
 from .linalg import solve_minimal
 from .spaces import SparseSeq, TailSeq, couple, format_rational
-
-
-def alpha(k: int, n: int) -> int:
-    """Sign kernel: -1 below the diagonal (k < n), 0 on it, +1 above."""
-    if k < n:
-        return -1
-    if k > n:
-        return 1
-    return 0
 
 
 def apply_G(x: SparseSeq) -> TailSeq:

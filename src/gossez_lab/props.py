@@ -6,6 +6,9 @@ the sampled source).  Extension searches scale the sample points through a
 geometric ladder: on a linear graph every scaled sample is still a graph
 point, and linearity makes monotonicity violations scale-sensitive, so the
 ladder catches what unit-scale probes miss.
+
+The NI search, the representability check and the dichotomy take what they
+know of an operator from its ``fitz.OPERATORS`` entry.
 """
 
 from __future__ import annotations
@@ -13,30 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .adjoint import apply_Gstar
 from .fitz import (
-    FITZ_CLOSED,
     OP_G_FIRST,
     OP_G_SECOND,
-    OP_NEGG_SECOND,
     PLUS_INF,
-    RepresentedFunction,
-    SampledGraph,
-    indicator_graph_G,
-    indicator_graph_Gstar,
-    indicator_graph_negGstar,
     SOURCE_MEMBERSHIP,
+    Operator,
+    SampledGraph,
+    operator_for,
 )
-from .sampling import (
-    ProbeSet,
-    embed_first,
-    off_graph_first,
-    random_graph_points,
-    rng_for,
-    unit_graph_points,
-)
+from .sampling import ProbeSet, off_graph_first, random_sparse, rng_for
 from .spaces import (
-    DualSystem,
     ModelMeasure,
     OutsideModelDomain,
     PairPoint,
@@ -166,7 +156,7 @@ def ni_witness_search(op_id: str, probes: ProbeSet) -> PropertyVerdict:
     The closed-form Fitzpatrick value is an indicator here, so a witness is
     a graph point of the indicator's graph whose coupling is positive.
     """
-    fitz = FITZ_CLOSED[op_id]
+    fitz = operator_for(op_id).fitz_closed
     seed = probes.descriptor.get("seed")
     checked = 0
     skipped = 0
@@ -195,27 +185,29 @@ def ni_witness_search(op_id: str, probes: ProbeSet) -> PropertyVerdict:
 
 
 def representability_check(
-    fn: RepresentedFunction,
+    op: Operator,
     graph: SampledGraph,
     probes: ProbeSet,
     seed: int = 0,
     convexity_pairs: int = 100,
 ) -> PropertyVerdict:
-    """Check fn against the graph and probes as a candidate representative.
+    """Check op's closed-form Fitzpatrick function as a candidate representative.
 
     Three conditions: exact equality fn = c on the graph samples, fn >= c
     on every probe, and midpoint convexity on random probe pairs with both
     values finite.  A probe strictly below the coupling is reported as a
     witness (it disqualifies fn from the representative class); equality on
     the graph failing refutes outright.  The equality set among probes is
-    reported for comparison with the graph.
+    reported for comparison with op's analytic graph.
     """
+    fn = op.fitz_closed
+    name = f"indicator({op.fitz_graph})"
     for z in graph.points:
         fv = fn(z)
         cv = coupling_value(z)
         if fv != cv:
             return PropertyVerdict(
-                property=f"representability({fn.name})",
+                property=f"representability({name})",
                 status=REFUTED,
                 witnesses=({"z": z, "fn": fv, "coupling": cv},),
                 stats={"graph_points": len(graph.points)},
@@ -225,7 +217,6 @@ def representability_check(
     equality_set = 0
     equality_on_analytic = 0
     skipped = 0
-    membership = SOURCE_MEMBERSHIP.get(graph.source)
     for z in probes.points:
         try:
             cv = coupling_value(z)
@@ -237,9 +228,9 @@ def representability_check(
             below = {"z": z, "fn": fv, "coupling": cv, "margin": cv - fv}
         if fv == cv:
             equality_set += 1
-            if membership is not None and membership(z):
+            if op.on_graph(z):
                 equality_on_analytic += 1
-    rng = rng_for(seed, f"convexity:{fn.name}")
+    rng = rng_for(seed, f"convexity:{name}")
     finite = []
     for z in probes.points:
         try:
@@ -261,7 +252,7 @@ def representability_check(
         convex_checked += 1
         if fm != PLUS_INF and fm > (f1 + f2) / 2:
             return PropertyVerdict(
-                property=f"representability({fn.name})",
+                property=f"representability({name})",
                 status=REFUTED,
                 witnesses=({"z1": z1, "z2": z2, "midpoint_value": fm},),
                 stats={"reason": "midpoint convexity violated"},
@@ -277,55 +268,18 @@ def representability_check(
     }
     if below is not None:
         return PropertyVerdict(
-            property=f"representability({fn.name})",
+            property=f"representability({name})",
             status=WITNESS_FOUND,
             witnesses=(below,),
             stats=stats,
             seed=seed,
         )
     return PropertyVerdict(
-        property=f"representability({fn.name})",
+        property=f"representability({name})",
         status=VERIFIED if skipped == 0 else INCONCLUSIVE,
         stats=stats,
         seed=seed,
     )
-
-
-def _sample_graph(op_id: str, seed: int, truncation: int, count: int) -> SampledGraph:
-    # Unit points must cover the whole truncation window (plus one index for
-    # tail-only deviations), or off-graph probes deviating on uncovered
-    # indices would survive the refutation scan.
-    rng = rng_for(seed, f"graph:{op_id}:{truncation}:{count}")
-    if op_id == OP_G_FIRST:
-        points = unit_graph_points(truncation + 1) + random_graph_points(
-            rng, count, truncation, 6, 50, 50
-        )
-        return SampledGraph(DualSystem.FIRST, tuple(points), source="Graph G")
-    base = unit_graph_points(truncation + 1) + random_graph_points(
-        rng, count, truncation, 6, 50, 50
-    )
-    if op_id == OP_G_SECOND:
-        embedded = tuple(embed_first(p.x) for p in base if isinstance(p.x, SparseSeq))
-        return SampledGraph(DualSystem.SECOND, embedded, source="Graph G embedded")
-    embedded = tuple(
-        PairPoint.second(ModelMeasure.from_atomic(p.x), -p.y)
-        for p in base
-        if isinstance(p.x, SparseSeq)
-    )
-    return SampledGraph(DualSystem.SECOND, embedded, source="Graph negG embedded")
-
-
-_REPRESENTATIVES = {
-    OP_G_FIRST: indicator_graph_G,
-    OP_G_SECOND: indicator_graph_negGstar,
-    OP_NEGG_SECOND: indicator_graph_Gstar,
-}
-
-_PROFILES = {
-    OP_G_FIRST: "maximal-consistent",
-    OP_G_SECOND: "not-maximal-consistent",
-    OP_NEGG_SECOND: "NI-but-not-maximal-consistent",
-}
 
 
 def dichotomy_crosscheck(
@@ -348,77 +302,54 @@ def dichotomy_crosscheck(
       in the measure model (the closure points that refute maximality live
       outside it), so non-maximality is recorded as analytic.
 
-    Any other combination is reported as refuted (an inconsistency).
+    The observed (NI, representability, extension) verdicts must equal the
+    operator's expected ones; anything else is reported as refuted.
     """
-    if op_id not in _PROFILES:
-        raise ValueError(f"unknown operator id {op_id!r}")
-    graph = _sample_graph(op_id, seed, truncation, 20)
+    op = operator_for(op_id)
+    # Unit points must cover the whole truncation window (plus one index for
+    # tail-only deviations), or off-graph probes deviating on uncovered
+    # indices would survive the refutation scan.
+    rng = rng_for(seed, f"graph:{op_id}:{truncation}:20")
+    graph = op.sampled_graph(
+        [SparseSeq.unit(k) for k in range(1, truncation + 2)]
+        + [random_sparse(rng, truncation, 6, 50, 50) for _ in range(20)]
+    )
     probes = ProbeSet.generate(op_id, seed, truncation, probe_count)
     monotone = is_monotone(graph)
     ni = ni_witness_search(op_id, probes)
-    representative = representability_check(
-        _REPRESENTATIVES[op_id](), graph, probes, seed=seed
-    )
+    representative = representability_check(op, graph, probes, seed=seed)
 
-    extension_found: dict | None = None
-    extension_refuted = 0
     notes: list[str] = []
     if op_id == OP_G_FIRST:
-        rng = rng_for(seed, "dichotomy-off-graph")
-        for z in off_graph_first(rng, 20, truncation):
-            verdict = extension_probe(graph, z, scale_max)
-            if verdict.status == REFUTED:
-                extension_refuted += 1
-            else:
-                extension_found = {"point": z}
-        consistent = (
-            monotone.status == VERIFIED
-            and ni.status == VERIFIED
-            and representative.status == VERIFIED
-            and extension_found is None
-            and extension_refuted == 20
-        )
+        candidates = off_graph_first(rng_for(seed, "dichotomy-off-graph"), 20, truncation)
     elif op_id == OP_G_SECOND:
-        canonical = PairPoint.second(
-            ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.ones()
-        )
-        verdict = extension_probe(graph, canonical, scale_max)
-        if verdict.status == WITNESS_FOUND:
-            extension_found = {"point": canonical, "coupling": coupling_value(canonical)}
-        consistent = (
-            monotone.status == VERIFIED
-            and ni.status == WITNESS_FOUND
-            and representative.status == WITNESS_FOUND
-            and extension_found is not None
-        )
+        unit_mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
+        candidates = [PairPoint.second(unit_mass, TailSeq.ones())]
     else:
-        candidates = [
-            z
-            for z in probes.points
-            if isinstance(z.x, ModelMeasure)
-            and z.x.infinity_mass != 0
-            and z.y == apply_Gstar(z.x)
-        ]
-        for z in candidates:
-            verdict = extension_probe(graph, z, scale_max)
-            if verdict.status == REFUTED:
-                extension_refuted += 1
-            else:
-                extension_found = {"point": z}
+        candidates = [z for z in probes.points if z.x.infinity_mass != 0 and op.on_fitz_graph(z)]
         notes.append(
             "no proper extension witness is representable in the model; "
             "the closure of the graph adds only unrepresentable points, "
             "so non-maximality is asserted analytically"
         )
-        consistent = (
-            monotone.status == VERIFIED
-            and ni.status == VERIFIED
-            and representative.status == VERIFIED
-            and extension_found is None
-            and extension_refuted == len(candidates) > 0
-        )
+    extension_found: dict | None = None
+    extension_refuted = 0
+    for z in candidates:
+        verdict = extension_probe(graph, z, scale_max)
+        if verdict.status == REFUTED:
+            extension_refuted += 1
+        elif verdict.status == WITNESS_FOUND:
+            extension_found = verdict.witnesses[0]
+    if extension_found is not None:
+        extension = WITNESS_FOUND
+    elif candidates and extension_refuted == len(candidates):
+        extension = REFUTED
+    else:
+        extension = INCONCLUSIVE
+    observed = (ni.status, representative.status, extension)
+    consistent = monotone.status == VERIFIED and observed == op.expected
     stats: dict = {
-        "profile": _PROFILES[op_id],
+        "profile": op.profile,
         "monotone": monotone.status,
         "ni": ni.status,
         "representability": representative.status,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .adjoint import graph_Gstar_point, graph_negGstar_point
+from .fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS, operator_for
 from .gossez import apply_G
 from .spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
@@ -80,13 +81,9 @@ def random_measure(
     return ModelMeasure(atomic, mass)
 
 
-def graph_point_first(x: SparseSeq) -> PairPoint:
-    return PairPoint.first(x, apply_G(x))
-
-
-def embed_first(x: SparseSeq) -> PairPoint:
-    """Canonical embedding of a first-system graph point of G."""
-    return PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x))
+graph_point_first = OPERATORS[OP_G_FIRST].graph_point
+# Canonical embedding of a first-system graph point of G.
+embed_first = OPERATORS[OP_G_SECOND].graph_point
 
 
 def unit_graph_points(n: int) -> list[PairPoint]:
@@ -154,16 +151,10 @@ class ProbeSet:
     @staticmethod
     def generate(op_id: str, seed: int, truncation: int, count: int) -> ProbeSet:
         descriptor = {"op": op_id, "seed": seed, "truncation": truncation, "count": count}
+        system = operator_for(op_id).system
         rng = rng_for(seed, f"probes:{op_id}:{truncation}:{count}")
-        if op_id == "G-first":
-            points = _first_system_grid(rng, truncation, count)
-            system = DualSystem.FIRST
-        elif op_id in ("G-second", "negG-second"):
-            points = _second_system_grid(rng, truncation, count)
-            system = DualSystem.SECOND
-        else:
-            raise ValueError(f"unknown operator id {op_id!r}")
-        return ProbeSet(system, tuple(points), descriptor)
+        grid = _first_system_grid if system is DualSystem.FIRST else _second_system_grid
+        return ProbeSet(system, tuple(grid(rng, truncation, count)), descriptor)
 
 
 def _first_system_grid(rng: random.Random, truncation: int, count: int) -> list[PairPoint]:

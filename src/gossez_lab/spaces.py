@@ -90,7 +90,7 @@ class SparseSeq:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, RationalLike]]) -> SparseSeq:
-        return SparseSeq(tuple((n, as_fraction(v)) for n, v in pairs))
+        return SparseSeq(tuple(pairs))
 
     @staticmethod
     def from_values(values: Iterable[RationalLike]) -> SparseSeq:
@@ -210,8 +210,9 @@ class TailSeq:
     tail: tuple[Fraction, ...] = (Fraction(0),)
 
     def __post_init__(self) -> None:
-        head = [as_fraction(v) for v in self.head]
-        tail = tuple(as_fraction(v) for v in self.tail)
+        # Kernel results are Fractions already; only other values convert.
+        head = [v if v.__class__ is Fraction else as_fraction(v) for v in self.head]
+        tail = tuple(v if v.__class__ is Fraction else as_fraction(v) for v in self.tail)
         if not tail:
             raise ValueError("tail pattern must be nonempty")
         tail = _minimal_period(tail)
@@ -384,14 +385,6 @@ class ModelMeasure:
         return ModelMeasure(SparseSeq.from_json(obj["atomic"]), parse_rational(obj["infinity_mass"]))
 
 
-def l1_norm(x: SparseSeq) -> Fraction:
-    return x.l1_norm()
-
-
-def linf_norm(y: TailSeq) -> Fraction:
-    return y.linf_norm()
-
-
 def couple(x: SparseSeq, y: TailSeq) -> Fraction:
     """Series coupling sum_n x_n * y_n; finite because x is finitely supported."""
     return sum((v * y.value(n) for n, v in x.entries), Fraction(0))
@@ -485,11 +478,7 @@ def _require_same_system(z: PairPoint, w: PairPoint) -> None:
 
 def coupling_value(z: PairPoint) -> Fraction:
     """c(z) = <x, y> in the point's own system."""
-    if z.system is DualSystem.FIRST:
-        assert isinstance(z.x, SparseSeq)
-        return couple(z.x, z.y)
-    assert isinstance(z.x, ModelMeasure)
-    return pair_measure(z.x, z.y)
+    return _cross(z.x, z.y)
 
 
 def _cross(x: XPart, y: TailSeq) -> Fraction:

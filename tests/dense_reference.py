@@ -54,6 +54,15 @@ def scale(a, factor):
     return canonical([factor * v for v in a[0]], [factor * v for v in a[1]])
 
 
+def alpha(k, n):
+    """Sign kernel of G: -1 below the diagonal (k < n), 0 on it, +1 above."""
+    if k < n:
+        return -1
+    if k > n:
+        return 1
+    return 0
+
+
 def apply_G(x):
     top = max(x, default=0)
     total = sum(x.values(), Fraction(0))

@@ -1,4 +1,5 @@
-"""Fitzpatrick values: sampled lower bounds vs closed forms, annihilators."""
+"""Fitzpatrick values: sampled lower bounds vs closed forms, the operator table,
+annihilators."""
 
 from fractions import Fraction
 
@@ -8,20 +9,18 @@ from hypothesis import given
 from gossez_lab.adjoint import graph_Gstar_point, graph_negGstar_point
 from gossez_lab.fitz import (
     MINUS_INF,
+    OP_G_FIRST,
+    OP_G_SECOND,
+    OP_NEGG_SECOND,
+    OPERATORS,
     PLUS_INF,
+    SOURCE_MEMBERSHIP,
     SampledGraph,
     annihilator_truncated,
     annihilator_violation,
-    coupling_plus_indicator,
     divergence_certificate,
-    eval_cA,
     fitz_closed_first,
-    fitz_closed_second_G,
-    fitz_closed_second_negG,
     fitz_sampled,
-    fitzpatrick_closed,
-    indicator_closure_model,
-    neg_transform,
     orthogonality_report,
 )
 from gossez_lab.gossez import apply_G
@@ -41,42 +40,14 @@ F = Fraction
 
 UNIT_MASS = ModelMeasure(SparseSeq.zero(), F(1))
 CANONICAL = PairPoint.second(UNIT_MASS, TailSeq.ones())
+G_SECOND = OPERATORS[OP_G_SECOND]
+NEGG_SECOND = OPERATORS[OP_NEGG_SECOND]
 
 
 def first_graph(*xs) -> SampledGraph:
     return SampledGraph(
         DualSystem.FIRST, tuple(graph_point_first(x) for x in xs), source="Graph G"
     )
-
-
-# ------------------------------------------------------------- neg transform
-
-
-def test_neg_transform_examples():
-    g = first_graph(SparseSeq.unit(1))
-    flipped = neg_transform(g)
-    assert flipped.points[0].y == -apply_G(SparseSeq.unit(1))
-    empty = SampledGraph(DualSystem.FIRST, (), source="custom")
-    assert neg_transform(empty).points == ()
-
-
-@given(sparse_seqs(), sparse_seqs())
-def test_neg_transform_involution(x, y):
-    g = first_graph(x, y)
-    assert neg_transform(neg_transform(g)).points == g.points
-
-
-# ---------------------------------------------------------- c + indicator
-
-
-def test_eval_cA():
-    g = first_graph(SparseSeq.unit(1), seq(1, 1))
-    on = graph_point_first(seq(1, 1))
-    assert eval_cA(on, g) == 0  # skew graph lies in [c = 0]
-    off = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
-    assert eval_cA(off, g) == PLUS_INF
-    empty = SampledGraph(DualSystem.FIRST, (), source="custom")
-    assert eval_cA(on, empty) == PLUS_INF
 
 
 # ------------------------------------------------------------ sampled values
@@ -140,27 +111,27 @@ def test_divergence_certificate_exceeds_threshold():
 
 
 def test_fitz_closed_second_G_examples():
-    assert fitz_closed_second_G(CANONICAL) == 0
+    assert G_SECOND.fitz_closed(CANONICAL) == 0
     embedded = embed_first(SparseSeq.unit(1))
-    assert fitz_closed_second_G(embedded) == 0
+    assert G_SECOND.fitz_closed(embedded) == 0
     off = PairPoint.second(UNIT_MASS, TailSeq.zero())
-    assert fitz_closed_second_G(off) == PLUS_INF
+    assert G_SECOND.fitz_closed(off) == PLUS_INF
 
 
 def test_fitz_closed_second_negG_examples():
     on = PairPoint.second(UNIT_MASS, -TailSeq.ones())
-    assert fitz_closed_second_negG(on) == 0
-    assert fitz_closed_second_negG(CANONICAL) == PLUS_INF
-    assert fitz_closed_second_negG(PairPoint.zero(DualSystem.SECOND)) == 0
+    assert NEGG_SECOND.fitz_closed(on) == 0
+    assert NEGG_SECOND.fitz_closed(CANONICAL) == PLUS_INF
+    assert NEGG_SECOND.fitz_closed(PairPoint.zero(DualSystem.SECOND)) == 0
 
 
 @given(model_measures())
 def test_closed_forms_are_sign_mirrors(mu):
     z = graph_Gstar_point(mu)
     mirrored = PairPoint.second(z.x, -z.y)
-    assert fitz_closed_second_negG(z) == fitz_closed_second_G(mirrored) == 0
+    assert NEGG_SECOND.fitz_closed(z) == G_SECOND.fitz_closed(mirrored) == 0
     w = graph_negGstar_point(mu)
-    assert fitz_closed_second_G(w) == fitz_closed_second_negG(
+    assert G_SECOND.fitz_closed(w) == NEGG_SECOND.fitz_closed(
         PairPoint.second(w.x, -w.y)
     ) == 0
 
@@ -169,7 +140,7 @@ def test_closed_forms_are_sign_mirrors(mu):
 def test_sign_mirror_holds_off_graph_too(mu):
     z = PairPoint.second(mu, TailSeq.constant(F(7, 3), head=[1]))
     mirrored = PairPoint.second(z.x, -z.y)
-    assert fitz_closed_second_negG(z) == fitz_closed_second_G(mirrored)
+    assert NEGG_SECOND.fitz_closed(z) == G_SECOND.fitz_closed(mirrored)
 
 
 @given(model_measures())
@@ -180,7 +151,7 @@ def test_second_sampled_vanishes_on_embedded_closure(mu):
         tuple(embed_first(x) for x in (SparseSeq.unit(1), seq(1, 1), seq(0, 2, -3))),
         source="Graph G embedded",
     )
-    assert fitz_sampled(z, embedded) == 0 <= fitz_closed_second_G(z)
+    assert fitz_sampled(z, embedded) == 0 <= G_SECOND.fitz_closed(z)
 
 
 # --------------------------------------------------------------- annihilator
@@ -261,19 +232,67 @@ def test_orthogonality_violation_is_reported():
     assert witness["value"] == 1
 
 
-# -------------------------------------------------------- function wrappers
+# ------------------------------------------------------------ operator table
 
 
-def test_represented_function_factories():
-    closed = fitzpatrick_closed("G-second")
-    assert closed(CANONICAL) == 0
-    closure = indicator_closure_model()
-    assert closure(embed_first(seq(1, 2))) == 0
-    assert closure(CANONICAL) == PLUS_INF
-    g = first_graph(SparseSeq.unit(1))
-    ca = coupling_plus_indicator(g)
-    assert ca(g.points[0]) == 0
-    assert ca(PairPoint.zero(DualSystem.FIRST)) == PLUS_INF
+def test_operator_table_entries():
+    assert list(OPERATORS) == [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND]
+    assert fitz_closed_first == OPERATORS[OP_G_FIRST].fitz_closed
+    rows = {
+        op.id: (op.system, op.graph_label, op.fitz_graph, op.profile)
+        for op in OPERATORS.values()
+    }
+    assert rows == {
+        OP_G_FIRST: (DualSystem.FIRST, "Graph G", "Graph G", "maximal-consistent"),
+        OP_G_SECOND: (
+            DualSystem.SECOND,
+            "Graph G embedded",
+            "Graph negG*",
+            "not-maximal-consistent",
+        ),
+        OP_NEGG_SECOND: (
+            DualSystem.SECOND,
+            "Graph negG embedded",
+            "Graph G*",
+            "NI-but-not-maximal-consistent",
+        ),
+    }
+    assert set(SOURCE_MEMBERSHIP) == {
+        "Graph G",
+        "Graph G embedded",
+        "Graph negG embedded",
+        "Graph negG*",
+        "Graph G*",
+    }
+
+
+def test_operator_table_membership():
+    # The model slice of the closed graph of embedded G: mass-free points
+    # with y = G(atomic); the closure's extra points are not representable.
+    assert G_SECOND.fitz_closed(CANONICAL) == 0
+    assert G_SECOND.on_graph(embed_first(seq(1, 2)))
+    assert not G_SECOND.on_graph(CANONICAL)
+    with_mass = PairPoint.second(ModelMeasure(seq(1, 2), F(1)), apply_G(seq(1, 2)))
+    assert not G_SECOND.on_graph(with_mass)
+    negated = PairPoint.second(ModelMeasure.from_atomic(seq(1)), -apply_G(seq(1)))
+    assert NEGG_SECOND.on_graph(negated)
+    assert not NEGG_SECOND.on_graph(embed_first(seq(1)))
+    with pytest.raises(ValueError):
+        G_SECOND.fitz_closed(PairPoint.zero(DualSystem.FIRST))
+
+
+@given(sparse_seqs())
+def test_graph_points_lie_on_their_graphs(x):
+    for op in OPERATORS.values():
+        z = op.graph_point(x)
+        assert z.system is op.system
+        assert op.on_graph(z)
+        assert SOURCE_MEMBERSHIP[op.graph_label](z)
+        assert op.sampled_graph([x, x]).points == (z,)
+    # Embedded graph points lie on the Fitzpatrick graph: Graph(-G*) for G,
+    # Graph G* for -G.
+    assert G_SECOND.fitz_closed(G_SECOND.graph_point(x)) == 0
+    assert NEGG_SECOND.fitz_closed(NEGG_SECOND.graph_point(x)) == 0
 
 
 def test_sampled_graph_dedup_and_json():

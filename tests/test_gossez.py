@@ -1,15 +1,15 @@
 """The skew operator: forward map, inversion, moment matching, norm ratios.
 
-The oracle for the forward map is the raw double sum over the sign kernel,
-kept independent of the prefix-sum implementation.
+The oracle for the forward map is the raw double sum over the sign kernel
+``dense_reference.alpha``, kept independent of the prefix-sum implementation.
 """
 
 from fractions import Fraction
 
 from hypothesis import given
 
+from dense_reference import alpha
 from gossez_lab.gossez import (
-    alpha,
     alternating,
     apply_G,
     apply_negG,

@@ -1,5 +1,6 @@
 """Property checkers: monotonicity, extension probing, NI search, dichotomy."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,10 +11,9 @@ from gossez_lab.fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
     OP_NEGG_SECOND,
+    OPERATORS,
+    PLUS_INF,
     SampledGraph,
-    indicator_graph_G,
-    indicator_graph_negGstar,
-    coupling_plus_indicator,
 )
 from gossez_lab.props import (
     ProbeSet,
@@ -213,7 +213,7 @@ def test_ni_search_finds_nothing_for_negG_second_and_G_first():
 def test_representability_of_first_indicator():
     g = graph_samples(15)
     probes = ProbeSet.generate(OP_G_FIRST, 1, 16, 150)
-    verdict = representability_check(indicator_graph_G(), g, probes, seed=1)
+    verdict = representability_check(OPERATORS[OP_G_FIRST], g, probes, seed=1)
     assert verdict.status == VERIFIED
     assert verdict.stats["equality_set"] > 0
 
@@ -225,7 +225,7 @@ def test_representability_of_second_fitzpatrick_reports_below_witness():
         source="Graph G embedded",
     )
     probes = ProbeSet.generate(OP_G_SECOND, 0, 16, 100)
-    verdict = representability_check(indicator_graph_negGstar(), embedded, probes, seed=0)
+    verdict = representability_check(OPERATORS[OP_G_SECOND], embedded, probes, seed=0)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["fn"] == 0 and witness["coupling"] > 0
@@ -234,23 +234,16 @@ def test_representability_of_second_fitzpatrick_reports_below_witness():
 
 
 def test_representability_refutes_wrong_function():
-    g = graph_samples(5)
-    # indicator of a different graph: fails equality on the sampled graph
-    wrong = coupling_plus_indicator(
-        SampledGraph(DualSystem.FIRST, (), source="custom")
-    )
-    probes = ProbeSet.generate(OP_G_FIRST, 2, 16, 50)
-    verdict = representability_check(wrong, g, probes, seed=2)
+    # CANONICAL lies on Graph(-G*), not on Graph G*: the closed form of -G
+    # is +inf there while the coupling is 1, so equality on the graph fails.
+    g = SampledGraph(DualSystem.SECOND, (CANONICAL,), source="Graph negG*")
+    probes = ProbeSet.generate(OP_NEGG_SECOND, 2, 16, 50)
+    verdict = representability_check(OPERATORS[OP_NEGG_SECOND], g, probes, seed=2)
     assert verdict.status == REFUTED
-
-
-def test_representability_of_sampled_cA_is_trivially_fine():
-    g = graph_samples(6)
-    probes = ProbeSet.generate(OP_G_FIRST, 3, 16, 80)
-    verdict = representability_check(coupling_plus_indicator(g), g, probes, seed=3)
-    # +inf off the samples dominates c; equality holds exactly on the samples
-    assert verdict.status in (VERIFIED, INCONCLUSIVE)
-    assert verdict.status == VERIFIED
+    witness = verdict.witnesses[0]
+    assert witness["z"] == CANONICAL
+    assert witness["fn"] == PLUS_INF and witness["coupling"] == 1
+    assert verdict.property == "representability(indicator(Graph G*))"
 
 
 # ------------------------------------------------------------------ dichotomy
@@ -270,9 +263,24 @@ def test_dichotomy_profiles(op_id, profile):
     assert verdict.stats["profile"] == profile
 
 
+def test_dichotomy_compares_against_the_table(monkeypatch):
+    # The same observations refute the dichotomy once the operator's
+    # expected verdicts say otherwise.
+    op = OPERATORS[OP_G_FIRST]
+    monkeypatch.setitem(
+        OPERATORS, OP_G_FIRST, dataclasses.replace(op, expected=(VERIFIED, VERIFIED, WITNESS_FOUND))
+    )
+    verdict = dichotomy_crosscheck(OP_G_FIRST, seed=0, truncation=8, probe_count=40)
+    assert verdict.status == REFUTED
+    assert verdict.stats["extension_refuted"] == 20
+    assert verdict.stats["extension_witness_found"] is False
+
+
 def test_dichotomy_unknown_operator():
     with pytest.raises(ValueError):
         dichotomy_crosscheck("bogus")
+    with pytest.raises(ValueError):
+        ProbeSet.generate("bogus", 0, 16, 10)
 
 
 def test_probe_set_reproducible_from_descriptor():

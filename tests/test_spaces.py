@@ -52,6 +52,31 @@ def test_rational_round_trip():
     assert parse_rational("-7") == F(-7)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TailSeq((F(1), 0.5), (F(0),)),
+        lambda: TailSeq((), (0.5,)),
+        lambda: TailSeq.constant(0.5),
+        lambda: SparseSeq.from_pairs([(1, F(1)), (2, 0.5)]),
+        lambda: SparseSeq.from_values([0.5]),
+        lambda: ModelMeasure(SparseSeq.zero(), 0.5),
+        lambda: ModelMeasure(SparseSeq.from_pairs([(1, 0.5)]), F(1)),
+    ],
+)
+def test_floats_are_rejected(build):
+    # Exactness is the product: a float never enters a value type silently.
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_ints_convert_to_fractions():
+    y = TailSeq((1, F(1, 2)), (2,))
+    assert all(type(v) is Fraction for v in y.head + y.tail)
+    x = SparseSeq.from_pairs([(1, 3)])
+    assert type(x.entries[0][1]) is Fraction
+
+
 # ---------------------------------------------------------------- SparseSeq
 
 
