@@ -70,6 +70,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UnknownCheckError(ValueError):

@@ -1,7 +1,10 @@
 """Command-line driver: run the check catalog, emit deterministic reports.
 
 Exit codes: 0 all selected checks reach their expected status, 1 a check
-failed (first failure named on stderr), 2 usage error, 3 I/O failure.
+failed (first failure named on stderr), 2 usage error, 3 I/O failure, 4
+internal error (an unexpected exception while running the checks, named in
+one ``internal error:`` line on stderr, so it never passes for a failed
+check).
 Report bytes go to --out or stdout; per-check timing goes to stderr only,
 keeping the emitted artifact reproducible.
 """
@@ -15,6 +18,7 @@ import sys
 from .checks import (
     CATALOG,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -95,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownCheckError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     for result in report.results:
         flag = " ok " if result.passed else "FAIL"

@@ -213,15 +213,23 @@ def representability_check(
                 stats={"graph_points": len(graph.points)},
                 seed=seed,
             )
+    # fn at each probe, None outside the model; evaluated once, reused below.
+    values = []
+    for z in probes.points:
+        try:
+            values.append(fn(z))
+        except OutsideModelDomain:
+            values.append(None)
     below: dict | None = None
     equality_set = 0
     equality_on_analytic = 0
     skipped = 0
-    for z in probes.points:
+    for z, fv in zip(probes.points, values):
         try:
             cv = coupling_value(z)
-            fv = fn(z)
         except OutsideModelDomain:
+            fv = None
+        if fv is None:
             skipped += 1
             continue
         if fv < cv and below is None:
@@ -231,21 +239,18 @@ def representability_check(
             if op.on_graph(z):
                 equality_on_analytic += 1
     rng = rng_for(seed, f"convexity:{name}")
-    finite = []
-    for z in probes.points:
-        try:
-            if fn(z) != PLUS_INF:
-                finite.append(z)
-        except OutsideModelDomain:
-            continue
+    # A probe enters by its fn value alone, even if its coupling is outside the model.
+    finite = [
+        (z, fv) for z, fv in zip(probes.points, values) if fv is not None and fv != PLUS_INF
+    ]
     convex_checked = 0
     for _ in range(convexity_pairs):
         if len(finite) < 2:
             break
-        z1, z2 = rng.sample(finite, 2)
+        (z1, f1), (z2, f2) = rng.sample(finite, 2)
         try:
             mid = (z1 + z2).scale(Fraction(1, 2))
-            fm, f1, f2 = fn(mid), fn(z1), fn(z2)
+            fm = fn(mid)
         except OutsideModelDomain:
             skipped += 1
             continue

@@ -1,10 +1,11 @@
-"""Dense per-index reference for the G kernels and TailSeq arithmetic.
+"""Dense reference for the G kernels, TailSeq arithmetic and elimination.
 
-These are the original implementations, one exact operation per index,
-kept as the oracle for the run-aware kernels in ``gossez_lab``.  They work
-on plain tuples so that nothing here shares code with the library: a
-sequence is a canonical ``(head, tail)`` pair, a summable sequence a dict
-``{index: value}`` without zeros.
+These are the original implementations, one exact operation per index or
+per matrix entry, kept as the oracle for the run-aware kernels and the
+integer elimination in ``gossez_lab``.  They work on plain tuples and
+lists so that nothing here shares code with the library: a sequence is a
+canonical ``(head, tail)`` pair, a summable sequence a dict
+``{index: value}`` without zeros, a matrix a list of ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -96,3 +97,58 @@ def solve_G(y):
     if apply_G(candidate) != y:
         return False, None, "round-trip mismatch"
     return True, candidate, None
+
+
+def rref(matrix):
+    """Reduced row echelon form on Fraction rows: (rref, pivot column per row)."""
+    rows = [row[:] for row in matrix]
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def solve_minimal(rows, rhs):
+    """rows * x = rhs with free variables zero, or None if inconsistent."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = rref([row + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        solution[col] = row[-1]
+    return solution
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : rows * x = 0}, one vector per free column."""
+    if not rows:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vector = [Fraction(0)] * ncols
+        vector[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vector[col] = -row[free]
+        basis.append(vector)
+    return basis

@@ -229,3 +229,29 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "dichotomy" in result.stdout
+
+
+def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    import dataclasses
+
+    import gossez_lab.checks as checks
+
+    def crash(config):
+        raise RuntimeError("kernel exploded")
+
+    broken = dataclasses.replace(checks.CATALOG[3], runner=crash)
+    monkeypatch.setattr(checks, "CATALOG", checks.CATALOG[:3] + (broken,) + checks.CATALOG[4:])
+    assert main(["run", "--checks", broken.name, "--trials", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: kernel exploded\n"
+
+
+def test_package_runs_as_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "gossez_lab", "list"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert "dichotomy" in result.stdout

@@ -1,8 +1,23 @@
-"""Exact elimination: minimal-support solving and nullspace bases."""
+"""Exact elimination: minimal-support solving and nullspace bases.
+
+The integer elimination is checked for exact equality against the
+``Fraction`` elimination kept in ``dense_reference``.
+"""
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from gossez_lab import linalg
+from gossez_lab.fitz import annihilator_truncated
 from gossez_lab.linalg import nullspace, solve_minimal
+from gossez_lab.sampling import embed_first, unit_graph_points
+from gossez_lab.spaces import DualSystem, SparseSeq
+
+from strategies import rationals
 
 F = Fraction
 
@@ -53,3 +68,90 @@ def test_nullspace_of_zero_rows_is_full_space():
 def test_nullspace_empty_rows():
     basis = nullspace([], 2)
     assert basis == [[F(1), F(0)], [F(0), F(1)]]
+
+
+def entries(big: bool):
+    values = rationals(10**30, 10**20) if big else rationals(9, 6)
+    return st.one_of(st.just(F(0)), values)
+
+
+@st.composite
+def matrices(draw, max_rows: int = 6, max_cols: int = 7):
+    """Rank-deficient on purpose: zero, duplicate and combined rows, zero columns."""
+    ncols = draw(st.integers(1, max_cols))
+    values = entries(draw(st.booleans()))
+    rows = draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([F(0)] * ncols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    rows = [[F(0) if j in zero_cols else v for j, v in enumerate(row)] for row in rows]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+def assert_all_fractions(vectors):
+    for vector in vectors:
+        assert all(type(v) is Fraction for v in vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_nullspace_matches_fraction_elimination(rows):
+    ncols = len(rows[0]) if rows else 3
+    basis = nullspace(rows, ncols)
+    assert basis == ref.nullspace(rows, ncols)
+    assert_all_fractions(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_minimal_matches_fraction_elimination(data):
+    rows = data.draw(matrices())
+    ncols = len(rows[0]) if rows else 0
+    values = entries(data.draw(st.booleans()))
+    if data.draw(st.booleans()):  # consistent: rhs is rows * x
+        x = data.draw(st.lists(values, min_size=ncols, max_size=ncols))
+        rhs = [sum((r * v for r, v in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+    solution = solve_minimal(rows, rhs)
+    assert solution == ref.solve_minimal(rows, rhs)
+    if solution is not None:
+        assert_all_fractions([solution])
+        assert [sum((r * v for r, v in zip(row, solution)), F(0)) for row in rows] == rhs
+
+
+@given(st.integers(0, 6))
+def test_no_equations_match_fraction_elimination(ncols):
+    basis = nullspace([], ncols)
+    assert basis == ref.nullspace([], ncols)
+    assert_all_fractions(basis)
+    assert solve_minimal([], []) == ref.solve_minimal([], []) == []
+
+
+@pytest.mark.parametrize(
+    "system, spanning",
+    [
+        (DualSystem.FIRST, unit_graph_points(32)),
+        (DualSystem.SECOND, [embed_first(SparseSeq.unit(k)) for k in range(1, 33)]),
+    ],
+)
+def test_annihilator_window_32_matches_fraction_elimination(monkeypatch, system, spanning):
+    seen = []
+
+    def recording(rows, ncols):
+        basis = nullspace(rows, ncols)
+        seen.append((rows, ncols, basis))
+        return basis
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    annihilator_truncated(spanning, 32, system)
+    [(rows, ncols, basis)] = seen
+    assert basis == ref.nullspace(rows, ncols)
+    assert_all_fractions(basis)

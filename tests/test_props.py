@@ -246,6 +246,24 @@ def test_representability_refutes_wrong_function():
     assert verdict.property == "representability(indicator(Graph G*))"
 
 
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+def test_representability_evaluates_each_probe_once(op_id):
+    # fn runs once per graph point, once per probe and once per convexity
+    # midpoint; the probe values are reused for the finite set and the ends.
+    calls = []
+    op = OPERATORS[op_id]
+    counting = dataclasses.replace(
+        op, on_fitz_graph=lambda z: calls.append(z) or op.on_fitz_graph(z)
+    )
+    graph = counting.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
+    probes = ProbeSet.generate(op_id, 3, 16, 60)
+    verdict = representability_check(counting, graph, probes, seed=3, convexity_pairs=40)
+    assert verdict == representability_check(op, graph, probes, seed=3, convexity_pairs=40)
+    assert verdict.stats["convexity_pairs"] > 0
+    midpoints = verdict.stats["convexity_pairs"] + verdict.stats["skipped"]
+    assert len(calls) <= len(graph.points) + len(probes.points) + midpoints
+
+
 # ------------------------------------------------------------------ dichotomy
 
 
