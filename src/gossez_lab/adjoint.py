@@ -13,13 +13,18 @@ decides the kernel restricted to the model only.
 
 from __future__ import annotations
 
-from .gossez import apply_G
+from .gossez import _shifted_G
 from .spaces import ModelMeasure, PairPoint, TailSeq
 
 
 def apply_Gstar(mu: ModelMeasure) -> TailSeq:
-    """Closed-form adjoint value: -(mass at infinity) * ones - G(atomic)."""
-    return TailSeq.constant(-mu.infinity_mass) - apply_G(mu.atomic)
+    """Closed-form adjoint value: -(mass at infinity) * ones - G(atomic).
+
+    Runs G's kernel once with the sign flipped and the mass as a shift, on
+    integer numerators over one common denominator: no separate image of
+    the atomic part and no TailSeq subtraction.
+    """
+    return _shifted_G(mu.atomic, -1, -mu.infinity_mass)
 
 
 def in_kernel_model(mu: ModelMeasure) -> bool:

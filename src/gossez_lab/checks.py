@@ -207,8 +207,10 @@ def _run_g_basic(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         top = x.max_index()
         xs = dict(x.entries)
         g = [gx.value(n) for n in range(1, top + 2)]
+        # Inside a gap of x, Gx repeats one object: its difference is exactly 0.
         recurrence_ok = all(
-            g[n] - g[n - 1] == -(xs.get(n, 0) + xs.get(n + 1, 0)) for n in range(1, top + 1)
+            (0 if g[n] is g[n - 1] else g[n] - g[n - 1]) == -(xs.get(n, 0) + xs.get(n + 1, 0))
+            for n in range(1, top + 1)
         )
         tally.record("difference-recurrence", recurrence_ok, {"x": x})
         tally.record("negation", apply_negG(x) == -gx, {"x": x})

@@ -334,7 +334,8 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
     """Check z.w = 0 for every z in b, w in a.
 
     Pairings outside the model domain are skipped and counted; the first
-    violation refutes with the exact pair and value.
+    violation refutes with the exact pair and value.  Verified only if at
+    least one pair was evaluated and none was skipped.
     """
     zeros = 0
     skipped = 0
@@ -357,7 +358,7 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
                     },
                 )
             zeros += 1
-    status = VERIFIED if skipped == 0 else INCONCLUSIVE
+    status = VERIFIED if zeros and not skipped else INCONCLUSIVE
     return PropertyVerdict(
         property="orthogonality",
         status=status,

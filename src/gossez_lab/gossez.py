@@ -19,6 +19,7 @@ the alternating family whose image/preimage norm ratio collapses like 1/m
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,18 +31,32 @@ def apply_G(x: SparseSeq) -> TailSeq:
     """Evaluate Gx; head covers indices 1..max(support), tail is -sum(x).
 
     Between support points the image is constant, total - 2*prefix, so each
-    gap repeats one shared value and only support points cost arithmetic.
+    gap repeats one shared value and only support points cost arithmetic,
+    done on integer numerators over one common denominator.
     """
-    total = x.entry_sum()
+    return _shifted_G(x, 1, Fraction(0))
+
+
+def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
+    """shift * ones + sign * Gx, the kernel of G and of G* (sign -1).
+
+    The prefix sums run on Python ints over D, the lcm of the denominators
+    of x and of shift; one normalised Fraction is built per gap (shared by
+    every index of the gap), per support point and for the tail.
+    """
+    den = math.lcm(shift.denominator, *(v.denominator for _, v in x.entries))
+    base = shift.numerator * (den // shift.denominator)
+    nums = [(n, v.numerator * (den // v.denominator)) for n, v in x.entries]
+    level = sum(num for _, num in nums)  # total - 2*prefix, times D
     head: list[Fraction] = []
-    prefix = Fraction(0)  # sum of x_k for k < n
-    for n, here in x.entries:
+    for n, here in nums:
         # -prefix + (total - prefix - here)
-        level = total - 2 * prefix
-        head.extend([level] * (n - 1 - len(head)))
-        head.append(level - here)
-        prefix += here
-    return TailSeq(tuple(head), (-total,))
+        gap = n - 1 - len(head)
+        if gap:
+            head.extend([Fraction(base + sign * level, den)] * gap)
+        head.append(Fraction(base + sign * (level - here), den))
+        level -= 2 * here
+    return TailSeq(tuple(head), (Fraction(base + sign * level, den),))
 
 
 def apply_negG(x: SparseSeq) -> TailSeq:

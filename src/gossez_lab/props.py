@@ -13,6 +13,7 @@ know of an operator from its ``fitz.OPERATORS`` entry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,7 +50,10 @@ __all__ = [
 
 
 def is_monotone(graph: SampledGraph) -> PropertyVerdict:
-    """Check c(z1 - z2) >= 0 over all unordered sample pairs."""
+    """Check c(z1 - z2) >= 0 over all unordered sample pairs.
+
+    Verified only if at least one pair was evaluated and none was skipped.
+    """
     checked = 0
     skipped = 0
     minimum: Fraction | None = None
@@ -74,7 +78,7 @@ def is_monotone(graph: SampledGraph) -> PropertyVerdict:
         stats["min_value"] = minimum
     return PropertyVerdict(
         property="monotone",
-        status=VERIFIED if skipped == 0 else INCONCLUSIVE,
+        status=VERIFIED if checked and not skipped else INCONCLUSIVE,
         stats=stats,
     )
 
@@ -120,6 +124,8 @@ def extension_probe(
         )
     checked = 1
     skipped = 0
+    # Every ladder scale is an integer, so t is its own numerator.
+    steps = [(t, t.numerator) for t in ladder]
     for w in graph.points:
         try:
             zw = natural_couple(z, w)
@@ -127,11 +133,17 @@ def extension_probe(
         except OutsideModelDomain:
             skipped += 1
             continue
-        for t in ladder:
-            # c(z - t*w) expanded bilinearly; exact for every scale.
-            value = cz - t * zw + t * t * cw
+        # c(z - t*w) = cz - t*zw + t^2*cw, exact for every scale; its sign is
+        # that of A - t*B + t^2*C, the numerators over one positive denominator.
+        den = math.lcm(cz.denominator, zw.denominator, cw.denominator)
+        a = cz.numerator * (den // cz.denominator)
+        b = zw.numerator * (den // zw.denominator)
+        c = cw.numerator * (den // cw.denominator)
+        for t, p in steps:
             checked += 1
-            if value < 0:
+            numerator = a - p * b + p * p * c
+            if numerator < 0:
+                value = Fraction(numerator, den)
                 return PropertyVerdict(
                     property="extension",
                     status=REFUTED,
@@ -155,6 +167,7 @@ def ni_witness_search(op_id: str, probes: ProbeSet) -> PropertyVerdict:
 
     The closed-form Fitzpatrick value is an indicator here, so a witness is
     a graph point of the indicator's graph whose coupling is positive.
+    Verified only if at least one probe was evaluated and none was skipped.
     """
     fitz = operator_for(op_id).fitz_closed
     seed = probes.descriptor.get("seed")
@@ -178,7 +191,7 @@ def ni_witness_search(op_id: str, probes: ProbeSet) -> PropertyVerdict:
             )
     return PropertyVerdict(
         property=f"NI({op_id})",
-        status=VERIFIED if skipped == 0 else INCONCLUSIVE,
+        status=VERIFIED if checked and not skipped else INCONCLUSIVE,
         stats={"probes_checked": checked, "skipped": skipped},
         seed=seed,
     )
@@ -198,7 +211,8 @@ def representability_check(
     values finite.  A probe strictly below the coupling is reported as a
     witness (it disqualifies fn from the representative class); equality on
     the graph failing refutes outright.  The equality set among probes is
-    reported for comparison with op's analytic graph.
+    reported for comparison with op's analytic graph.  With no graph points
+    and no probes nothing is evaluated, and the verdict is inconclusive.
     """
     fn = op.fitz_closed
     name = f"indicator({op.fitz_graph})"
@@ -279,9 +293,10 @@ def representability_check(
             stats=stats,
             seed=seed,
         )
+    evaluated = graph.points or probes.points
     return PropertyVerdict(
         property=f"representability({name})",
-        status=VERIFIED if skipped == 0 else INCONCLUSIVE,
+        status=VERIFIED if evaluated and not skipped else INCONCLUSIVE,
         stats=stats,
         seed=seed,
     )

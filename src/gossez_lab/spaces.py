@@ -19,6 +19,12 @@ through the measure action.  ``PairPoint`` tags a product-space point with
 its system, and ``natural_couple`` implements the induced coupling
 z.w = c(x_z, y_w) + c(x_w, y_z) on pairs.
 
+The hot kernels avoid one ``Fraction`` operation per value.  ``couple``
+sums integer numerators over a running common denominator and builds one
+normalised ``Fraction`` at the end.  The element-wise ``TailSeq`` kernels,
+equality and the sup norm work once per run of identical head objects.
+Results are exact and canonical either way.
+
 All types are immutable and safe to share across threads.
 """
 
@@ -168,9 +174,9 @@ def _minimal_period(pattern: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 # Dense heads hold long runs of one shared object (see gossez.apply_G), so
-# the element-wise kernels apply an exact operation once per run of
-# identical operands and repeat its result; equal inputs give equal values,
-# so only repeated work is skipped.
+# the element-wise kernels, equality and the sup norm do their exact work
+# once per run of identical operands and repeat its result; identical
+# objects are equal, so only repeated work is skipped.
 
 
 def _map_runs(f, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -268,10 +274,33 @@ class TailSeq:
         """The limit for a constant tail, None when the tail oscillates."""
         return self.tail[0] if len(self.tail) == 1 else None
 
+    def __eq__(self, other: object) -> bool:
+        # Canonical forms decide equality: compare the heads once per run
+        # of identical operand objects.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if len(self.head) != len(other.head) or self.tail != other.tail:
+            return False
+        last_a = last_b = None
+        for a, b in zip(self.head, other.head):
+            if a is not last_a or b is not last_b:
+                if a is not b and a != b:
+                    return False
+                last_a, last_b = a, b
+        return True
+
     def linf_norm(self) -> Fraction:
         # Every head value occurs once and every pattern value infinitely
-        # often, so the sup norm is a max over finitely many values.
-        return max(abs(v) for v in self.head + self.tail)
+        # often, so the sup norm is a max over finitely many values: one
+        # abs per run of identical objects.
+        best = last = None
+        for v in self.head + self.tail:
+            if v is not last:
+                last = v
+                size = abs(v)
+                if best is None or size > best:
+                    best = size
+        return best
 
     def oscillation(self) -> Fraction:
         """Half the spread of the tail pattern.
@@ -386,8 +415,21 @@ class ModelMeasure:
 
 
 def couple(x: SparseSeq, y: TailSeq) -> Fraction:
-    """Series coupling sum_n x_n * y_n; finite because x is finitely supported."""
-    return sum((v * y.value(n) for n, v in x.entries), Fraction(0))
+    """Series coupling sum_n x_n * y_n; finite because x is finitely supported.
+
+    The terms are summed as an integer numerator over the running lcm of
+    their denominators; one normalised Fraction is built at the end.
+    """
+    num, den = 0, 1
+    for n, v in x.entries:
+        w = y.value(n)
+        term = v.numerator * w.numerator
+        if term:
+            q = v.denominator * w.denominator
+            common = math.lcm(den, q)
+            num = num * (common // den) + term * (common // q)
+            den = common
+    return Fraction(num, den)
 
 
 def pair_measure(mu: ModelMeasure, y: TailSeq) -> Fraction:

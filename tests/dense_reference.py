@@ -1,11 +1,12 @@
-"""Dense reference for the G kernels, TailSeq arithmetic and elimination.
+"""Dense reference for the G kernels, TailSeq arithmetic, couplings and elimination.
 
-These are the original implementations, one exact operation per index or
-per matrix entry, kept as the oracle for the run-aware kernels and the
-integer elimination in ``gossez_lab``.  They work on plain tuples and
-lists so that nothing here shares code with the library: a sequence is a
-canonical ``(head, tail)`` pair, a summable sequence a dict
-``{index: value}`` without zeros, a matrix a list of ``Fraction`` rows.
+These are the original implementations, one ``Fraction`` operation per
+index, per term or per matrix entry, kept as the oracle for the run-aware
+and integer-numerator kernels and the integer elimination in
+``gossez_lab``.  They work on plain tuples and lists so that nothing here
+shares code with the library: a sequence is a canonical ``(head, tail)``
+pair, a summable sequence a dict ``{index: value}`` without zeros, a
+matrix a list of ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -74,6 +75,53 @@ def apply_G(x):
         head.append(total - 2 * prefix - here)
         prefix += here
     return canonical(head, (-total,))
+
+
+def apply_Gstar(x, a):
+    """-a * ones - Gx for the measure with atoms x and mass a at infinity."""
+    return combine(canonical((), (-a,)), apply_G(x), lambda u, v: u - v)
+
+
+def couple(x, y):
+    """sum_n x_n * y_n as a Fraction sum of products."""
+    return sum((v * value(y, n) for n, v in x.items()), Fraction(0))
+
+
+def linf_norm(y):
+    """max |v| over the head plus the tail pattern."""
+    head, tail = y
+    return max(abs(v) for v in head + tail)
+
+
+def scale_ladder(scale_max):
+    ladder = []
+    t = Fraction(1)
+    while t <= scale_max:
+        ladder.extend((t, -t))
+        t *= 10
+    return ladder
+
+
+def extension_scan(cz, couplings, scale_max):
+    """The ladder scan of an extension probe, on Fractions.
+
+    ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w.
+    Returns (sample index, scale, value, pairs checked) for the first
+    t with c(z - t*w) = cz - t*zw + t^2*cw < 0, or (None, None, None,
+    pairs checked) if every value is nonnegative.  cz itself counts as the
+    first pair checked.
+    """
+    checked = 1
+    for i, pair in enumerate(couplings):
+        if pair is None:
+            continue
+        zw, cw = pair
+        for t in scale_ladder(scale_max):
+            value = cz - t * zw + t * t * cw
+            checked += 1
+            if value < 0:
+                return i, t, value, checked
+    return None, None, None, checked
 
 
 def solve_G(y):

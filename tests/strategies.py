@@ -19,16 +19,52 @@ def nonzero_rationals(max_num: int = 50, max_den: int = 20):
     )
 
 
-def sparse_seqs(max_index: int = 20, max_size: int = 6):
-    return st.dictionaries(
-        st.integers(1, max_index), nonzero_rationals(), max_size=max_size
-    ).map(lambda d: SparseSeq.from_pairs(d.items()))
+# Distinct primes just below 10**12: values over them are pairwise coprime,
+# so every common denominator is a product and the lcm paths are exercised.
+LARGE_PRIMES = (999999999989, 999999999961, 999999999959, 999999999937, 999999999899)
 
 
-def tail_seqs(max_head: int = 4):
-    heads = st.lists(rationals(), max_size=max_head)
-    tails = st.lists(rationals(), min_size=1, max_size=3)
+def wide_rationals():
+    """Numerators up to 10**15, denominators up to 10**12, often coprime."""
+    dens = st.one_of(st.sampled_from(LARGE_PRIMES), st.integers(1, 10**12))
+    return st.builds(Fraction, st.integers(-(10**15), 10**15), dens)
+
+
+def sparse_seqs(max_index: int = 20, max_size: int = 6, values=None):
+    values = nonzero_rationals() if values is None else values.filter(bool)
+    return st.dictionaries(st.integers(1, max_index), values, max_size=max_size).map(
+        lambda d: SparseSeq.from_pairs(d.items())
+    )
+
+
+def tail_seqs(max_head: int = 4, values=None):
+    values = rationals() if values is None else values
+    heads = st.lists(values, max_size=max_head)
+    tails = st.lists(values, min_size=1, max_size=3)
     return st.builds(lambda h, t: TailSeq(tuple(h), tuple(t)), heads, tails)
+
+
+FAR = 10**5
+
+
+@st.composite
+def far_sparse_seqs(draw, top: int = FAR, values=None):
+    """Scattered points up to ``top`` plus a block of adjacent ones."""
+    values = nonzero_rationals() if values is None else values.filter(bool)
+    pairs = draw(st.dictionaries(st.integers(1, top), values, max_size=4))
+    start = draw(st.integers(1, top - 4))
+    for offset, v in enumerate(draw(st.lists(values, max_size=4))):
+        pairs[start + offset] = v
+    return SparseSeq.from_pairs(pairs.items())
+
+
+@st.composite
+def run_tail_seqs(draw, values=None):
+    """Heads made of runs that share one object, as G images have."""
+    values = rationals() if values is None else values
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 5)), max_size=4))
+    head = [v for v, length in runs for _ in range(length)]
+    return TailSeq(tuple(head), tuple(draw(st.lists(values, min_size=1, max_size=3))))
 
 
 def constant_tail_seqs(max_head: int = 4):

@@ -1,5 +1,6 @@
 """Check catalog, report emission, determinism, CLI contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from gossez_lab.checks import (
+    ARTIFACT_VERSION,
     CATALOG,
     CHECK_NAMES,
     CheckConfig,
@@ -94,6 +96,21 @@ def test_csv_and_md_emission(fast_report):
     assert "all checks passed" in md_payload
     with pytest.raises(ValueError):
         emit(fast_report, "yaml")
+
+
+# sha256 of the default json report at seed 0.  Performance work must leave
+# these bytes alone; a deliberate report change bumps ARTIFACT_VERSION and
+# updates this digest in the same commit.
+DEFAULT_REPORT_SHA256 = "35745b386277216f481104406609a4e3163ca14f3149b5fb31bd073b9b8c67db"
+
+
+def test_default_report_bytes_are_pinned():
+    digest = hashlib.sha256(emit(run_checks(CheckConfig(seed=0)), "json")).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256, (
+        f"default report (seed 0, ARTIFACT_VERSION {ARTIFACT_VERSION}) changed: "
+        f"sha256 {digest}. A deliberate report change bumps ARTIFACT_VERSION and "
+        "updates DEFAULT_REPORT_SHA256 in the same commit."
+    )
 
 
 def test_single_check_run():

@@ -32,7 +32,7 @@ from gossez_lab.spaces import (
     SparseSeq,
     TailSeq,
 )
-from gossez_lab.verdict import REFUTED, VERIFIED
+from gossez_lab.verdict import INCONCLUSIVE, REFUTED, VERIFIED
 
 from strategies import model_measures, seq, sparse_seqs
 
@@ -230,6 +230,16 @@ def test_orthogonality_violation_is_reported():
     assert report.status == REFUTED
     witness = report.witnesses[0]
     assert witness["value"] == 1
+
+
+def test_orthogonality_on_empty_graphs_is_inconclusive():
+    # No pair is evaluated, so nothing is verified.
+    g = first_graph(SparseSeq.unit(1))
+    empty = SampledGraph(DualSystem.FIRST, (), source="custom")
+    for a, b in ((empty, empty), (g, empty), (empty, g)):
+        report = orthogonality_report(a, b)
+        assert report.status == INCONCLUSIVE
+        assert report.stats["pairs_checked"] == 0
 
 
 # ------------------------------------------------------------ operator table

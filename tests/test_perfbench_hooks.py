@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import gossez_lab
+from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS
 from gossez_lab.gossez import apply_G
 from gossez_lab.sampling import ProbeSet
-from gossez_lab.spaces import PairPoint, SparseSeq
+from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -67,6 +68,16 @@ def test_tracer_sees_apply_G_through_the_operator_table(tracer):
     before = tracer.summary().get("gossez.apply_G", (0, 0.0))[0]
     assert OPERATORS[OP_G_FIRST].on_graph(z)
     assert tracer.summary()["gossez.apply_G"][0] == before + 1
+
+
+def test_tracer_sees_apply_Gstar_through_the_operator_table(tracer):
+    # apply_Gstar runs G's kernel directly, not through apply_G: only the
+    # call-time lookup in the table's lambda makes the span visible.
+    mu = ModelMeasure(SparseSeq.from_values([1, 2]), 3)
+    z = PairPoint.second(mu, -apply_Gstar(mu))
+    before = tracer.summary().get("adjoint.apply_Gstar", (0, 0.0))[0]
+    assert OPERATORS[OP_G_SECOND].on_fitz_graph(z)
+    assert tracer.summary()["adjoint.apply_Gstar"][0] == before + 1
 
 
 def test_tracer_counts_through_staticmethods_and_constructors(tracer):

@@ -83,15 +83,24 @@ def test_is_monotone_refutes_with_exact_pair():
 
 
 def test_is_monotone_single_point():
+    # One point makes no pair: nothing is evaluated, nothing is verified.
     g = SampledGraph(DualSystem.FIRST, (graph_point_first(seq(1, 2)),), "Graph G")
-    assert is_monotone(g).status == VERIFIED
+    verdict = is_monotone(g)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats["pairs_checked"] == 0
+
+
+def test_is_monotone_empty_graph_is_inconclusive():
+    verdict = is_monotone(SampledGraph(DualSystem.FIRST, (), "Graph G"))
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats["pairs_checked"] == 0
 
 
 def test_monotonicity_inherited_by_subsets():
     g = graph_samples(16)
     rng = random.Random(5)
     for _ in range(5):
-        subset = tuple(rng.sample(g.points, rng.randint(1, len(g.points))))
+        subset = tuple(rng.sample(g.points, rng.randint(2, len(g.points))))
         sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
         assert is_monotone(sub).status == VERIFIED
 
@@ -207,6 +216,14 @@ def test_ni_search_finds_nothing_for_negG_second_and_G_first():
     assert ni_witness_search(OP_G_FIRST, first).status == VERIFIED
 
 
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+def test_ni_search_on_empty_probes_is_inconclusive(op_id):
+    probes = ProbeSet(OPERATORS[op_id].system, (), {"seed": 0})
+    verdict = ni_witness_search(op_id, probes)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats == {"probes_checked": 0, "skipped": 0}
+
+
 # ----------------------------------------------------------- representability
 
 
@@ -244,6 +261,19 @@ def test_representability_refutes_wrong_function():
     assert witness["z"] == CANONICAL
     assert witness["fn"] == PLUS_INF and witness["coupling"] == 1
     assert verdict.property == "representability(indicator(Graph G*))"
+
+
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+def test_representability_with_nothing_to_evaluate_is_inconclusive(op_id):
+    op = OPERATORS[op_id]
+    graph = SampledGraph(op.system, (), op.graph_label)
+    no_probes = ProbeSet(op.system, (), {"seed": 0})
+    verdict = representability_check(op, graph, no_probes)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats["graph_points"] == 0 and verdict.stats["probes"] == 0
+    # Graph points alone are evaluated (fn = c on each), so they verify.
+    graph = op.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
+    assert representability_check(op, graph, no_probes).status == VERIFIED
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])

@@ -15,30 +15,19 @@ from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.gossez import apply_G, solve_G
 from gossez_lab.spaces import ModelMeasure, SparseSeq, TailSeq
 
-from strategies import nonzero_rationals, rationals, sparse_seqs, tail_seqs
+from strategies import (
+    FAR,
+    far_sparse_seqs,
+    nonzero_rationals,
+    rationals,
+    run_tail_seqs,
+    sparse_seqs,
+    tail_seqs,
+)
 
 F = Fraction
-FAR = 10**5
 # The dense reference costs O(top) per example: few examples at far indices.
 far = settings(max_examples=5, deadline=None)
-
-
-@st.composite
-def far_sparse_seqs(draw, top: int = FAR):
-    """Scattered points up to ``top`` plus a block of adjacent ones."""
-    pairs = draw(st.dictionaries(st.integers(1, top), nonzero_rationals(), max_size=4))
-    start = draw(st.integers(1, top - 4))
-    for offset, v in enumerate(draw(st.lists(nonzero_rationals(), max_size=4))):
-        pairs[start + offset] = v
-    return SparseSeq.from_pairs(pairs.items())
-
-
-@st.composite
-def run_tail_seqs(draw):
-    """Heads made of runs that share one object, as G images have."""
-    runs = draw(st.lists(st.tuples(rationals(), st.integers(1, 5)), max_size=4))
-    head = [v for v, length in runs for _ in range(length)]
-    return TailSeq(tuple(head), tuple(draw(st.lists(rationals(), min_size=1, max_size=3))))
 
 
 any_tail_seqs = st.one_of(tail_seqs(), run_tail_seqs())
