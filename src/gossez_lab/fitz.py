@@ -218,19 +218,18 @@ def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
         raise ValueError("divergence certificate works in the first system")
     assert isinstance(z.x, SparseSeq)
     deviation = z.y - apply_G(z.x)
-    index = None
-    for n in range(1, deviation.head_len() + 1):
-        if deviation.value(n) != 0:
-            index = n
+    # The first nonzero run, or else the first nonzero tail entry.
+    head_len = deviation.head_len()
+    tail_ends = tuple(range(head_len + 1, head_len + len(deviation.tail) + 1))
+    index = margin = None
+    start = 1
+    for end, v in zip(deviation.run_ends + tail_ends, deviation.run_values + deviation.tail):
+        if v != 0:
+            index, margin = start, v
             break
-    if index is None:
-        for offset, v in enumerate(deviation.tail):
-            if v != 0:
-                index = deviation.head_len() + 1 + offset
-                break
+        start = end + 1
     if index is None:
         raise ValueError("point lies on the graph; no divergence available")
-    margin = deviation.value(index)
     direction = SparseSeq.unit(index)
     scale = Fraction(1) if margin > 0 else Fraction(-1)
     while scale * margin <= threshold:

@@ -30,9 +30,10 @@ from .spaces import SparseSeq, TailSeq, couple, format_rational
 def apply_G(x: SparseSeq) -> TailSeq:
     """Evaluate Gx; head covers indices 1..max(support), tail is -sum(x).
 
-    Between support points the image is constant, total - 2*prefix, so each
-    gap repeats one shared value and only support points cost arithmetic,
-    done on integer numerators over one common denominator.
+    Between support points the image is constant, total - 2*prefix, so the
+    image is built as runs: one per gap and one per support point, with
+    neighbours of equal value merged.  Its cost grows with |supp x|, not
+    with the largest support index.
     """
     return _shifted_G(x, 1, Fraction(0))
 
@@ -41,22 +42,32 @@ def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
     """shift * ones + sign * Gx, the kernel of G and of G* (sign -1).
 
     The prefix sums run on Python ints over D, the lcm of the denominators
-    of x and of shift; one normalised Fraction is built per gap (shared by
-    every index of the gap), per support point and for the tail.
+    of x and of shift.  The head is emitted as runs of integer numerators:
+    a run per gap and per support point, merged with its neighbour when the
+    numerators are equal (adjacent points with x_{n+1} = -x_n give equal
+    images).  One normalised Fraction is built per run and for the tail.
     """
     den = math.lcm(shift.denominator, *(v.denominator for _, v in x.entries))
     base = shift.numerator * (den // shift.denominator)
     nums = [(n, v.numerator * (den // v.denominator)) for n, v in x.entries]
     level = sum(num for _, num in nums)  # total - 2*prefix, times D
-    head: list[Fraction] = []
+    ends: list[int] = []
+    runs: list[int] = []  # numerators over D, one per run
+    covered = 0
     for n, here in nums:
-        # -prefix + (total - prefix - here)
-        gap = n - 1 - len(head)
-        if gap:
-            head.extend([Fraction(base + sign * level, den)] * gap)
-        head.append(Fraction(base + sign * (level - here), den))
+        if n - 1 > covered:  # the gap before n; it never equals its neighbours
+            ends.append(n - 1)
+            runs.append(base + sign * level)
+        num = base + sign * (level - here)  # -prefix + (total - prefix - here)
+        if runs and runs[-1] == num:
+            ends[-1] = n
+        else:
+            ends.append(n)
+            runs.append(num)
+        covered = n
         level -= 2 * here
-    return TailSeq(tuple(head), (Fraction(base + sign * level, den),))
+    values = tuple(Fraction(num, den) for num in runs)
+    return TailSeq._from_runs(tuple(ends), values, (Fraction(base + sign * level, den),))
 
 
 def apply_negG(x: SparseSeq) -> TailSeq:
@@ -102,20 +113,17 @@ def solve_G(y: TailSeq) -> RangeCertificate:
     lim = y.limit()
     if lim is None:
         return RangeCertificate(y, False, obstruction="not in c: tail oscillates, no limit")
-    values = y.head + (lim,)
-    entries = []
-    current = -lim - values[0]
-    negated = -current
-    for n in range(1, len(values)):
-        if current:
-            entries.append((n, current))
-        following = values[n]
-        if following is values[n - 1]:
-            # Inside a run of y the difference vanishes: a sign flip.
-            current, negated = negated, current
-        else:
-            current = (values[n - 1] - following) - current
-            negated = -current
+    ends, values = y.run_ends, y.run_values
+    # Inside a run of y the difference vanishes and x flips sign at every
+    # index, so one pass over the runs finds x at each run start and at H+1.
+    firsts = []
+    current = -lim - (values[0] if values else lim)
+    start = 1
+    for end, here, following in zip(ends, values, values[1:] + (lim,)):
+        firsts.append(current)
+        last = current if (end - start) % 2 == 0 else -current
+        current = (here - following) - last
+        start = end + 1
     if current != 0:
         return RangeCertificate(
             y,
@@ -125,7 +133,14 @@ def solve_G(y: TailSeq) -> RangeCertificate:
                 f"{format_rational(abs(current))}, not summable"
             ),
         )
-    candidate = SparseSeq(tuple(entries))
+    entries = []
+    start = 1
+    for end, first in zip(ends, firsts):
+        if first:
+            signs = (first, -first)
+            entries += [(n, signs[(n - start) % 2]) for n in range(start, end + 1)]
+        start = end + 1
+    candidate = SparseSeq._trusted(tuple(entries))
     if apply_G(candidate) != y:  # cannot happen for consistent inputs; keep honest
         return RangeCertificate(y, False, obstruction="round-trip mismatch")
     return RangeCertificate(y, True, preimage=candidate)

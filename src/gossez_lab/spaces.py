@@ -7,8 +7,9 @@ in play:
 - ``SparseSeq``: a finitely supported rational sequence, the computable slice
   of the summable sequences l1.  Indices are 1-based.
 - ``TailSeq``: a finite head followed by an eventually periodic tail, the
-  computable slice of the bounded sequences l-infinity.  A TailSeq converges
-  exactly when its (canonical) tail pattern has length one.
+  computable slice of the bounded sequences l-infinity.  The head is stored
+  as runs of equal values.  A TailSeq converges exactly when its
+  (canonical) tail pattern has length one.
 - ``ModelMeasure``: an atomic part (SparseSeq) plus one rational mass acting
   as the limit functional on convergent sequences; the computable slice of
   the dual of l-infinity.
@@ -21,9 +22,11 @@ z.w = c(x_z, y_w) + c(x_w, y_z) on pairs.
 
 The hot kernels avoid one ``Fraction`` operation per value.  ``couple``
 sums integer numerators over a running common denominator and builds one
-normalised ``Fraction`` at the end.  The element-wise ``TailSeq`` kernels,
-equality and the sup norm work once per run of identical head objects.
-Results are exact and canonical either way.
+normalised ``Fraction`` at the end.  The ``TailSeq`` kernels (value
+lookup, sums, negation, scaling, equality, hashing, the sup norm and the
+canonical trim) work on the runs, so an image of G costs O(|supp x|)
+however far its support reaches; only ``TailSeq.head`` and ``to_json``
+expand a head densely.  Results are exact and canonical either way.
 
 All types are immutable and safe to share across threads.
 """
@@ -32,10 +35,12 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import groupby, repeat
 from typing import Iterable, Union
 
 
@@ -145,12 +150,21 @@ class SparseSeq:
     def __sub__(self, other: SparseSeq) -> SparseSeq:
         return self + (-other)
 
+    @staticmethod
+    def _trusted(entries: tuple[tuple[int, Fraction], ...]) -> SparseSeq:
+        """Wrap entries a kernel made canonical: sorted distinct indices, nonzero Fractions."""
+        seq = object.__new__(SparseSeq)
+        object.__setattr__(seq, "entries", entries)
+        return seq
+
     def __neg__(self) -> SparseSeq:
-        return SparseSeq(tuple((n, -v) for n, v in self.entries))
+        return SparseSeq._trusted(tuple((n, -v) for n, v in self.entries))
 
     def scale(self, factor: RationalLike) -> SparseSeq:
         factor = as_fraction(factor)
-        return SparseSeq(tuple((n, factor * v) for n, v in self.entries))
+        if factor == 0:
+            return SparseSeq()
+        return SparseSeq._trusted(tuple((n, factor * v) for n, v in self.entries))
 
     def __mul__(self, factor: RationalLike) -> SparseSeq:
         return self.scale(factor)
@@ -173,69 +187,118 @@ def _minimal_period(pattern: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return pattern
 
 
-# Dense heads hold long runs of one shared object (see gossez.apply_G), so
-# the element-wise kernels, equality and the sup norm do their exact work
-# once per run of identical operands and repeat its result; identical
-# objects are equal, so only repeated work is skipped.
+def _expand(values: Iterable, ends: tuple[int, ...]) -> list:
+    """The dense values of runs: values[i] repeated up to index ends[i]."""
+    dense, start = [], 0
+    for v, end in zip(values, ends):
+        dense += repeat(v, end - start)
+        start = end
+    return dense
 
 
-def _map_runs(f, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = []
-    last_v = last = None
-    for v in values:
-        if v is not last_v:
-            last_v, last = v, f(v)
-        out.append(last)
-    return tuple(out)
-
-
-def _zip_runs(op, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = []
-    last_a = last_b = last = None
-    for a, b in zip(xs, ys):
-        if a is not last_a or b is not last_b:
-            last_a, last_b, last = a, b, op(a, b)
-        out.append(last)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class TailSeq:
     """Bounded sequence with a finite head and an eventually periodic tail.
 
-    ``head`` holds values at indices 1..H; for n > H the value is
-    ``tail[(n - H - 1) % len(tail)]``.  A constant tail is the pattern of
-    length one.  Construction canonicalizes: the pattern is reduced to its
-    minimal period and the head is trimmed to the minimal preperiod (a head
-    element equal to the value the tail would produce there is absorbed into
-    the cycle).  Structural equality of canonical forms therefore decides
+    The head covers indices 1..H and is stored as runs: ``run_ends`` holds
+    strictly increasing end indices (the last is H) and ``run_values`` one
+    value per run, adjacent values distinct; run i covers the indices
+    after ``run_ends[i - 1]`` up to ``run_ends[i]``.  For n > H the value is
+    ``tail[(n - H - 1) % len(tail)]``; a constant tail is the pattern of
+    length one.  ``head`` is the dense tuple, derived on each read.
+
+    Construction canonicalizes: the pattern is reduced to its minimal
+    period and the head is trimmed to the minimal preperiod (a head element
+    equal to the value the tail would produce there is absorbed into the
+    cycle).  Structural equality of canonical forms therefore decides
     semantic equality of the represented sequences.
+
+    Gx has at most 2*|supp x| + 1 runs however far its support reaches, so
+    the kernels work per run: ``value`` is one bisect, and sums, negation,
+    scaling, equality, hashing and the sup norm cost O(runs).
     """
 
-    head: tuple[Fraction, ...] = ()
-    tail: tuple[Fraction, ...] = (Fraction(0),)
+    __slots__ = ("run_ends", "run_values", "tail", "_head_len")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, head: Iterable[RationalLike] = (), tail: Iterable[RationalLike] = (Fraction(0),)
+    ) -> None:
         # Kernel results are Fractions already; only other values convert.
-        head = [v if v.__class__ is Fraction else as_fraction(v) for v in self.head]
-        tail = tuple(v if v.__class__ is Fraction else as_fraction(v) for v in self.tail)
+        head = [v if v.__class__ is Fraction else as_fraction(v) for v in head]
+        tail = tuple(v if v.__class__ is Fraction else as_fraction(v) for v in tail)
         if not tail:
             raise ValueError("tail pattern must be nonempty")
+        ends, values, length = [], [], 0
+        for v, run in groupby(head):
+            length += len(list(run))
+            ends.append(length)
+            values.append(v)
+        self.__post_init__(tuple(ends), tuple(values), tail)
+
+    @staticmethod
+    def _from_runs(
+        ends: tuple[int, ...], values: tuple[Fraction, ...], tail: tuple[Fraction, ...]
+    ) -> TailSeq:
+        """A kernel's result: Fraction runs, adjacent values distinct, nonempty tail."""
+        seq = object.__new__(TailSeq)
+        seq.__post_init__(ends, values, tail)
+        return seq
+
+    def __post_init__(
+        self, ends: tuple[int, ...], values: tuple[Fraction, ...], tail: tuple[Fraction, ...]
+    ) -> None:
+        """Store runs and pattern in canonical form: minimal period, then minimal preperiod.
+
+        The one construction hook of both the public and the kernel path.
+        """
         tail = _minimal_period(tail)
-        # Absorb the head's cancelled end into the cycle: find the shortest
-        # head in one reverse scan, then rotate the pattern once.
         period = len(tail)
-        keep = len(head)
-        while keep:
-            v, t = head[keep - 1], tail[(keep - len(head) - 1) % period]
-            if v is not t and v != t:
-                break
-            keep -= 1
-        shift = (len(head) - keep) % period
-        if shift:
-            tail = tail[-shift:] + tail[:-shift]
-        object.__setattr__(self, "head", tuple(head[:keep]))
-        object.__setattr__(self, "tail", tail)
+        length = keep = ends[-1] if ends else 0
+        if period == 1:
+            # A run equal to the constant tail is absorbed whole; the run
+            # before it differs from it.
+            if values and (values[-1] is tail[0] or values[-1] == tail[0]):
+                keep = ends[-2] if len(ends) > 1 else 0
+        else:
+            # The pattern is not constant, so the trim stops within one
+            # period of entering a run: O(period) steps per run crossed.
+            run = len(ends) - 1
+            while keep:
+                v, t = values[run], tail[(keep - length - 1) % period]
+                if v is not t and v != t:
+                    break
+                keep -= 1
+                if run and keep == ends[run - 1]:
+                    run -= 1
+        if keep != length:
+            cut = bisect_left(ends, keep)  # the run holding index keep
+            ends = ends[:cut] + (keep,) if keep else ()
+            values = values[: cut + 1] if keep else ()
+            shift = (length - keep) % period
+            if shift:
+                tail = tail[-shift:] + tail[:-shift]
+        set_attr = object.__setattr__
+        set_attr(self, "run_ends", ends)
+        set_attr(self, "run_values", values)
+        set_attr(self, "tail", tail)
+        set_attr(self, "_head_len", keep)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TailSeq is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TailSeq is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return TailSeq._from_runs, (self.run_ends, self.run_values, self.tail)
+
+    def __repr__(self) -> str:
+        runs = tuple(zip(self.run_ends, self.run_values))
+        return f"TailSeq(runs={runs!r}, tail={self.tail!r})"
+
+    @property
+    def head(self) -> tuple[Fraction, ...]:
+        """Values at indices 1..head_len(), expanded from the runs."""
+        return tuple(_expand(self.run_values, self.run_ends))
 
     @staticmethod
     def constant(value: RationalLike, head: Iterable[RationalLike] = ()) -> TailSeq:
@@ -256,15 +319,18 @@ class TailSeq:
     def value(self, index: int) -> Fraction:
         if index < 1:
             raise ValueError("indices are 1-based")
-        if index <= len(self.head):
-            return self.head[index - 1]
-        return self.tail[(index - len(self.head) - 1) % len(self.tail)]
+        # The stored head length spares a lookup of run_ends[-1] per read.
+        head_len = self._head_len
+        if index <= head_len:
+            return self.run_values[bisect_left(self.run_ends, index)]
+        tail = self.tail
+        return tail[(index - head_len - 1) % len(tail)]
 
     def head_len(self) -> int:
-        return len(self.head)
+        return self._head_len
 
     def is_zero(self) -> bool:
-        return not self.head and self.tail == (Fraction(0),)
+        return not self.run_ends and self.tail == (Fraction(0),)
 
     def is_convergent(self) -> bool:
         """Whether the represented sequence has a limit (constant tail)."""
@@ -275,32 +341,22 @@ class TailSeq:
         return self.tail[0] if len(self.tail) == 1 else None
 
     def __eq__(self, other: object) -> bool:
-        # Canonical forms decide equality: compare the heads once per run
-        # of identical operand objects.
+        # Canonical forms decide equality.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if len(self.head) != len(other.head) or self.tail != other.tail:
-            return False
-        last_a = last_b = None
-        for a, b in zip(self.head, other.head):
-            if a is not last_a or b is not last_b:
-                if a is not b and a != b:
-                    return False
-                last_a, last_b = a, b
-        return True
+        return (
+            self.run_ends == other.run_ends
+            and self.tail == other.tail
+            and self.run_values == other.run_values
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.run_ends, self.run_values, self.tail))
 
     def linf_norm(self) -> Fraction:
-        # Every head value occurs once and every pattern value infinitely
-        # often, so the sup norm is a max over finitely many values: one
-        # abs per run of identical objects.
-        best = last = None
-        for v in self.head + self.tail:
-            if v is not last:
-                last = v
-                size = abs(v)
-                if best is None or size > best:
-                    best = size
-        return best
+        # Every run value occurs and every pattern value recurs forever, so
+        # the sup norm is a max over finitely many values.
+        return max(map(abs, self.run_values + self.tail))
 
     def oscillation(self) -> Fraction:
         """Half the spread of the tail pattern.
@@ -311,20 +367,49 @@ class TailSeq:
         """
         return (max(self.tail) - min(self.tail)) / 2
 
-    def _values_to(self, length: int) -> tuple[Fraction, ...]:
-        """Values at indices 1..length (length > head_len), tail objects repeated."""
-        need = length - len(self.head)
-        return self.head + (self.tail * -(-need // len(self.tail)))[:need]
+    def _pieces(self, upto: int) -> list[tuple[int, Fraction]]:
+        """(end, value) pieces covering indices 1..upto, for upto > head_len()."""
+        pieces = list(zip(self.run_ends, self.run_values))
+        tail, start = self.tail, self._head_len
+        if len(tail) == 1:
+            pieces.append((upto, tail[0]))
+        else:
+            period = len(tail)
+            pieces += [(n, tail[(n - start - 1) % period]) for n in range(start + 1, upto + 1)]
+        return pieces
 
     def _combine(self, other: TailSeq, op) -> TailSeq:
-        head_len = max(len(self.head), len(other.head))
-        period = math.lcm(len(self.tail), len(other.tail))
-        values = _zip_runs(
-            op,
-            self._values_to(head_len + period),
-            other._values_to(head_len + period),
-        )
-        return TailSeq(values[:head_len], values[head_len:])
+        # Merge the run boundaries of both operands over the longer head and
+        # one common period.  op runs once per distinct pair of operand
+        # objects; equal neighbouring results merge into one run.
+        head_len = max(self._head_len, other._head_len)
+        upto = head_len + math.lcm(len(self.tail), len(other.tail))
+        pieces_a, pieces_b = self._pieces(upto), other._pieces(upto)
+        ends: list[int] = []
+        values: list[Fraction] = []
+        tail: list[Fraction] = []
+        done: dict[tuple[int, int], Fraction] = {}
+        i = j = start = 0
+        while start < upto:
+            (end_a, a), (end_b, b) = pieces_a[i], pieces_b[j]
+            key = (id(a), id(b))
+            v = done.get(key)
+            if v is None:
+                v = done[key] = op(a, b)
+            end = end_a if end_a < end_b else end_b
+            # Every piece ends at or before head_len or starts after it:
+            # the longer head has a run ending there.
+            if end > head_len:
+                tail += [v] * (end - start)
+            elif values and (v is values[-1] or v == values[-1]):
+                ends[-1] = end
+            else:
+                ends.append(end)
+                values.append(v)
+            start = end
+            i += end_a == end
+            j += end_b == end
+        return TailSeq._from_runs(tuple(ends), tuple(values), tuple(tail))
 
     def __add__(self, other: TailSeq) -> TailSeq:
         return self._combine(other, operator.add)
@@ -333,14 +418,20 @@ class TailSeq:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> TailSeq:
-        return TailSeq(_map_runs(operator.neg, self.head), _map_runs(operator.neg, self.tail))
+        # Negation keeps runs distinct and the form canonical.
+        neg = operator.neg
+        return TailSeq._from_runs(
+            self.run_ends, tuple(map(neg, self.run_values)), tuple(map(neg, self.tail))
+        )
 
     def scale(self, factor: RationalLike) -> TailSeq:
         factor = as_fraction(factor)
         if factor == 0:
             return TailSeq.zero()
         times = partial(operator.mul, factor)
-        return TailSeq(_map_runs(times, self.head), _map_runs(times, self.tail))
+        return TailSeq._from_runs(
+            self.run_ends, tuple(map(times, self.run_values)), tuple(map(times, self.tail))
+        )
 
     def __mul__(self, factor: RationalLike) -> TailSeq:
         return self.scale(factor)
@@ -350,7 +441,7 @@ class TailSeq:
     def to_json(self) -> dict:
         kind = "const" if len(self.tail) == 1 else "periodic"
         return {
-            "head": [format_rational(v) for v in self.head],
+            "head": _expand(map(format_rational, self.run_values), self.run_ends),
             "tail": {"kind": kind, "values": [format_rational(v) for v in self.tail]},
         }
 

@@ -200,3 +200,19 @@ def nullspace(rows, ncols):
             vector[col] = -row[free]
         basis.append(vector)
     return basis
+
+
+def runs(head):
+    """Run-length form of a dense head: (end indices, one value per run).
+
+    Neighbouring runs hold unequal values; equal values merge whatever
+    objects hold them.
+    """
+    ends, values = [], []
+    for n, v in enumerate(head, start=1):
+        if values and v == values[-1]:
+            ends[-1] = n
+        else:
+            ends.append(n)
+            values.append(v)
+    return tuple(ends), tuple(values)

@@ -59,6 +59,13 @@ def all_fractions(y: TailSeq) -> bool:
     return all(type(v) is Fraction for v in y.head + y.tail)
 
 
+def assert_run_form(y: TailSeq) -> None:
+    """The stored runs are the run-length form of the canonical dense head."""
+    assert (y.run_ends, y.run_values) == ref.runs(y.head)
+    assert pair(y) == ref.canonical(y.head, y.tail)
+    assert all_fractions(y)
+
+
 def test_large_primes_are_pairwise_coprime():
     for i, p in enumerate(LARGE_PRIMES):
         assert p < 10**12
@@ -132,7 +139,8 @@ def assert_shared_gaps(x: SparseSeq, y: TailSeq) -> None:
 def test_apply_G_wide_matches_dense(x):
     gx = apply_G(x)
     assert pair(gx) == ref.apply_G(dense(x))
-    assert all_fractions(gx)
+    assert_run_form(gx)
+    assert len(gx.run_ends) <= 2 * len(x.entries) + 1
     assert_shared_gaps(x, gx)
 
 
@@ -140,7 +148,8 @@ def test_apply_G_wide_matches_dense(x):
 def test_apply_Gstar_matches_dense(x, a):
     gstar = apply_Gstar(ModelMeasure(x, a))
     assert pair(gstar) == ref.apply_Gstar(dense(x), a)
-    assert all_fractions(gstar)
+    assert_run_form(gstar)
+    assert len(gstar.run_ends) <= 2 * len(x.entries) + 1
     assert_shared_gaps(x, gstar)
 
 
@@ -149,7 +158,7 @@ def test_apply_Gstar_matches_dense(x, a):
 def test_apply_Gstar_matches_dense_far(x, a):
     gstar = apply_Gstar(ModelMeasure(x, a))
     assert pair(gstar) == ref.apply_Gstar(dense(x), a)
-    assert all_fractions(gstar)
+    assert_run_form(gstar)
 
 
 @given(st.lists(wide_rationals().filter(bool), min_size=1, max_size=4), st.integers(1, 30))
@@ -181,6 +190,7 @@ def test_linf_norm_matches_dense(y):
     norm = y.linf_norm()
     assert type(norm) is Fraction
     assert norm == ref.linf_norm(pair(y))
+    assert_run_form(y)
 
 
 @far
@@ -218,6 +228,24 @@ def test_equal_values_in_distinct_objects(y):
     twin = copied(y)
     assert all(u is not v for u, v in zip(y.head, twin.head))
     assert y == twin and hash(y) == hash(twin)
+    assert_run_form(twin)
+    assert twin.run_ends == y.run_ends
+
+
+# ------------------------------------------- trusted SparseSeq kernels
+
+
+@given(near_x, st.one_of(amounts, st.integers(-5, 5)))
+def test_sparse_neg_and_scale_equal_the_validated_constructor(x, c):
+    neg = -x
+    scaled = x.scale(c)
+    assert neg.entries == SparseSeq(tuple((n, -v) for n, v in x.entries)).entries
+    assert scaled.entries == SparseSeq(tuple((n, c * v) for n, v in x.entries)).entries
+    assert all(type(v) is Fraction for _, v in neg.entries + scaled.entries)
+    assert neg == SparseSeq.from_json(neg.to_json())
+    assert scaled == SparseSeq.from_json(scaled.to_json())
+    if c == 0:
+        assert scaled.is_zero() and scaled == SparseSeq.zero()
 
 
 @given(rationals(), rationals(), st.integers(1, 40), st.integers(0, 40), rationals())

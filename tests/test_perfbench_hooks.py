@@ -8,6 +8,7 @@ here instead.  The tracer is imported from its file, unchanged.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,21 +16,22 @@ import pytest
 import gossez_lab
 from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS
-from gossez_lab.gossez import apply_G
+from gossez_lab.gossez import _shifted_G, apply_G
 from gossez_lab.sampling import ProbeSet
-from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq
+from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+reference = _load("reference")  # imports nothing from gossez_lab
 
 
 def _targets():
@@ -98,3 +100,44 @@ def test_uninstall_restores_the_program():
         installed.uninstall()
     assert importlib.import_module("gossez_lab.fitz").apply_G is original_apply_G
     assert vars(ProbeSet)["generate"] is original_generate
+
+
+def test_construction_hook_fires_once_per_tailseq(tracer):
+    x = SparseSeq.from_pairs([(2, 1), (3, -1), (6, Fraction(5, 2))])
+    gx = apply_G(x)
+    periodic = TailSeq.periodic([1, 2], head=[4])
+    builds = {
+        "constructor": lambda: TailSeq((1, 1, 2), (3,)),
+        "constant": lambda: TailSeq.constant(0, [1, 2]),
+        "from_json": lambda: TailSeq.from_json(gx.to_json()),
+        "_shifted_G": lambda: _shifted_G(x, -1, Fraction(2)),
+        "apply_Gstar": lambda: apply_Gstar(ModelMeasure(x, 3)),
+        "add": lambda: gx + periodic,
+        "sub": lambda: gx - gx,
+        "neg": lambda: -gx,
+        "scale": lambda: gx.scale(Fraction(-2, 3)),
+        "scale by zero": lambda: gx.scale(0),
+    }
+    key = "spaces.TailSeq.new.calls"
+    for name, build in builds.items():
+        before = tracer.counts[key]
+        assert isinstance(build(), TailSeq)
+        assert tracer.counts[key] == before + 1, name
+    # The hook's gauge reads the head length of what was built.
+    assert tracer.gauges["spaces.TailSeq.max_head_len"] >= gx.head_len() == 6
+
+
+def test_head_supports_the_reads_perfbench_makes():
+    x = SparseSeq.from_pairs([(2, 1), (3, -1), (6, Fraction(5, 2))])
+    y = apply_G(x)
+    total = y + apply_Gstar(ModelMeasure(x, 3))
+    head = y.head
+    assert type(head) is tuple and len(head) == y.head_len() == 6
+    assert [head[n - 1] for n in range(1, 7)] == [y.value(n) for n in range(1, 7)]
+    assert total.head == () and total.tail == (Fraction(-3),)
+    values = y.head + y.tail
+    assert values[-1] == y.limit() and len(values) == 7
+    assert spans._seq_den_bits(y) == max(v.denominator.bit_length() for v in values)
+    assert [reference.seq_value(y, n) for n in range(1, 12)] == [y.value(n) for n in range(1, 12)]
+    with pytest.raises(AttributeError):
+        y.head = ()
