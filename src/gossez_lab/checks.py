@@ -36,6 +36,7 @@ from .gossez import apply_G, apply_negG, range_ratio_family, solve_G, weakstar_a
 from .props import (
     ProbeSet,
     dichotomy_crosscheck,
+    evaluate_probes,
     extension_probe,
     ni_witness_search,
     representability_check,
@@ -396,9 +397,10 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         if z in subset:
             tally.record("sampled-exact-on-graph", sampled == 0 == closed, {"z": z})
     probes = ProbeSet.generate(OP_G_FIRST, cfg.seed, cfg.truncation, cfg.trials)
-    ni = ni_witness_search(OP_G_FIRST, probes)
+    values = evaluate_probes(g_first, probes)
+    ni = ni_witness_search(OP_G_FIRST, probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
-    representative = representability_check(g_first, graph, probes, seed=cfg.seed)
+    representative = representability_check(g_first, graph, probes, seed=cfg.seed, values=values)
     tally.record("representability", representative.status == VERIFIED)
     stats = {
         "graph_points": len(graph.points),
@@ -491,7 +493,8 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     tally = _Tally()
     negg_second = OPERATORS[OP_NEGG_SECOND]
     probes = ProbeSet.generate(OP_NEGG_SECOND, cfg.seed, cfg.truncation, cfg.trials)
-    ni = ni_witness_search(OP_NEGG_SECOND, probes)
+    values = evaluate_probes(negg_second, probes)
+    ni = ni_witness_search(OP_NEGG_SECOND, probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
     for _ in range(cfg.trials):
         mu = random_measure(rng, 32, 6, 100, 100)
@@ -515,7 +518,9 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         if verdict.status == REFUTED:
             refuted += 1
     tally.record("no-representable-extension", refuted == len(candidates))
-    representative = representability_check(negg_second, neg_embedded, probes, seed=cfg.seed)
+    representative = representability_check(
+        negg_second, neg_embedded, probes, seed=cfg.seed, values=values
+    )
     tally.record("representability-on-model", representative.status == VERIFIED)
     notes = (
         "the unique maximal extension (the closure of the graph) adds only "

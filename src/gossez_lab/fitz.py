@@ -220,12 +220,12 @@ def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
     deviation = z.y - apply_G(z.x)
     # The first nonzero run, or else the first nonzero tail entry.
     head_len = deviation.head_len()
-    tail_ends = tuple(range(head_len + 1, head_len + len(deviation.tail) + 1))
+    tail_ends = tuple(range(head_len + 1, head_len + len(deviation.tail_nums) + 1))
     index = margin = None
     start = 1
-    for end, v in zip(deviation.run_ends + tail_ends, deviation.run_values + deviation.tail):
-        if v != 0:
-            index, margin = start, v
+    for end, num in zip(deviation.run_ends + tail_ends, deviation.run_nums + deviation.tail_nums):
+        if num:
+            index, margin = start, Fraction(num, deviation.den)
             break
         start = end + 1
     if index is None:

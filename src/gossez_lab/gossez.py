@@ -26,6 +26,8 @@ from fractions import Fraction
 from .linalg import solve_minimal
 from .spaces import SparseSeq, TailSeq, couple, format_rational
 
+_ZERO = Fraction(0)
+
 
 def apply_G(x: SparseSeq) -> TailSeq:
     """Evaluate Gx; head covers indices 1..max(support), tail is -sum(x).
@@ -35,17 +37,17 @@ def apply_G(x: SparseSeq) -> TailSeq:
     neighbours of equal value merged.  Its cost grows with |supp x|, not
     with the largest support index.
     """
-    return _shifted_G(x, 1, Fraction(0))
+    return _shifted_G(x, 1, _ZERO)
 
 
 def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
     """shift * ones + sign * Gx, the kernel of G and of G* (sign -1).
 
     The prefix sums run on Python ints over D, the lcm of the denominators
-    of x and of shift.  The head is emitted as runs of integer numerators:
-    a run per gap and per support point, merged with its neighbour when the
-    numerators are equal (adjacent points with x_{n+1} = -x_n give equal
-    images).  One normalised Fraction is built per run and for the tail.
+    of x and of shift.  The head is emitted as runs of integer numerators
+    over D: a run per gap and per support point, merged with its neighbour
+    when the numerators are equal (adjacent points with x_{n+1} = -x_n give
+    equal images).  The TailSeq keeps them as ints; no Fraction is built.
     """
     den = math.lcm(shift.denominator, *(v.denominator for _, v in x.entries))
     base = shift.numerator * (den // shift.denominator)
@@ -66,8 +68,7 @@ def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
             runs.append(num)
         covered = n
         level -= 2 * here
-    values = tuple(Fraction(num, den) for num in runs)
-    return TailSeq._from_runs(tuple(ends), values, (Fraction(base + sign * level, den),))
+    return TailSeq._from_runs(tuple(ends), tuple(runs), (base + sign * level,), den)
 
 
 def apply_negG(x: SparseSeq) -> TailSeq:
@@ -110,34 +111,37 @@ def solve_G(y: TailSeq) -> RangeCertificate:
     reduces to one exact check: x_{H+1} = 0.  Otherwise x would alternate
     with constant magnitude |x_{H+1}| forever and could not be summable.
     """
-    lim = y.limit()
-    if lim is None:
+    if not y.is_convergent():
         return RangeCertificate(y, False, obstruction="not in c: tail oscillates, no limit")
-    ends, values = y.run_ends, y.run_values
+    # The recurrence runs on the numerators of y over y.den.
+    ends, nums, den = y.run_ends, y.run_nums, y.den
+    lim = y.tail_nums[0]
     # Inside a run of y the difference vanishes and x flips sign at every
     # index, so one pass over the runs finds x at each run start and at H+1.
     firsts = []
-    current = -lim - (values[0] if values else lim)
+    current = -lim - (nums[0] if nums else lim)
     start = 1
-    for end, here, following in zip(ends, values, values[1:] + (lim,)):
+    for end, here, following in zip(ends, nums, nums[1:] + (lim,)):
         firsts.append(current)
         last = current if (end - start) % 2 == 0 else -current
         current = (here - following) - last
         start = end + 1
-    if current != 0:
+    if current:
         return RangeCertificate(
             y,
             False,
             obstruction=(
                 "recurrence forces an alternating tail of magnitude "
-                f"{format_rational(abs(current))}, not summable"
+                f"{format_rational(Fraction(abs(current), den))}, not summable"
             ),
         )
+    # One Fraction (and its negation) per run where x is nonzero.
     entries = []
     start = 1
     for end, first in zip(ends, firsts):
         if first:
-            signs = (first, -first)
+            value = Fraction(first, den)
+            signs = (value, -value)
             entries += [(n, signs[(n - start) % 2]) for n in range(start, end + 1)]
         start = end + 1
     candidate = SparseSeq._trusted(tuple(entries))

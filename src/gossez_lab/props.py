@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .fitz import (
@@ -43,6 +44,7 @@ __all__ = [
     "PropertyVerdict",
     "is_monotone",
     "extension_probe",
+    "evaluate_probes",
     "ni_witness_search",
     "representability_check",
     "dichotomy_crosscheck",
@@ -162,24 +164,48 @@ def extension_probe(
     )
 
 
-def ni_witness_search(op_id: str, probes: ProbeSet) -> PropertyVerdict:
+def _evaluate(fitz, z: PairPoint) -> tuple:
+    try:
+        cv = coupling_value(z)
+    except OutsideModelDomain:
+        cv = None
+    try:
+        fv = fitz(z)
+    except OutsideModelDomain:
+        fv = None
+    return fv, cv
+
+
+def evaluate_probes(op: Operator, probes: ProbeSet) -> tuple:
+    """(op.fitz_closed(z), c(z)) at every probe, None where z leaves the model.
+
+    ``ni_witness_search`` and ``representability_check`` read the same
+    values; a caller running both on one probe set evaluates them once here
+    and passes them to each.
+    """
+    return tuple(_evaluate(op.fitz_closed, z) for z in probes.points)
+
+
+def ni_witness_search(
+    op_id: str, probes: ProbeSet, values: tuple | None = None
+) -> PropertyVerdict:
     """Search probes for fitz(z) < c(z), refuting the negative-infimum property.
 
     The closed-form Fitzpatrick value is an indicator here, so a witness is
     a graph point of the indicator's graph whose coupling is positive.
-    Verified only if at least one probe was evaluated and none was skipped.
+    ``values`` are the probe values of ``evaluate_probes``; without them
+    each probe is evaluated as the search reaches it.  Verified only if at
+    least one probe was evaluated and none was skipped.
     """
-    fitz = operator_for(op_id).fitz_closed
+    if values is None:
+        values = map(partial(_evaluate, operator_for(op_id).fitz_closed), probes.points)
     seed = probes.descriptor.get("seed")
     checked = 0
     skipped = 0
-    for z in probes.points:
-        try:
-            cv = coupling_value(z)
-        except OutsideModelDomain:
+    for z, (fv, cv) in zip(probes.points, values):
+        if fv is None or cv is None:
             skipped += 1
             continue
-        fv = fitz(z)
         checked += 1
         if fv < cv:
             return PropertyVerdict(
@@ -203,6 +229,7 @@ def representability_check(
     probes: ProbeSet,
     seed: int = 0,
     convexity_pairs: int = 100,
+    values: tuple | None = None,
 ) -> PropertyVerdict:
     """Check op's closed-form Fitzpatrick function as a candidate representative.
 
@@ -213,6 +240,8 @@ def representability_check(
     the graph failing refutes outright.  The equality set among probes is
     reported for comparison with op's analytic graph.  With no graph points
     and no probes nothing is evaluated, and the verdict is inconclusive.
+    ``values`` are the probe values of ``evaluate_probes``, computed here
+    when not given.
     """
     fn = op.fitz_closed
     name = f"indicator({op.fitz_graph})"
@@ -227,23 +256,14 @@ def representability_check(
                 stats={"graph_points": len(graph.points)},
                 seed=seed,
             )
-    # fn at each probe, None outside the model; evaluated once, reused below.
-    values = []
-    for z in probes.points:
-        try:
-            values.append(fn(z))
-        except OutsideModelDomain:
-            values.append(None)
+    if values is None:
+        values = evaluate_probes(op, probes)
     below: dict | None = None
     equality_set = 0
     equality_on_analytic = 0
     skipped = 0
-    for z, fv in zip(probes.points, values):
-        try:
-            cv = coupling_value(z)
-        except OutsideModelDomain:
-            fv = None
-        if fv is None:
+    for z, (fv, cv) in zip(probes.points, values):
+        if fv is None or cv is None:
             skipped += 1
             continue
         if fv < cv and below is None:
@@ -255,7 +275,7 @@ def representability_check(
     rng = rng_for(seed, f"convexity:{name}")
     # A probe enters by its fn value alone, even if its coupling is outside the model.
     finite = [
-        (z, fv) for z, fv in zip(probes.points, values) if fv is not None and fv != PLUS_INF
+        (z, fv) for z, (fv, _) in zip(probes.points, values) if fv is not None and fv != PLUS_INF
     ]
     convex_checked = 0
     for _ in range(convexity_pairs):
@@ -336,8 +356,9 @@ def dichotomy_crosscheck(
     )
     probes = ProbeSet.generate(op_id, seed, truncation, probe_count)
     monotone = is_monotone(graph)
-    ni = ni_witness_search(op_id, probes)
-    representative = representability_check(op, graph, probes, seed=seed)
+    values = evaluate_probes(op, probes)
+    ni = ni_witness_search(op_id, probes, values)
+    representative = representability_check(op, graph, probes, seed=seed, values=values)
 
     notes: list[str] = []
     if op_id == OP_G_FIRST:

@@ -17,6 +17,8 @@ from .fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS, operator_for
 from .gossez import apply_G
 from .spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
+_ZERO = Fraction(0)
+
 
 def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
@@ -40,8 +42,9 @@ def random_sparse(
 ) -> SparseSeq:
     k = rng.randint(1, min(max_support, max_index))
     indices = rng.sample(range(1, max_index + 1), k)
-    return SparseSeq.from_pairs(
-        (n, random_rational(rng, max_num, max_den, nonzero=True)) for n in sorted(indices)
+    # Sorted distinct indices and nonzero Fractions: canonical as drawn.
+    return SparseSeq._trusted(
+        tuple((n, random_rational(rng, max_num, max_den, nonzero=True)) for n in sorted(indices))
     )
 
 
@@ -90,20 +93,6 @@ def unit_graph_points(n: int) -> list[PairPoint]:
     return [graph_point_first(SparseSeq.unit(k)) for k in range(1, n + 1)]
 
 
-def random_graph_points(
-    rng: random.Random,
-    count: int,
-    max_index: int = 64,
-    max_support: int = 8,
-    max_num: int = 100,
-    max_den: int = 100,
-) -> list[PairPoint]:
-    return [
-        graph_point_first(random_sparse(rng, max_index, max_support, max_num, max_den))
-        for _ in range(count)
-    ]
-
-
 def off_graph_first(
     rng: random.Random,
     count: int,
@@ -126,7 +115,7 @@ def off_graph_first(
             if n != dev_index and rng.random() < 0.5:
                 values[n] = v
         top = max(values)
-        head = [values.get(n, Fraction(0)) for n in range(1, top + 1)]
+        head = [values.get(n, _ZERO) for n in range(1, top + 1)]
         deviation = TailSeq.constant(0, head)
         points.append(PairPoint.first(x, apply_G(x) + deviation))
     return points

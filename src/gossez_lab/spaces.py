@@ -7,9 +7,10 @@ in play:
 - ``SparseSeq``: a finitely supported rational sequence, the computable slice
   of the summable sequences l1.  Indices are 1-based.
 - ``TailSeq``: a finite head followed by an eventually periodic tail, the
-  computable slice of the bounded sequences l-infinity.  The head is stored
-  as runs of equal values.  A TailSeq converges exactly when its
-  (canonical) tail pattern has length one.
+  computable slice of the bounded sequences l-infinity.  Its values are
+  integer numerators over one least common denominator, and the head is
+  stored as runs of equal numerators.  A TailSeq converges exactly when
+  its (canonical) tail pattern has length one.
 - ``ModelMeasure``: an atomic part (SparseSeq) plus one rational mass acting
   as the limit functional on convergent sequences; the computable slice of
   the dual of l-infinity.
@@ -20,13 +21,16 @@ through the measure action.  ``PairPoint`` tags a product-space point with
 its system, and ``natural_couple`` implements the induced coupling
 z.w = c(x_z, y_w) + c(x_w, y_z) on pairs.
 
-The hot kernels avoid one ``Fraction`` operation per value.  ``couple``
-sums integer numerators over a running common denominator and builds one
-normalised ``Fraction`` at the end.  The ``TailSeq`` kernels (value
-lookup, sums, negation, scaling, equality, hashing, the sup norm and the
-canonical trim) work on the runs, so an image of G costs O(|supp x|)
-however far its support reaches; only ``TailSeq.head`` and ``to_json``
-expand a head densely.  Results are exact and canonical either way.
+The hot kernels do no ``Fraction`` arithmetic.  ``couple``,
+``pair_measure`` and ``natural_couple`` sum integer numerators over a
+running common denominator and build one normalised ``Fraction`` at the
+end.  The ``TailSeq`` kernels (sums, negation, scaling, equality,
+hashing, the sup norm and the canonical trim) work on the integer runs,
+so an image of G costs O(|supp x|) however far its support reaches.
+``Fraction`` values appear only at the boundary: ``value``, ``limit``,
+the cached ``run_values``/``tail`` views and ``head``; only
+``TailSeq.head`` and ``to_json`` expand a head densely.  Results are exact and canonical
+either way.
 
 All types are immutable and safe to share across threads.
 """
@@ -56,11 +60,13 @@ class SystemMismatchError(ValueError):
 
 RationalLike = Union[Fraction, int]
 
+_index = operator.itemgetter(0)
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -88,7 +94,7 @@ class SparseSeq:
         cleaned = []
         seen: set[int] = set()
         for index, value in self.entries:
-            if not isinstance(index, int) or index < 1:
+            if not isinstance(index, int) or isinstance(index, bool) or index < 1:
                 raise ValueError(f"indices are 1-based integers, got {index!r}")
             if index in seen:
                 raise ValueError(f"duplicate index {index}")
@@ -142,10 +148,17 @@ class SparseSeq:
         return sum((abs(v) for _, v in self.entries), Fraction(0))
 
     def __add__(self, other: SparseSeq) -> SparseSeq:
-        merged = dict(self.entries)
-        for n, v in other.entries:
-            merged[n] = merged.get(n, Fraction(0)) + v
-        return SparseSeq.from_pairs(merged.items())
+        # Both entry lists are sorted with distinct indices, so a shared
+        # index meets its partner next to it; dropping zero sums keeps the
+        # merge canonical.
+        merged: list[tuple[int, Fraction]] = []
+        for n, v in sorted(self.entries + other.entries, key=_index):
+            if merged and merged[-1][0] == n:
+                v += merged.pop()[1]
+                if not v:
+                    continue
+            merged.append((n, v))
+        return SparseSeq._trusted(tuple(merged))
 
     def __sub__(self, other: SparseSeq) -> SparseSeq:
         return self + (-other)
@@ -176,10 +189,10 @@ class SparseSeq:
 
     @staticmethod
     def from_json(obj: dict) -> SparseSeq:
-        return SparseSeq.from_pairs((int(n), parse_rational(v)) for n, v in obj["entries"])
+        return SparseSeq.from_pairs((n, parse_rational(v)) for n, v in obj["entries"])
 
 
-def _minimal_period(pattern: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _minimal_period(pattern: tuple[int, ...]) -> tuple[int, ...]:
     length = len(pattern)
     for d in range(1, length + 1):
         if length % d == 0 and pattern == pattern[:d] * (length // d):
@@ -199,25 +212,32 @@ def _expand(values: Iterable, ends: tuple[int, ...]) -> list:
 class TailSeq:
     """Bounded sequence with a finite head and an eventually periodic tail.
 
-    The head covers indices 1..H and is stored as runs: ``run_ends`` holds
-    strictly increasing end indices (the last is H) and ``run_values`` one
-    value per run, adjacent values distinct; run i covers the indices
-    after ``run_ends[i - 1]`` up to ``run_ends[i]``.  For n > H the value is
-    ``tail[(n - H - 1) % len(tail)]``; a constant tail is the pattern of
-    length one.  ``head`` is the dense tuple, derived on each read.
+    Every value is stored as an integer numerator over one common
+    denominator ``den``.  The head covers indices 1..H and is stored as
+    runs: ``run_ends`` holds strictly increasing end indices (the last is
+    H) and ``run_nums`` one numerator per run, adjacent numerators
+    distinct; run i covers the indices after ``run_ends[i - 1]`` up to
+    ``run_ends[i]``.  For n > H the numerator is
+    ``tail_nums[(n - H - 1) % len(tail_nums)]``; a constant tail is the
+    pattern of length one.
 
     Construction canonicalizes: the pattern is reduced to its minimal
-    period and the head is trimmed to the minimal preperiod (a head element
+    period, the head is trimmed to the minimal preperiod (a head element
     equal to the value the tail would produce there is absorbed into the
-    cycle).  Structural equality of canonical forms therefore decides
-    semantic equality of the represented sequences.
+    cycle), and ``den`` is the least positive denominator, so that
+    gcd(den, *run_nums, *tail_nums) == 1.  Structural equality of
+    canonical forms therefore decides semantic equality of the represented
+    sequences.
 
-    Gx has at most 2*|supp x| + 1 runs however far its support reaches, so
-    the kernels work per run: ``value`` is one bisect, and sums, negation,
-    scaling, equality, hashing and the sup norm cost O(runs).
+    ``run_values`` and ``tail`` are the same values as ``Fraction``
+    tuples, built on first read and cached; ``head`` expands the runs
+    densely on each read.  The kernels need none of them.  Gx has at most
+    2*|supp x| + 1 runs however far its support reaches, so the kernels
+    work per run on Python ints: ``value`` is one bisect, and sums,
+    negation, scaling, equality, hashing and the sup norm cost O(runs).
     """
 
-    __slots__ = ("run_ends", "run_values", "tail", "_head_len")
+    __slots__ = ("run_ends", "run_nums", "tail_nums", "den", "_head_len", "_run_values", "_tail")
 
     def __init__(
         self, head: Iterable[RationalLike] = (), tail: Iterable[RationalLike] = (Fraction(0),)
@@ -232,21 +252,30 @@ class TailSeq:
             length += len(list(run))
             ends.append(length)
             values.append(v)
-        self.__post_init__(tuple(ends), tuple(values), tail)
+        # One lcm over the runs and the pattern, not over the dense values.
+        den = math.lcm(*{v.denominator for v in values}, *{v.denominator for v in tail})
+        self.__post_init__(
+            tuple(ends),
+            tuple(v.numerator * (den // v.denominator) for v in values),
+            tuple(v.numerator * (den // v.denominator) for v in tail),
+            den,
+        )
 
     @staticmethod
     def _from_runs(
-        ends: tuple[int, ...], values: tuple[Fraction, ...], tail: tuple[Fraction, ...]
+        ends: tuple[int, ...], nums: tuple[int, ...], tail: tuple[int, ...], den: int
     ) -> TailSeq:
-        """A kernel's result: Fraction runs, adjacent values distinct, nonempty tail."""
+        """A kernel's result: integer runs over den > 0, adjacent numerators
+        distinct, nonempty tail."""
         seq = object.__new__(TailSeq)
-        seq.__post_init__(ends, values, tail)
+        seq.__post_init__(ends, nums, tail, den)
         return seq
 
     def __post_init__(
-        self, ends: tuple[int, ...], values: tuple[Fraction, ...], tail: tuple[Fraction, ...]
+        self, ends: tuple[int, ...], nums: tuple[int, ...], tail: tuple[int, ...], den: int
     ) -> None:
-        """Store runs and pattern in canonical form: minimal period, then minimal preperiod.
+        """Store runs and pattern in canonical form: minimal period, minimal
+        preperiod, then least denominator.
 
         The one construction hook of both the public and the kernel path.
         """
@@ -256,30 +285,36 @@ class TailSeq:
         if period == 1:
             # A run equal to the constant tail is absorbed whole; the run
             # before it differs from it.
-            if values and (values[-1] is tail[0] or values[-1] == tail[0]):
+            if nums and nums[-1] == tail[0]:
                 keep = ends[-2] if len(ends) > 1 else 0
         else:
             # The pattern is not constant, so the trim stops within one
             # period of entering a run: O(period) steps per run crossed.
             run = len(ends) - 1
-            while keep:
-                v, t = values[run], tail[(keep - length - 1) % period]
-                if v is not t and v != t:
-                    break
+            while keep and nums[run] == tail[(keep - length - 1) % period]:
                 keep -= 1
                 if run and keep == ends[run - 1]:
                     run -= 1
         if keep != length:
             cut = bisect_left(ends, keep)  # the run holding index keep
             ends = ends[:cut] + (keep,) if keep else ()
-            values = values[: cut + 1] if keep else ()
+            nums = nums[: cut + 1] if keep else ()
             shift = (length - keep) % period
             if shift:
                 tail = tail[-shift:] + tail[:-shift]
+        # Every trimmed value recurs in the pattern, so the trim leaves the
+        # gcd alone; it is taken over what is left.
+        if den != 1:
+            common = math.gcd(den, *nums, *tail)
+            if common != 1:
+                den //= common
+                nums = tuple(n // common for n in nums)
+                tail = tuple(t // common for t in tail)
         set_attr = object.__setattr__
         set_attr(self, "run_ends", ends)
-        set_attr(self, "run_values", values)
-        set_attr(self, "tail", tail)
+        set_attr(self, "run_nums", nums)
+        set_attr(self, "tail_nums", tail)
+        set_attr(self, "den", den)
         set_attr(self, "_head_len", keep)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -289,15 +324,41 @@ class TailSeq:
         raise AttributeError(f"TailSeq is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return TailSeq._from_runs, (self.run_ends, self.run_values, self.tail)
+        return TailSeq._from_runs, (self.run_ends, self.run_nums, self.tail_nums, self.den)
 
     def __repr__(self) -> str:
         runs = tuple(zip(self.run_ends, self.run_values))
         return f"TailSeq(runs={runs!r}, tail={self.tail!r})"
 
+    def _cache(self, slot: str, nums: tuple[int, ...]) -> tuple[Fraction, ...]:
+        den = self.den
+        values = tuple(Fraction(n, den) for n in nums)
+        object.__setattr__(self, slot, values)
+        return values
+
+    @property
+    def run_values(self) -> tuple[Fraction, ...]:
+        """One Fraction per run (run_nums over den), built once."""
+        try:
+            return self._run_values
+        except AttributeError:
+            return self._cache("_run_values", self.run_nums)
+
+    @property
+    def tail(self) -> tuple[Fraction, ...]:
+        """The tail pattern as Fractions (tail_nums over den), built once."""
+        try:
+            return self._tail
+        except AttributeError:
+            return self._cache("_tail", self.tail_nums)
+
     @property
     def head(self) -> tuple[Fraction, ...]:
-        """Values at indices 1..head_len(), expanded from the runs."""
+        """Values at indices 1..head_len(), expanded from the runs on each read.
+
+        Not cached: a dense head kept alive costs O(head length) memory per
+        sequence read this way.
+        """
         return tuple(_expand(self.run_values, self.run_ends))
 
     @staticmethod
@@ -310,35 +371,43 @@ class TailSeq:
 
     @staticmethod
     def zero() -> TailSeq:
-        return TailSeq()
+        return TailSeq._from_runs((), (), (0,), 1)
 
     @staticmethod
     def ones() -> TailSeq:
-        return TailSeq.constant(1)
+        return TailSeq._from_runs((), (), (1,), 1)
 
     def value(self, index: int) -> Fraction:
         if index < 1:
             raise ValueError("indices are 1-based")
-        # The stored head length spares a lookup of run_ends[-1] per read.
+        # The stored head length spares a lookup of run_ends[-1] per read;
+        # a slot read of a cached view costs less than the property call.
         head_len = self._head_len
         if index <= head_len:
-            return self.run_values[bisect_left(self.run_ends, index)]
-        tail = self.tail
+            try:
+                values = self._run_values
+            except AttributeError:
+                values = self.run_values
+            return values[bisect_left(self.run_ends, index)]
+        try:
+            tail = self._tail
+        except AttributeError:
+            tail = self.tail
         return tail[(index - head_len - 1) % len(tail)]
 
     def head_len(self) -> int:
         return self._head_len
 
     def is_zero(self) -> bool:
-        return not self.run_ends and self.tail == (Fraction(0),)
+        return not self.run_ends and self.tail_nums == (0,)
 
     def is_convergent(self) -> bool:
         """Whether the represented sequence has a limit (constant tail)."""
-        return len(self.tail) == 1
+        return len(self.tail_nums) == 1
 
     def limit(self) -> Fraction | None:
         """The limit for a constant tail, None when the tail oscillates."""
-        return self.tail[0] if len(self.tail) == 1 else None
+        return self.tail[0] if len(self.tail_nums) == 1 else None
 
     def __eq__(self, other: object) -> bool:
         # Canonical forms decide equality.
@@ -346,17 +415,18 @@ class TailSeq:
             return NotImplemented
         return (
             self.run_ends == other.run_ends
-            and self.tail == other.tail
-            and self.run_values == other.run_values
+            and self.den == other.den
+            and self.tail_nums == other.tail_nums
+            and self.run_nums == other.run_nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.run_ends, self.run_values, self.tail))
+        return hash((self.run_ends, self.run_nums, self.tail_nums, self.den))
 
     def linf_norm(self) -> Fraction:
         # Every run value occurs and every pattern value recurs forever, so
         # the sup norm is a max over finitely many values.
-        return max(map(abs, self.run_values + self.tail))
+        return Fraction(max(map(abs, self.run_nums + self.tail_nums)), self.den)
 
     def oscillation(self) -> Fraction:
         """Half the spread of the tail pattern.
@@ -365,12 +435,17 @@ class TailSeq:
         sequences: both the pattern max and the pattern min recur forever,
         and no limit value is within less than half their spread of both.
         """
-        return (max(self.tail) - min(self.tail)) / 2
+        return Fraction(max(self.tail_nums) - min(self.tail_nums), 2 * self.den)
 
-    def _pieces(self, upto: int) -> list[tuple[int, Fraction]]:
-        """(end, value) pieces covering indices 1..upto, for upto > head_len()."""
-        pieces = list(zip(self.run_ends, self.run_values))
-        tail, start = self.tail, self._head_len
+    def _pieces(self, upto: int, factor: int) -> list[tuple[int, int]]:
+        """(end, numerator over den * factor) pieces covering indices 1..upto,
+        for upto > head_len()."""
+        nums, tail = self.run_nums, self.tail_nums
+        if factor != 1:
+            nums = [n * factor for n in nums]
+            tail = [n * factor for n in tail]
+        pieces = list(zip(self.run_ends, nums))
+        start = self._head_len
         if len(tail) == 1:
             pieces.append((upto, tail[0]))
         else:
@@ -380,36 +455,34 @@ class TailSeq:
 
     def _combine(self, other: TailSeq, op) -> TailSeq:
         # Merge the run boundaries of both operands over the longer head and
-        # one common period.  op runs once per distinct pair of operand
-        # objects; equal neighbouring results merge into one run.
+        # one common period, on numerators over the lcm of both
+        # denominators; equal neighbouring results merge into one run.
+        den = math.lcm(self.den, other.den)
         head_len = max(self._head_len, other._head_len)
-        upto = head_len + math.lcm(len(self.tail), len(other.tail))
-        pieces_a, pieces_b = self._pieces(upto), other._pieces(upto)
+        upto = head_len + math.lcm(len(self.tail_nums), len(other.tail_nums))
+        pieces_a = self._pieces(upto, den // self.den)
+        pieces_b = other._pieces(upto, den // other.den)
         ends: list[int] = []
-        values: list[Fraction] = []
-        tail: list[Fraction] = []
-        done: dict[tuple[int, int], Fraction] = {}
+        nums: list[int] = []
+        tail: list[int] = []
         i = j = start = 0
         while start < upto:
             (end_a, a), (end_b, b) = pieces_a[i], pieces_b[j]
-            key = (id(a), id(b))
-            v = done.get(key)
-            if v is None:
-                v = done[key] = op(a, b)
+            v = op(a, b)
             end = end_a if end_a < end_b else end_b
             # Every piece ends at or before head_len or starts after it:
             # the longer head has a run ending there.
             if end > head_len:
                 tail += [v] * (end - start)
-            elif values and (v is values[-1] or v == values[-1]):
+            elif nums and v == nums[-1]:
                 ends[-1] = end
             else:
                 ends.append(end)
-                values.append(v)
+                nums.append(v)
             start = end
             i += end_a == end
             j += end_b == end
-        return TailSeq._from_runs(tuple(ends), tuple(values), tuple(tail))
+        return TailSeq._from_runs(tuple(ends), tuple(nums), tuple(tail), den)
 
     def __add__(self, other: TailSeq) -> TailSeq:
         return self._combine(other, operator.add)
@@ -421,16 +494,19 @@ class TailSeq:
         # Negation keeps runs distinct and the form canonical.
         neg = operator.neg
         return TailSeq._from_runs(
-            self.run_ends, tuple(map(neg, self.run_values)), tuple(map(neg, self.tail))
+            self.run_ends, tuple(map(neg, self.run_nums)), tuple(map(neg, self.tail_nums)), self.den
         )
 
     def scale(self, factor: RationalLike) -> TailSeq:
         factor = as_fraction(factor)
-        if factor == 0:
+        if not factor:
             return TailSeq.zero()
-        times = partial(operator.mul, factor)
+        times = partial(operator.mul, factor.numerator)
         return TailSeq._from_runs(
-            self.run_ends, tuple(map(times, self.run_values)), tuple(map(times, self.tail))
+            self.run_ends,
+            tuple(map(times, self.run_nums)),
+            tuple(map(times, self.tail_nums)),
+            self.den * factor.denominator,
         )
 
     def __mul__(self, factor: RationalLike) -> TailSeq:
@@ -439,7 +515,7 @@ class TailSeq:
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        kind = "const" if len(self.tail) == 1 else "periodic"
+        kind = "const" if len(self.tail_nums) == 1 else "periodic"
         return {
             "head": _expand(map(format_rational, self.run_values), self.run_ends),
             "tail": {"kind": kind, "values": [format_rational(v) for v in self.tail]},
@@ -505,22 +581,49 @@ class ModelMeasure:
         return ModelMeasure(SparseSeq.from_json(obj["atomic"]), parse_rational(obj["infinity_mass"]))
 
 
-def couple(x: SparseSeq, y: TailSeq) -> Fraction:
-    """Series coupling sum_n x_n * y_n; finite because x is finitely supported.
+def _couple_terms(x: SparseSeq, y: TailSeq) -> tuple[int, int]:
+    """sum_n x_n * y_n as an unreduced (numerator, denominator > 0) pair.
 
-    The terms are summed as an integer numerator over the running lcm of
-    their denominators; one normalised Fraction is built at the end.
+    The terms x_n times the numerators of y are summed as one integer over
+    the running lcm of the denominators of x; the denominator is that lcm
+    times ``y.den``.
     """
+    ends, nums, tail = y.run_ends, y.run_nums, y.tail_nums
+    head_len, period = y.head_len(), len(tail)
     num, den = 0, 1
     for n, v in x.entries:
-        w = y.value(n)
-        term = v.numerator * w.numerator
+        w = nums[bisect_left(ends, n)] if n <= head_len else tail[(n - head_len - 1) % period]
+        term = v.numerator * w
         if term:
-            q = v.denominator * w.denominator
+            q = v.denominator
             common = math.lcm(den, q)
             num = num * (common // den) + term * (common // q)
             den = common
-    return Fraction(num, den)
+    return num, den * y.den
+
+
+def _measure_terms(mu: ModelMeasure, y: TailSeq) -> tuple[int, int]:
+    """<mu, y> as an unreduced (numerator, denominator > 0) pair."""
+    num, den = _couple_terms(mu.atomic, y)
+    mass = mu.infinity_mass
+    if mass:
+        if len(y.tail_nums) != 1:
+            raise OutsideModelDomain(
+                "measure has mass at infinity but the sequence has no limit"
+            )
+        q = mass.denominator * y.den
+        common = math.lcm(den, q)
+        num = num * (common // den) + mass.numerator * y.tail_nums[0] * (common // q)
+        den = common
+    return num, den
+
+
+def couple(x: SparseSeq, y: TailSeq) -> Fraction:
+    """Series coupling sum_n x_n * y_n; finite because x is finitely supported.
+
+    Summed on integer numerators; one normalised Fraction is built at the end.
+    """
+    return Fraction(*_couple_terms(x, y))
 
 
 def pair_measure(mu: ModelMeasure, y: TailSeq) -> Fraction:
@@ -529,15 +632,7 @@ def pair_measure(mu: ModelMeasure, y: TailSeq) -> Fraction:
     Raises OutsideModelDomain when the mass at infinity is nonzero and y
     does not converge.
     """
-    result = couple(mu.atomic, y)
-    if mu.infinity_mass != 0:
-        lim = y.limit()
-        if lim is None:
-            raise OutsideModelDomain(
-                "measure has mass at infinity but the sequence has no limit"
-            )
-        result += mu.infinity_mass * lim
-    return result
+    return Fraction(*_measure_terms(mu, y))
 
 
 class DualSystem(Enum):
@@ -611,13 +706,13 @@ def _require_same_system(z: PairPoint, w: PairPoint) -> None:
 
 def coupling_value(z: PairPoint) -> Fraction:
     """c(z) = <x, y> in the point's own system."""
-    return _cross(z.x, z.y)
+    return Fraction(*_cross_terms(z.x, z.y))
 
 
-def _cross(x: XPart, y: TailSeq) -> Fraction:
+def _cross_terms(x: XPart, y: TailSeq) -> tuple[int, int]:
     if isinstance(x, SparseSeq):
-        return couple(x, y)
-    return pair_measure(x, y)
+        return _couple_terms(x, y)
+    return _measure_terms(x, y)
 
 
 def natural_couple(z: PairPoint, w: PairPoint) -> Fraction:
@@ -626,4 +721,7 @@ def natural_couple(z: PairPoint, w: PairPoint) -> Fraction:
     Symmetric by construction; z.z = 2*c(z).
     """
     _require_same_system(z, w)
-    return _cross(z.x, w.y) + _cross(w.x, z.y)
+    a, p = _cross_terms(z.x, w.y)
+    b, q = _cross_terms(w.x, z.y)
+    common = math.lcm(p, q)
+    return Fraction(a * (common // p) + b * (common // q), common)

@@ -1,10 +1,12 @@
 """Shared hypothesis strategies and small builders for the test suite."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gossez_lab.spaces import ModelMeasure, SparseSeq, TailSeq
+from gossez_lab.sampling import graph_point_first, random_sparse
+from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq
 
 
 def rationals(max_num: int = 50, max_den: int = 20):
@@ -79,3 +81,18 @@ def model_measures(max_index: int = 12):
 def seq(*values) -> SparseSeq:
     """Sequence from consecutive values at indices 1, 2, ..."""
     return SparseSeq.from_values([Fraction(v) for v in values])
+
+
+def random_graph_points(
+    rng: random.Random,
+    count: int,
+    max_index: int = 64,
+    max_support: int = 8,
+    max_num: int = 100,
+    max_den: int = 100,
+) -> list[PairPoint]:
+    """``count`` seeded first-system graph points (x, Gx) of random sparse x."""
+    return [
+        graph_point_first(random_sparse(rng, max_index, max_support, max_num, max_den))
+        for _ in range(count)
+    ]

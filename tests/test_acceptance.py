@@ -32,7 +32,6 @@ from gossez_lab.sampling import (
     embed_first,
     graph_point_first,
     off_graph_first,
-    random_graph_points,
     random_measure,
     random_sparse,
     rng_for,
@@ -48,6 +47,7 @@ from gossez_lab.spaces import (
     pair_measure,
 )
 from gossez_lab.verdict import REFUTED, VERIFIED, WITNESS_FOUND
+from strategies import random_graph_points
 
 F = Fraction
 

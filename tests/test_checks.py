@@ -98,19 +98,44 @@ def test_csv_and_md_emission(fast_report):
         emit(fast_report, "yaml")
 
 
-# sha256 of the default json report at seed 0.  Performance work must leave
-# these bytes alone; a deliberate report change bumps ARTIFACT_VERSION and
-# updates this digest in the same commit.
+# sha256 of the default reports.  Performance work must leave these bytes
+# alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
+# digests in the same commit.
 DEFAULT_REPORT_SHA256 = "35745b386277216f481104406609a4e3163ca14f3149b5fb31bd073b9b8c67db"
+PINNED_REPORT_SHA256 = {
+    (0, "json"): DEFAULT_REPORT_SHA256,
+    (0, "md"): "dd1d232953518ecb1d8b90c2ce088af3cecc4d33e3a111d5274f8a69d903bb0a",
+    (0, "csv"): "2e5c73e90654f86fa460b85c24da78fb3839cf7bbcea618a96b45190f57c32dc",
+    (1, "json"): "7d69a32110b3a8631f092fe1a95adcebfe31c5bb6ce642d442973d63aeba61b5",
+}
 
 
-def test_default_report_bytes_are_pinned():
-    digest = hashlib.sha256(emit(run_checks(CheckConfig(seed=0)), "json")).hexdigest()
-    assert digest == DEFAULT_REPORT_SHA256, (
-        f"default report (seed 0, ARTIFACT_VERSION {ARTIFACT_VERSION}) changed: "
-        f"sha256 {digest}. A deliberate report change bumps ARTIFACT_VERSION and "
-        "updates DEFAULT_REPORT_SHA256 in the same commit."
+@pytest.fixture(scope="module")
+def default_report():
+    """One default report at seed 0, emitted in every format."""
+    return run_checks(CheckConfig(seed=0))
+
+
+def assert_pinned(report, seed: int, out_format: str) -> None:
+    digest = hashlib.sha256(emit(report, out_format)).hexdigest()
+    assert digest == PINNED_REPORT_SHA256[seed, out_format], (
+        f"default {out_format} report (seed {seed}, ARTIFACT_VERSION {ARTIFACT_VERSION}) "
+        f"changed: sha256 {digest}. A deliberate report change bumps ARTIFACT_VERSION "
+        "and updates PINNED_REPORT_SHA256 in the same commit."
     )
+
+
+def test_default_report_bytes_are_pinned(default_report):
+    assert_pinned(default_report, 0, "json")
+
+
+def test_default_report_md_and_csv_bytes_are_pinned(default_report):
+    assert_pinned(default_report, 0, "md")
+    assert_pinned(default_report, 0, "csv")
+
+
+def test_seed_one_report_bytes_are_pinned():
+    assert_pinned(run_checks(CheckConfig(seed=1)), 1, "json")
 
 
 def test_single_check_run():

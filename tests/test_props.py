@@ -27,7 +27,6 @@ from gossez_lab.sampling import (
     embed_first,
     graph_point_first,
     off_graph_first,
-    random_graph_points,
     rng_for,
     unit_graph_points,
 )
@@ -42,7 +41,7 @@ from gossez_lab.spaces import (
 )
 from gossez_lab.verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND
 
-from strategies import seq
+from strategies import random_graph_points, seq
 
 F = Fraction
 
