@@ -371,12 +371,11 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         [SparseSeq.unit(k) for k in range(1, 13)]
         + [random_sparse(rng, cfg.truncation, 6, 50, 50) for _ in range(188)]
     )
-    for z in graph.points:
-        tally.record(
-            "indicator-on-graph",
-            g_first.fitz_closed(z) == 0 == coupling_value(z),
-            {"z": z},
-        )
+    # Evaluated once here: the lower-bound draws and representability_check
+    # read these values again.
+    graph_values = tuple((g_first.fitz_closed(z), coupling_value(z)) for z in graph.points)
+    for z, (fv, cv) in zip(graph.points, graph_values):
+        tally.record("indicator-on-graph", fv == 0 == cv, {"z": z})
     max_value = None
     for z in off_graph_first(rng, 50, 32):
         cert = divergence_certificate(z, cfg.scale_max)
@@ -386,13 +385,14 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     combos = min(cfg.trials, 1000)
     for _ in range(combos):
         if rng.random() < 0.5:
-            z = graph.points[rng.randrange(len(graph.points))]
+            i = rng.randrange(len(graph.points))
+            z, closed = graph.points[i], graph_values[i][0]
         else:
             z = off_graph_first(rng, 1, 16)[0]
+            closed = g_first.fitz_closed(z)
         subset = tuple(rng.sample(graph.points, rng.randint(1, 6)))
         sub = SampledGraph(g_first.system, subset, g_first.graph_label)
         sampled = fitz_sampled(z, sub)
-        closed = g_first.fitz_closed(z)
         tally.record("sampled-below-closed", sampled <= closed, {"z": z})
         if z in subset:
             tally.record("sampled-exact-on-graph", sampled == 0 == closed, {"z": z})
@@ -400,7 +400,9 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     values = evaluate_probes(g_first, probes)
     ni = ni_witness_search(OP_G_FIRST, probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
-    representative = representability_check(g_first, graph, probes, seed=cfg.seed, values=values)
+    representative = representability_check(
+        g_first, graph, probes, seed=cfg.seed, values=values, graph_values=graph_values
+    )
     tally.record("representability", representative.status == VERIFIED)
     stats = {
         "graph_points": len(graph.points),

@@ -49,14 +49,15 @@ def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
     when the numerators are equal (adjacent points with x_{n+1} = -x_n give
     equal images).  The TailSeq keeps them as ints; no Fraction is built.
     """
-    den = math.lcm(shift.denominator, *(v.denominator for _, v in x.entries))
+    den = math.lcm(shift.denominator, x.den)
     base = shift.numerator * (den // shift.denominator)
-    nums = [(n, v.numerator * (den // v.denominator)) for n, v in x.entries]
-    level = sum(num for _, num in nums)  # total - 2*prefix, times D
+    factor = den // x.den
+    nums = x.nums if factor == 1 else [v * factor for v in x.nums]
+    level = sum(nums)  # total - 2*prefix, times D
     ends: list[int] = []
     runs: list[int] = []  # numerators over D, one per run
     covered = 0
-    for n, here in nums:
+    for n, here in zip(x.indices, nums):
         if n - 1 > covered:  # the gap before n; it never equals its neighbours
             ends.append(n - 1)
             runs.append(base + sign * level)
@@ -135,16 +136,18 @@ def solve_G(y: TailSeq) -> RangeCertificate:
                 f"{format_rational(Fraction(abs(current), den))}, not summable"
             ),
         )
-    # One Fraction (and its negation) per run where x is nonzero.
-    entries = []
+    # The preimage as numerators over den, alternating in sign along each
+    # run where x is nonzero.
+    indices: list[int] = []
+    values: list[int] = []
     start = 1
     for end, first in zip(ends, firsts):
         if first:
-            value = Fraction(first, den)
-            signs = (value, -value)
-            entries += [(n, signs[(n - start) % 2]) for n in range(start, end + 1)]
+            signs = (first, -first)
+            indices += range(start, end + 1)
+            values += [signs[k % 2] for k in range(end + 1 - start)]
         start = end + 1
-    candidate = SparseSeq._trusted(tuple(entries))
+    candidate = SparseSeq._from_ints(tuple(indices), tuple(values), den)
     if apply_G(candidate) != y:  # cannot happen for consistent inputs; keep honest
         return RangeCertificate(y, False, obstruction="round-trip mismatch")
     return RangeCertificate(y, True, preimage=candidate)

@@ -51,17 +51,45 @@ __all__ = [
 ]
 
 
+def _coupling_or_none(z: PairPoint) -> Fraction | None:
+    """c(z), None where z leaves the model."""
+    try:
+        return coupling_value(z)
+    except OutsideModelDomain:
+        return None
+
+
+def _difference_coupling(
+    z1: PairPoint, c1: Fraction | None, z2: PairPoint, c2: Fraction | None
+) -> Fraction:
+    """c(z1 - z2), from the couplings c1 = c(z1) and c2 = c(z2) when both exist.
+
+    The coupling is bilinear: c(z1 - z2) = c(z1) + c(z2) - z1.z2.  A term
+    may leave the model where the difference does not (two measures with
+    equal mass at infinity cancel it), so the difference point is built
+    only then.  Raises OutsideModelDomain when c(z1 - z2) itself does.
+    """
+    if c1 is not None and c2 is not None:
+        try:
+            return c1 + c2 - natural_couple(z1, z2)
+        except OutsideModelDomain:
+            pass
+    return coupling_value(z1 - z2)
+
+
 def is_monotone(graph: SampledGraph) -> PropertyVerdict:
     """Check c(z1 - z2) >= 0 over all unordered sample pairs.
 
-    Verified only if at least one pair was evaluated and none was skipped.
+    c(z) is computed once per sample point.  Verified only if at least one
+    pair was evaluated and none was skipped.
     """
+    couplings = [_coupling_or_none(z) for z in graph.points]
     checked = 0
     skipped = 0
     minimum: Fraction | None = None
-    for z1, z2 in combinations(graph.points, 2):
+    for (z1, c1), (z2, c2) in combinations(zip(graph.points, couplings), 2):
         try:
-            value = coupling_value(z1 - z2)
+            value = _difference_coupling(z1, c1, z2, c2)
         except OutsideModelDomain:
             skipped += 1
             continue
@@ -165,10 +193,7 @@ def extension_probe(
 
 
 def _evaluate(fitz, z: PairPoint) -> tuple:
-    try:
-        cv = coupling_value(z)
-    except OutsideModelDomain:
-        cv = None
+    cv = _coupling_or_none(z)
     try:
         fv = fitz(z)
     except OutsideModelDomain:
@@ -230,6 +255,7 @@ def representability_check(
     seed: int = 0,
     convexity_pairs: int = 100,
     values: tuple | None = None,
+    graph_values: tuple | None = None,
 ) -> PropertyVerdict:
     """Check op's closed-form Fitzpatrick function as a candidate representative.
 
@@ -240,14 +266,15 @@ def representability_check(
     the graph failing refutes outright.  The equality set among probes is
     reported for comparison with op's analytic graph.  With no graph points
     and no probes nothing is evaluated, and the verdict is inconclusive.
-    ``values`` are the probe values of ``evaluate_probes``, computed here
-    when not given.
+    ``values`` are the probe values of ``evaluate_probes`` and
+    ``graph_values`` the pairs (fn(z), c(z)) at the graph points, each
+    computed here when not given.
     """
     fn = op.fitz_closed
     name = f"indicator({op.fitz_graph})"
-    for z in graph.points:
-        fv = fn(z)
-        cv = coupling_value(z)
+    if graph_values is None:
+        graph_values = ((fn(z), coupling_value(z)) for z in graph.points)
+    for z, (fv, cv) in zip(graph.points, graph_values):
         if fv != cv:
             return PropertyVerdict(
                 property=f"representability({name})",

@@ -8,6 +8,7 @@ refutation searches inside the default scale ladder.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,13 +25,35 @@ def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """``rng.randint(low, high)`` in one Python call instead of three.
+
+    ``Random.randint(a, b)`` is ``randrange(a, b + 1)``, which returns
+    ``a + r`` with ``r = getrandbits(k)`` for ``k`` the bit length of the
+    width ``b - a + 1``, redrawn until ``r`` is below the width
+    (``Random._randbelow_with_getrandbits``, the same in CPython 3.10 to
+    3.12).  Drawing the same way consumes the generator's bits exactly as
+    ``randint`` does, so every seed reproduces the same objects and the
+    same reports.  This holds for ``random.Random`` itself, whose
+    ``_randbelow`` is that method; ``rng_for`` makes only such generators.
+    """
+    width = high - low + 1
+    if width < 1:
+        raise ValueError(f"empty range for randint({low}, {high})")
+    bits = width.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= width:
+        r = rng.getrandbits(bits)
+    return low + r
+
+
 def random_rational(
     rng: random.Random, max_num: int = 1000, max_den: int = 1000, nonzero: bool = False
 ) -> Fraction:
-    num = rng.randint(-max_num, max_num)
+    num = _randint(rng, -max_num, max_num)
     while nonzero and num == 0:
-        num = rng.randint(-max_num, max_num)
-    return Fraction(num, rng.randint(1, max_den))
+        num = _randint(rng, -max_num, max_num)
+    return Fraction(num, _randint(rng, 1, max_den))
 
 
 def random_sparse(
@@ -40,29 +63,41 @@ def random_sparse(
     max_num: int = 1000,
     max_den: int = 1000,
 ) -> SparseSeq:
-    k = rng.randint(1, min(max_support, max_index))
-    indices = rng.sample(range(1, max_index + 1), k)
-    # Sorted distinct indices and nonzero Fractions: canonical as drawn.
-    return SparseSeq._trusted(
-        tuple((n, random_rational(rng, max_num, max_den, nonzero=True)) for n in sorted(indices))
+    k = _randint(rng, 1, min(max_support, max_index))
+    indices = sorted(rng.sample(range(1, max_index + 1), k))
+    # One nonzero p/q per index, drawn as random_rational draws it and
+    # reduced; the lcm of the reduced denominators is the least one.
+    nums, dens = [], []
+    den = 1
+    for _ in indices:
+        num = _randint(rng, -max_num, max_num)
+        while num == 0:
+            num = _randint(rng, -max_num, max_num)
+        q = _randint(rng, 1, max_den)
+        common = math.gcd(num, q)
+        nums.append(num // common)
+        dens.append(q // common)
+        den = math.lcm(den, dens[-1])
+    return SparseSeq._from_ints(
+        tuple(indices), tuple([n * (den // q) for n, q in zip(nums, dens)]), den
     )
 
 
 def random_tail(
     rng: random.Random, max_head: int = 4, max_num: int = 100, max_den: int = 100
 ) -> TailSeq:
-    head = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(0, max_head)))
+    head = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 0, max_head)))
     if rng.random() < 0.5:
         tail: tuple[Fraction, ...] = (random_rational(rng, max_num, max_den),)
     else:
-        tail = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(2, 3)))
+        tail = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 2, 3)))
     return TailSeq(head, tail)
 
 
 def random_constant_tail(
     rng: random.Random, max_head: int = 4, max_num: int = 100, max_den: int = 100
 ) -> TailSeq:
-    head = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(0, max_head)))
+    head = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 0, max_head)))
     return TailSeq.constant(random_rational(rng, max_num, max_den), head)
 
 
@@ -109,11 +144,12 @@ def off_graph_first(
     points = []
     for _ in range(count):
         x = random_sparse(rng, max_index, 6, max_num, max_den)
-        dev_index = rng.randint(1, max_index)
+        dev_index = _randint(rng, 1, max_index)
         values = {dev_index: random_rational(rng, max_num, max_den, nonzero=True)}
-        for n, v in random_sparse(rng, max_index, 3, max_num, max_den).entries:
+        extra = random_sparse(rng, max_index, 3, max_num, max_den)
+        for n, num in zip(extra.indices, extra.nums):
             if n != dev_index and rng.random() < 0.5:
-                values[n] = v
+                values[n] = Fraction(num, extra.den)
         top = max(values)
         head = [values.get(n, _ZERO) for n in range(1, top + 1)]
         deviation = TailSeq.constant(0, head)

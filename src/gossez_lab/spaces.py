@@ -1,11 +1,13 @@
 """Exact sequence spaces and couplings.
 
-Everything is built from arbitrary-precision rationals (`fractions.Fraction`);
-no operation here ever rounds.  Three value representations cover the spaces
-in play:
+Every value is an exact rational; no operation here ever rounds.  The
+representations store integer numerators over one least common
+denominator and build ``fractions.Fraction`` values only at the API
+boundary.  Three value representations cover the spaces in play:
 
 - ``SparseSeq``: a finitely supported rational sequence, the computable slice
-  of the summable sequences l1.  Indices are 1-based.
+  of the summable sequences l1.  Indices are 1-based.  It stores its
+  support, one integer numerator per support index and one denominator.
 - ``TailSeq``: a finite head followed by an eventually periodic tail, the
   computable slice of the bounded sequences l-infinity.  Its values are
   integer numerators over one least common denominator, and the head is
@@ -22,15 +24,16 @@ its system, and ``natural_couple`` implements the induced coupling
 z.w = c(x_z, y_w) + c(x_w, y_z) on pairs.
 
 The hot kernels do no ``Fraction`` arithmetic.  ``couple``,
-``pair_measure`` and ``natural_couple`` sum integer numerators over a
-running common denominator and build one normalised ``Fraction`` at the
-end.  The ``TailSeq`` kernels (sums, negation, scaling, equality,
-hashing, the sup norm and the canonical trim) work on the integer runs,
-so an image of G costs O(|supp x|) however far its support reaches.
-``Fraction`` values appear only at the boundary: ``value``, ``limit``,
-the cached ``run_values``/``tail`` views and ``head``; only
-``TailSeq.head`` and ``to_json`` expand a head densely.  Results are exact and canonical
-either way.
+``pair_measure`` and ``natural_couple`` take one integer dot product of
+the numerators and build one normalised ``Fraction`` at the end.  The
+``SparseSeq`` kernels (sums, negation, scaling, sums of entries, the l1
+norm, equality and hashing) and the ``TailSeq`` kernels (sums, negation,
+scaling, equality, hashing, the sup norm and the canonical trim) work on
+the integers, so an image of G costs O(|supp x|) however far its support
+reaches.  ``Fraction`` values appear only at the boundary: ``value``,
+``limit``, the norms, the cached ``SparseSeq.entries`` and
+``TailSeq.run_values``/``tail`` views and ``TailSeq.head``; only
+``TailSeq.head`` and ``TailSeq.to_json`` expand a head densely.
 
 All types are immutable and safe to share across threads.
 """
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -60,7 +64,8 @@ class SystemMismatchError(ValueError):
 
 RationalLike = Union[Fraction, int]
 
-_index = operator.itemgetter(0)
+_set = object.__setattr__
+_ZERO = Fraction(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -76,108 +81,196 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string."""
-    return Fraction(text)
+    """Parse "p/q" or a bare integer string, the forms ``format_rational`` writes.
+
+    Anything else, a float or a JSON ``true`` included, is rejected rather
+    than converted: a binary fraction or a bool is not an exact input.
+    """
+    if text.__class__ is not str:
+        raise TypeError(f"expected a rational string, got {type(text).__name__}")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected a rational 'p/q' or an integer, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@dataclass(frozen=True)
 class SparseSeq:
     """Finitely supported rational sequence, indexed from 1.
 
-    ``entries`` is the canonical form: sorted by index, no zero values.
+    Stored as integers: ``indices`` holds the support, strictly increasing;
+    ``nums`` one nonzero numerator per index; ``den`` the one denominator
+    they share, the least positive one, so gcd(den, *nums) == 1.  Equal
+    sequences therefore have equal fields.  ``entries`` is the same
+    sequence as sorted ``(index, Fraction)`` pairs, built on first read and
+    cached; the kernels read only the integers.
     """
 
-    entries: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("indices", "nums", "den", "_entries")
 
-    def __post_init__(self) -> None:
-        cleaned = []
+    def __init__(self, entries: Iterable[tuple[int, RationalLike]] = ()) -> None:
+        kept = []
         seen: set[int] = set()
-        for index, value in self.entries:
-            if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+        for index, value in entries:
+            # An exact int skips both isinstance calls.
+            if (
+                index.__class__ is not int
+                and (not isinstance(index, int) or isinstance(index, bool))
+                or index < 1
+            ):
                 raise ValueError(f"indices are 1-based integers, got {index!r}")
             if index in seen:
                 raise ValueError(f"duplicate index {index}")
             seen.add(index)
-            value = as_fraction(value)
-            if value != 0:
-                cleaned.append((index, value))
-        cleaned.sort()
-        object.__setattr__(self, "entries", tuple(cleaned))
+            if value.__class__ is int:
+                if value:
+                    kept.append((index, value, 1))
+                continue
+            if value.__class__ is not Fraction:
+                value = as_fraction(value)
+            # The slots behind Fraction.numerator and .denominator: two
+            # property calls per value would cost more than the rest of the loop.
+            num = value._numerator
+            if num:
+                kept.append((index, num, value._denominator))
+        kept.sort()
+        indices, nums, dens = zip(*kept) if kept else ((), (), ())
+        # The lcm of reduced denominators is the least common one: no gcd pass.
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
+        _set(self, "indices", indices)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+
+    @staticmethod
+    def _from_ints(indices: tuple[int, ...], nums: tuple[int, ...], den: int) -> SparseSeq:
+        """A kernel's result: strictly increasing indices, nonzero integer
+        numerators over den > 0; reduced here to the least denominator."""
+        if den != 1:
+            # gcd(*nums) takes the tuple as it is; gcd(den, *nums) would copy it.
+            common = math.gcd(math.gcd(*nums), den)
+            if common != 1:
+                den //= common
+                nums = tuple([n // common for n in nums])
+        seq = object.__new__(SparseSeq)
+        _set(seq, "indices", indices)
+        _set(seq, "nums", nums)
+        _set(seq, "den", den)
+        return seq
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SparseSeq is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SparseSeq is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return SparseSeq._from_ints, (self.indices, self.nums, self.den)
+
+    def __repr__(self) -> str:
+        return f"SparseSeq(entries={self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        """(index, Fraction) pairs sorted by index, no zero values; built once."""
+        try:
+            return self._entries
+        except AttributeError:
+            den = self.den
+            entries = tuple(zip(self.indices, [Fraction(n, den) for n in self.nums]))
+            _set(self, "_entries", entries)
+            return entries
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, RationalLike]]) -> SparseSeq:
-        return SparseSeq(tuple(pairs))
+        return SparseSeq(pairs)
 
     @staticmethod
     def from_values(values: Iterable[RationalLike]) -> SparseSeq:
         """Build from consecutive values starting at index 1."""
-        return SparseSeq.from_pairs((n, v) for n, v in enumerate(values, start=1))
+        return SparseSeq(enumerate(values, start=1))
 
     @staticmethod
     def unit(index: int) -> SparseSeq:
         """The unit vector e_index."""
-        return SparseSeq(((index, Fraction(1)),))
+        return SparseSeq(((index, 1),))
 
     @staticmethod
     def zero() -> SparseSeq:
         return SparseSeq()
 
     def value(self, index: int) -> Fraction:
-        for n, v in self.entries:
-            if n == index:
-                return v
-            if n > index:
-                break
-        return Fraction(0)
+        indices = self.indices
+        i = bisect_left(indices, index)
+        if i == len(indices) or indices[i] != index:
+            return _ZERO
+        try:
+            return self._entries[i][1]
+        except AttributeError:
+            return self.entries[i][1]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.entries)
+        return self.indices
 
     def max_index(self) -> int:
         """Largest support index, 0 for the zero sequence."""
-        return self.entries[-1][0] if self.entries else 0
+        return self.indices[-1] if self.indices else 0
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.indices
 
     def entry_sum(self) -> Fraction:
-        return sum((v for _, v in self.entries), Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
     def l1_norm(self) -> Fraction:
-        return sum((abs(v) for _, v in self.entries), Fraction(0))
+        return Fraction(sum(map(abs, self.nums)), self.den)
+
+    def __eq__(self, other: object) -> bool:
+        # Canonical forms decide equality.
+        if other.__class__ is not SparseSeq:
+            return NotImplemented
+        return self.indices == other.indices and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.indices, self.nums, self.den))
+
+    def _merge(self, other: SparseSeq, sign: int) -> SparseSeq:
+        """self + sign * other on numerators over the lcm of both denominators."""
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, (den // other.den) * sign
+        total = dict(zip(self.indices, [n * mine for n in self.nums]))
+        for n, v in zip(other.indices, other.nums):
+            total[n] = total.get(n, 0) + v * theirs
+        indices = sorted(total)
+        nums = [total[n] for n in indices]
+        if 0 in nums:  # cancelled at a shared index
+            indices = [n for n, v in zip(indices, nums) if v]
+            nums = [v for v in nums if v]
+        return SparseSeq._from_ints(tuple(indices), tuple(nums), den)
 
     def __add__(self, other: SparseSeq) -> SparseSeq:
-        # Both entry lists are sorted with distinct indices, so a shared
-        # index meets its partner next to it; dropping zero sums keeps the
-        # merge canonical.
-        merged: list[tuple[int, Fraction]] = []
-        for n, v in sorted(self.entries + other.entries, key=_index):
-            if merged and merged[-1][0] == n:
-                v += merged.pop()[1]
-                if not v:
-                    continue
-            merged.append((n, v))
-        return SparseSeq._trusted(tuple(merged))
+        return self._merge(other, 1)
 
     def __sub__(self, other: SparseSeq) -> SparseSeq:
-        return self + (-other)
-
-    @staticmethod
-    def _trusted(entries: tuple[tuple[int, Fraction], ...]) -> SparseSeq:
-        """Wrap entries a kernel made canonical: sorted distinct indices, nonzero Fractions."""
-        seq = object.__new__(SparseSeq)
-        object.__setattr__(seq, "entries", entries)
-        return seq
+        return self._merge(other, -1)
 
     def __neg__(self) -> SparseSeq:
-        return SparseSeq._trusted(tuple((n, -v) for n, v in self.entries))
+        return SparseSeq._from_ints(self.indices, tuple([-n for n in self.nums]), self.den)
 
     def scale(self, factor: RationalLike) -> SparseSeq:
         factor = as_fraction(factor)
-        if factor == 0:
+        if not factor:
             return SparseSeq()
-        return SparseSeq._trusted(tuple((n, factor * v) for n, v in self.entries))
+        p = factor.numerator
+        return SparseSeq._from_ints(
+            self.indices, tuple([n * p for n in self.nums]), self.den * factor.denominator
+        )
 
     def __mul__(self, factor: RationalLike) -> SparseSeq:
         return self.scale(factor)
@@ -305,7 +398,7 @@ class TailSeq:
         # Every trimmed value recurs in the pattern, so the trim leaves the
         # gcd alone; it is taken over what is left.
         if den != 1:
-            common = math.gcd(den, *nums, *tail)
+            common = math.gcd(math.gcd(*nums), math.gcd(*tail), den)
             if common != 1:
                 den //= common
                 nums = tuple(n // common for n in nums)
@@ -584,22 +677,15 @@ class ModelMeasure:
 def _couple_terms(x: SparseSeq, y: TailSeq) -> tuple[int, int]:
     """sum_n x_n * y_n as an unreduced (numerator, denominator > 0) pair.
 
-    The terms x_n times the numerators of y are summed as one integer over
-    the running lcm of the denominators of x; the denominator is that lcm
-    times ``y.den``.
+    One integer dot product of the numerators of x and y, over
+    ``x.den * y.den``.
     """
     ends, nums, tail = y.run_ends, y.run_nums, y.tail_nums
-    head_len, period = y.head_len(), len(tail)
-    num, den = 0, 1
-    for n, v in x.entries:
-        w = nums[bisect_left(ends, n)] if n <= head_len else tail[(n - head_len - 1) % period]
-        term = v.numerator * w
-        if term:
-            q = v.denominator
-            common = math.lcm(den, q)
-            num = num * (common // den) + term * (common // q)
-            den = common
-    return num, den * y.den
+    head_len, period = y._head_len, len(tail)
+    num = 0
+    for n, v in zip(x.indices, x.nums):
+        num += v * (nums[bisect_left(ends, n)] if n <= head_len else tail[(n - head_len - 1) % period])
+    return num, x.den * y.den
 
 
 def _measure_terms(mu: ModelMeasure, y: TailSeq) -> tuple[int, int]:

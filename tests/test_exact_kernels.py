@@ -232,7 +232,7 @@ def test_equal_values_in_distinct_objects(y):
     assert twin.run_ends == y.run_ends
 
 
-# ------------------------------------------- trusted SparseSeq kernels
+# ------------------------------------------- SparseSeq kernels
 
 
 @given(near_x, st.one_of(amounts, st.integers(-5, 5)))

@@ -1,4 +1,4 @@
-"""Integer-numerator TailSeq, trusted SparseSeq paths and shared probe values.
+"""Integer-numerator TailSeq, SparseSeq kernel paths and shared probe values.
 
 A TailSeq stores its run ends, integer run and tail numerators and one
 denominator ``den``.  Every kernel must leave the canonical invariants
@@ -9,7 +9,7 @@ and hashes whatever route built them, and the ``Fraction`` views
 equal the dense reference.  The SparseSeq paths that skip
 validation must give what the validated constructor gives, and ``fds``
 and ``sds-ii`` must evaluate the closed-form Fitzpatrick value once per
-probe.
+probe (and ``fds`` once per graph point).
 """
 
 import copy
@@ -220,7 +220,7 @@ def test_solve_G_builds_fraction_preimages(x):
     assert all(type(v) is Fraction for _, v in cert.preimage.entries)
 
 
-# ---------------------------------------------- trusted SparseSeq paths
+# ---------------------------------------------- SparseSeq kernel paths
 
 
 def validated_sum(x: SparseSeq, y: SparseSeq, sign: int) -> SparseSeq:
@@ -319,6 +319,33 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     assert len(kept) == 1 and status == VERIFIED
     assert calls and max(calls.values()) == 1
     assert stats["ni"]["probes_checked"] == len(calls) == 40
+
+
+def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
+    graph_ids: set[int] = set()
+    calls: dict[int, int] = {}
+    sampled_graph, fitz_closed = Operator.sampled_graph, Operator.fitz_closed
+
+    def recording_sampled_graph(self, xs):
+        graph = sampled_graph(self, xs)
+        if not kept:  # the check's graph; divergence certificates build more
+            graph_ids.update(id(z) for z in graph.points)
+        kept.append(graph)  # alive to the end, so no id is reused
+        return graph
+
+    def counting_fitz_closed(self, z):
+        if id(z) in graph_ids:
+            calls[id(z)] = calls.get(id(z), 0) + 1
+        return fitz_closed(self, z)
+
+    kept: list = []
+    monkeypatch.setattr(Operator, "sampled_graph", recording_sampled_graph)
+    monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
+    status, _, stats, _ = checks._run_fds(checks.CheckConfig(trials=40))
+    assert status == VERIFIED
+    # Every graph point, also those the lower-bound draws pick again.
+    assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])

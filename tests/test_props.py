@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossez_lab.adjoint import graph_negGstar_point
 from gossez_lab.fitz import (
@@ -41,7 +43,7 @@ from gossez_lab.spaces import (
 )
 from gossez_lab.verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND
 
-from strategies import random_graph_points, seq
+from strategies import random_graph_points, seq, sparse_seqs, tail_seqs
 
 F = Fraction
 
@@ -102,6 +104,90 @@ def test_monotonicity_inherited_by_subsets():
         subset = tuple(rng.sample(g.points, rng.randint(2, len(g.points))))
         sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
         assert is_monotone(sub).status == VERIFIED
+
+
+def direct_is_monotone(graph: SampledGraph) -> tuple:
+    """(status, witnesses, stats) of the monotonicity scan on c(z1 - z2) itself."""
+    checked = skipped = 0
+    minimum = None
+    for i, z1 in enumerate(graph.points):
+        for z2 in graph.points[i + 1 :]:
+            try:
+                value = coupling_value(z1 - z2)
+            except OutsideModelDomain:
+                skipped += 1
+                continue
+            checked += 1
+            if minimum is None or value < minimum:
+                minimum = value
+            if value < 0:
+                stats = {"pairs_checked": checked, "skipped": skipped}
+                return REFUTED, ({"z1": z1, "z2": z2, "value": value},), stats
+    stats = {"pairs_checked": checked, "skipped": skipped}
+    if minimum is not None:
+        stats["min_value"] = minimum
+    return (VERIFIED if checked and not skipped else INCONCLUSIVE), (), stats
+
+
+def assert_monotone_matches_direct(graph: SampledGraph) -> None:
+    verdict = is_monotone(graph)
+    status, witnesses, stats = direct_is_monotone(graph)
+    assert (verdict.status, verdict.witnesses, verdict.stats) == (status, witnesses, stats)
+    if "min_value" in stats:
+        assert type(verdict.stats["min_value"]) is Fraction
+
+
+first_points = st.builds(PairPoint.first, sparse_seqs(8, 4), tail_seqs(3))
+# Masses from {0, 1, -1, 1/2} often coincide, so differences cancel the mass
+# while a term on its own leaves the model.
+masses = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+second_points = st.builds(
+    PairPoint.second, st.builds(ModelMeasure, sparse_seqs(8, 4), masses), tail_seqs(3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(first_points, max_size=6))
+def test_bilinear_monotone_scan_equals_the_direct_one_first_system(points):
+    assert_monotone_matches_direct(SampledGraph(DualSystem.FIRST, tuple(points), "custom"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(second_points, max_size=6))
+def test_bilinear_monotone_scan_equals_the_direct_one_second_system(points):
+    assert_monotone_matches_direct(SampledGraph(DualSystem.SECOND, tuple(points), "custom"))
+
+
+def test_monotone_falls_back_where_a_term_leaves_the_model():
+    # Equal masses cancel in the difference although each y oscillates.
+    z1 = PairPoint.second(ModelMeasure(seq(0, 1), F(1)), TailSeq.periodic([0, 1]))
+    z2 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([1, 0]))
+    z3 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(2)), TailSeq.ones())
+    graph = SampledGraph(DualSystem.SECOND, (z1, z2, z3), "custom")
+    with pytest.raises(OutsideModelDomain):
+        coupling_value(z1)
+    assert coupling_value(z1 - z2) == 1
+    verdict = is_monotone(graph)
+    # (z1, z2) is evaluated through the difference; (z1, z3) and (z2, z3) are not in the model.
+    assert verdict.stats == {"pairs_checked": 1, "skipped": 2, "min_value": F(1)}
+    assert verdict.status == INCONCLUSIVE
+    assert_monotone_matches_direct(graph)
+
+
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+def test_bilinear_monotone_scan_on_sampled_graphs(op_id):
+    op = OPERATORS[op_id]
+    rng = random.Random(op_id)
+    xs = [SparseSeq.unit(k) for k in range(1, 6)]
+    for _ in range(10):
+        values = {rng.randint(1, 12): F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)}
+        xs.append(SparseSeq.from_pairs(values.items()))
+    graph = op.sampled_graph(xs)
+    assert_monotone_matches_direct(graph)
+    if op.system is DualSystem.SECOND:
+        # A point with mass at infinity among the atomic graph points.
+        with_mass = SampledGraph(op.system, graph.points + (CANONICAL,), "custom")
+        assert_monotone_matches_direct(with_mass)
 
 
 # ---------------------------------------------------------------- extension
