@@ -70,13 +70,11 @@ class SampledGraph:
     source: str = "custom"
 
     def __post_init__(self) -> None:
-        unique: list[PairPoint] = []
         for p in self.points:
             if p.system is not self.system:
                 raise ValueError("all points of a sampled graph must share its system")
-            if p not in unique:
-                unique.append(p)
-        object.__setattr__(self, "points", tuple(unique))
+        # Canonical points hash by value; the first of equal points stays, in order.
+        object.__setattr__(self, "points", tuple(dict.fromkeys(self.points)))
 
     def __len__(self) -> int:
         return len(self.points)

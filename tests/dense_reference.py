@@ -3,7 +3,9 @@
 These are the original implementations, one ``Fraction`` operation per
 index, per term or per matrix entry, kept as the oracle for the run-aware
 and integer-numerator kernels and the integer elimination in
-``gossez_lab``.  They work on plain tuples and lists so that nothing here
+``gossez_lab``; ``bareiss_gauss_jordan`` is the integer Gauss-Jordan
+elimination whose (rows, pivots, d) the forward and back passes of
+``linalg._rref`` must reproduce.  They work on plain tuples and lists so that nothing here
 shares code with the library: a sequence is a canonical ``(head, tail)``
 pair, a summable sequence a dict ``{index: value}`` without zeros, a
 matrix a list of ``Fraction`` rows.
@@ -169,6 +171,39 @@ def rref(matrix):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def bareiss_gauss_jordan(matrix):
+    """Integer Gauss-Jordan after Bareiss: (rows, pivot column per row, d).
+
+    Every row is scaled by the lcm of its denominators; at each pivot p
+    (d the previous one, 1 at the start) every other row becomes
+    (p*a - f*b) // d over all columns.  The rows over d are the reduced
+    row echelon form, and d is the last pivot.
+    """
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    pivots = []
+    d = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        p = pivot[col]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][col]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], pivot)]
+        d = p
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots, d
 
 
 def solve_minimal(rows, rhs):

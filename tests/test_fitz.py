@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gossez_lab.adjoint import graph_Gstar_point, graph_negGstar_point
 from gossez_lab.fitz import (
@@ -312,6 +313,36 @@ def test_sampled_graph_dedup_and_json():
     doc = g.to_json()
     assert doc["source"] == "Graph G"
     assert SampledGraph.from_json(doc).points == g.points
+
+
+def test_sampled_graph_dedup_keeps_first_of_equal_objects_in_order():
+    a = graph_point_first(SparseSeq.from_pairs([(2, F(1, 3))]))
+    b = graph_point_first(SparseSeq.unit(1))
+    # Built apart: equal to a and b, but other objects.
+    a2 = PairPoint.first(
+        SparseSeq.from_pairs([(2, F(2, 6))]), apply_G(SparseSeq.from_pairs([(2, F(1, 3))]))
+    )
+    b2 = PairPoint.first(SparseSeq.from_pairs([(1, 1)]), TailSeq.from_json(b.y.to_json()))
+    assert a2 == a and a2 is not a and b2 == b and b2 is not b
+    g = SampledGraph(DualSystem.FIRST, (a, b2, a2, b, a), source="Graph G")
+    assert g.points == (a, b2)
+    assert g.points[0] is a and g.points[1] is b2
+
+
+@given(
+    st.lists(st.integers(0, 4), max_size=12),
+    st.lists(sparse_seqs(max_index=4, max_size=2), min_size=5, max_size=5),
+)
+def test_sampled_graph_dedup_matches_quadratic_scan(picks, xs):
+    # Each pick rebuilds its point, so equal points are distinct objects.
+    points = tuple(graph_point_first(SparseSeq.from_pairs(xs[k].entries)) for k in picks)
+    unique = []
+    for p in points:
+        if p not in unique:
+            unique.append(p)
+    kept = SampledGraph(DualSystem.FIRST, points, source="Graph G").points
+    assert kept == tuple(unique)
+    assert all(k is u for k, u in zip(kept, unique))
 
 
 def test_sampled_graph_rejects_mixed_systems():

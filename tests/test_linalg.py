@@ -1,7 +1,8 @@
 """Exact elimination: minimal-support solving and nullspace bases.
 
 The integer elimination is checked for exact equality against the
-``Fraction`` elimination kept in ``dense_reference``.
+``Fraction`` elimination kept in ``dense_reference``, and its integer
+(rows, pivots, d) against the Gauss-Jordan Bareiss elimination kept there.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from gossez_lab.linalg import nullspace, solve_minimal
 from gossez_lab.sampling import embed_first, unit_graph_points
 from gossez_lab.spaces import DualSystem, SparseSeq
 
-from strategies import rationals
+from strategies import nonzero_rationals, rationals
 
 F = Fraction
 
@@ -127,6 +128,92 @@ def test_solve_minimal_matches_fraction_elimination(data):
         assert [sum((r * v for r, v in zip(row, solution)), F(0)) for row in rows] == rhs
 
 
+@st.composite
+def unit_matrices(draw, max_n: int = 12):
+    """Matrices whose elimination meets pivots and multipliers of +-1.
+
+    0/+-1 entries, skew-symmetric +-1 matrices (Gossez's sign kernel among
+    them) and 0/+-1 matrices with a few entries that are not units, so
+    that unit and non-unit steps alternate.  Columns inserted as signed
+    copies or sums of others, or as zeros, put free columns between the
+    pivots; a duplicated or negated row makes the matrix rank-deficient.
+    """
+    kind = draw(st.sampled_from(["signs", "skew", "kernel", "mixed"]))
+    if kind in ("skew", "kernel"):
+        n = draw(st.integers(1, max_n))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = -ref.alpha(i, j) if kind == "kernel" else draw(st.sampled_from([1, -1]))
+                rows[i][j], rows[j][i] = v, -v
+    else:
+        ncols = draw(st.integers(1, max_n))
+        row = st.lists(st.sampled_from([0, 1, -1]), min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(row, min_size=1, max_size=max_n))
+        if kind == "mixed":
+            others = st.one_of(st.sampled_from([2, -2, 3, -5]), nonzero_rationals(7, 4))
+            for _ in range(draw(st.integers(1, 4))):
+                i = draw(st.integers(0, len(rows) - 1))
+                j = draw(st.integers(0, ncols - 1))
+                rows[i][j] = draw(others)
+    for _ in range(draw(st.integers(0, 3))):
+        width = len(rows[0])
+        at = draw(st.integers(0, width))
+        a, b = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+        sa, sb = draw(st.sampled_from([(1, 0), (-1, 0), (1, 1), (1, -1), (0, 0)]))
+        for r in rows:
+            r.insert(at, sa * r[a] + sb * r[b])
+    if draw(st.booleans()):
+        copy = draw(st.sampled_from(rows))
+        sign = draw(st.sampled_from([1, -1]))
+        rows.insert(draw(st.integers(0, len(rows))), [sign * v for v in copy])
+    return [[F(v) for v in r] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_matrices())
+def test_unit_matrices_nullspace_matches_fraction_elimination(rows):
+    ncols = len(rows[0])
+    basis = nullspace(rows, ncols)
+    assert basis == ref.nullspace(rows, ncols)
+    assert_all_fractions(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_matrices_solve_minimal_matches_fraction_elimination(data):
+    rows = data.draw(unit_matrices())
+    ncols = len(rows[0])
+    units = st.sampled_from([F(0), F(1), F(-1)])
+    values = st.one_of(units, rationals(9, 6))
+    if data.draw(st.booleans()):  # consistent: rhs is rows * x
+        x = data.draw(st.lists(values, min_size=ncols, max_size=ncols))
+        rhs = [sum((r * v for r, v in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+    solution = solve_minimal(rows, rhs)
+    assert solution == ref.solve_minimal(rows, rhs)
+    if solution is not None:
+        assert_all_fractions([solution])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), unit_matrices()))
+def test_rref_matches_gauss_jordan_bareiss(rows):
+    # The same integer rows, pivots and final pivot d, signs included.
+    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows)
+
+
+def test_alternating_unit_pivots_match_fraction_elimination():
+    # The sign kernel has pivots -1, -1, 1, 1, ...: every other step has p == -d.
+    n = 12
+    kernel = [[F(-ref.alpha(i, j)) for j in range(n)] for i in range(n)]
+    rhs = [F(i % 3 - 1) for i in range(n)]
+    augmented = [row + [b] for row, b in zip(kernel, rhs)]
+    assert nullspace(augmented, n + 1) == ref.nullspace(augmented, n + 1)
+    assert solve_minimal(kernel, rhs) == ref.solve_minimal(kernel, rhs)
+
+
 @given(st.integers(0, 6))
 def test_no_equations_match_fraction_elimination(ncols):
     basis = nullspace([], ncols)
@@ -135,14 +222,15 @@ def test_no_equations_match_fraction_elimination(ncols):
     assert solve_minimal([], []) == ref.solve_minimal([], []) == []
 
 
-@pytest.mark.parametrize(
-    "system, spanning",
-    [
-        (DualSystem.FIRST, unit_graph_points(32)),
-        (DualSystem.SECOND, [embed_first(SparseSeq.unit(k)) for k in range(1, 33)]),
-    ],
-)
-def test_annihilator_window_32_matches_fraction_elimination(monkeypatch, system, spanning):
+def spanning_sets(n):
+    """The unit graph spanning sets of ``g-orth`` and ``sds-i`` at window n."""
+    return [
+        (DualSystem.FIRST, unit_graph_points(n)),
+        (DualSystem.SECOND, [embed_first(SparseSeq.unit(k)) for k in range(1, n + 1)]),
+    ]
+
+
+def assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, n):
     seen = []
 
     def recording(rows, ncols):
@@ -151,7 +239,17 @@ def test_annihilator_window_32_matches_fraction_elimination(monkeypatch, system,
         return basis
 
     monkeypatch.setattr(linalg, "nullspace", recording)
-    annihilator_truncated(spanning, 32, system)
+    annihilator_truncated(spanning, n, system)
     [(rows, ncols, basis)] = seen
     assert basis == ref.nullspace(rows, ncols)
     assert_all_fractions(basis)
+
+
+@pytest.mark.parametrize("system, spanning", spanning_sets(32))
+def test_annihilator_window_32_matches_fraction_elimination(monkeypatch, system, spanning):
+    assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, 32)
+
+
+@pytest.mark.parametrize("system, spanning", spanning_sets(64))
+def test_annihilator_window_64_matches_fraction_elimination(monkeypatch, system, spanning):
+    assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, 64)
