@@ -6,7 +6,7 @@ property checkers that certify or refute monotone-operator properties at
 desk scale.
 """
 
-from .adjoint import apply_Gstar, graph_Gstar_point, graph_negGstar_point, in_kernel_model
+from .adjoint import apply_Gstar
 from .checks import ARTIFACT_VERSION, CATALOG, CheckConfig, ReportDoc, emit, run_checks
 from .fitz import (
     ExtendedRational,

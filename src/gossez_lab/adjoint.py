@@ -6,15 +6,19 @@ closed form as
     G* mu = -a * ones - G(atomic),
 
 always a convergent TailSeq, and satisfies <y, G* mu> = <mu, G y> for every
-finitely supported y.  The model cannot represent the measures that make G*
-fail injectivity (atom-free, mass-free, yet nonzero); ``in_kernel_model``
-decides the kernel restricted to the model only.
+finitely supported y.  Within the model G* is injective: only the zero
+measure maps to 0.  The measures that make the full adjoint fail
+injectivity (atom-free, mass-free, yet nonzero) are not representable.
+
+The graphs Graph(-G*) and Graph G* are the Fitzpatrick graphs of G and -G
+in the second system; their points are ``fitz_point`` of the
+``fitz.OPERATORS`` entries ``G-second`` and ``negG-second``.
 """
 
 from __future__ import annotations
 
 from .gossez import _shifted_G
-from .spaces import ModelMeasure, PairPoint, TailSeq
+from .spaces import ModelMeasure, TailSeq
 
 
 def apply_Gstar(mu: ModelMeasure) -> TailSeq:
@@ -25,27 +29,3 @@ def apply_Gstar(mu: ModelMeasure) -> TailSeq:
     the atomic part and no TailSeq subtraction.
     """
     return _shifted_G(mu.atomic, -1, -mu.infinity_mass)
-
-
-def in_kernel_model(mu: ModelMeasure) -> bool:
-    """Kernel membership within the model: no atoms and no mass at infinity.
-
-    Equivalent to apply_Gstar(mu) == 0 for representable measures.  The
-    nonzero kernel elements of the full adjoint are invisible here.
-    """
-    return mu.is_zero()
-
-
-def graph_negGstar_point(mu: ModelMeasure) -> PairPoint:
-    """The graph point (mu, -G* mu) of the sign-flipped adjoint.
-
-    For a purely atomic mu this is the canonical embedding of the graph
-    point (atomic, G atomic); the mass at infinity adds the constant
-    direction a * ones.
-    """
-    return PairPoint.second(mu, -apply_Gstar(mu))
-
-
-def graph_Gstar_point(mu: ModelMeasure) -> PairPoint:
-    """The graph point (mu, G* mu) of the adjoint itself."""
-    return PairPoint.second(mu, apply_Gstar(mu))

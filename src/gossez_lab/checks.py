@@ -14,12 +14,13 @@ import csv
 import io
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .adjoint import apply_Gstar, graph_negGstar_point, in_kernel_model
+from .adjoint import apply_Gstar
 from .fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
@@ -43,9 +44,8 @@ from .props import (
     representability_check,
 )
 from .sampling import (
-    Gstar_graph_samples,
+    fitz_graph_samples,
     graph_point_first,
-    negGstar_graph_samples,
     off_graph_first,
     random_measure,
     random_rational,
@@ -176,8 +176,10 @@ class _Tally:
                 payload.update(witness)
             self.failures.append(payload)
 
-    def ok(self) -> bool:
-        return not self.failures
+
+# A runner's (witnesses, stats, notes); ``run_checks`` seeds its generator by
+# the check's name and derives the status and "failures" from its tally.
+_Outcome = tuple[tuple, dict, tuple[str, ...]]
 
 
 def _difference_recurrence(x: SparseSeq, gx: TailSeq) -> bool:
@@ -203,9 +205,7 @@ def _difference_recurrence(x: SparseSeq, gx: TailSeq) -> bool:
     return all(g[n] - g[n - 1] == -(xs[n] + xs[n + 1]) for n in range(1, top + 1))
 
 
-def _run_g_basic(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "g-basic")
-    tally = _Tally()
+def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     width = min(cfg.truncation, 64)
     for _ in range(cfg.trials):
         x = random_sparse(rng, width, 8, 1000, 1000)
@@ -248,13 +248,11 @@ def _run_g_basic(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     witnesses: tuple = (
         {"ones_certificate": ones_cert, "e1_certificate": e1_cert},
     )
-    stats = {"trials": cfg.trials, "properties": tally.counts, "failures": tally.failures[:3]}
-    return (VERIFIED if tally.ok() else REFUTED), witnesses, stats, ()
+    stats = {"trials": cfg.trials, "properties": tally.counts}
+    return witnesses, stats, ()
 
 
-def _run_g_orth(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "g-orth")
-    tally = _Tally()
+def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     samples = OPERATORS[OP_G_FIRST].sampled_graph(
         random_sparse(rng, cfg.truncation, 6, 100, 100) for _ in range(40)
     )
@@ -288,14 +286,11 @@ def _run_g_orth(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         "truncation": n,
         "basis_size": len(basis.basis),
         "off_graph_excluded": excluded,
-        "failures": tally.failures[:3],
     }
-    return (VERIFIED if tally.ok() else REFUTED), (), stats, ()
+    return (), stats, ()
 
 
-def _run_gstar(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "gstar")
-    tally = _Tally()
+def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     for _ in range(cfg.trials):
         y = random_sparse(rng, 64, 8, 1000, 1000)
         mu = random_measure(rng, 32, 6, 100, 100)
@@ -318,17 +313,13 @@ def _run_gstar(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
             pair_measure(ModelMeasure.from_atomic(y), t) == couple(y, t),
             {"y": y},
         )
-        tally.record(
-            "model-kernel",
-            in_kernel_model(mu) == mu.is_zero() == gstar_mu.is_zero(),
-            {"mu": mu},
-        )
+        tally.record("model-kernel", mu.is_zero() == gstar_mu.is_zero(), {"mu": mu})
     unit_mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
     tally.record("unit-mass-image", apply_Gstar(unit_mass) == TailSeq.constant(-1))
     atom = ModelMeasure.from_atomic(SparseSeq.unit(1))
     tally.record("atom-image", apply_Gstar(atom) == TailSeq.constant(1, [0]))
     x = random_sparse(rng, 32, 6, 100, 100)
-    embedded = graph_negGstar_point(ModelMeasure.from_atomic(x))
+    embedded = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure.from_atomic(x))
     tally.record(
         "embedding-reduction",
         embedded == PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x)),
@@ -337,13 +328,11 @@ def _run_gstar(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         "the adjoint fails injectivity only through measures with no atoms "
         "and no mass at infinity, which are not representable in the model",
     )
-    stats = {"trials": cfg.trials, "properties": tally.counts, "failures": tally.failures[:3]}
-    return (VERIFIED if tally.ok() else REFUTED), (), stats, notes
+    stats = {"trials": cfg.trials, "properties": tally.counts}
+    return (), stats, notes
 
 
-def _run_range(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "range")
-    tally = _Tally()
+def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     ratios = {}
     for m in (1, 10, 100, 1000):
         ratio = range_ratio_family(m)
@@ -373,14 +362,11 @@ def _run_range(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     stats = {
         "ratios": {str(m): r for m, r in ratios.items()},
         "oscillation_trials": max(cfg.trials // 2, 1),
-        "failures": tally.failures[:3],
     }
-    return (VERIFIED if tally.ok() else REFUTED), ({"matched_tests": tests, "x": x},), stats, notes
+    return ({"matched_tests": tests, "x": x},), stats, notes
 
 
-def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "fds")
-    tally = _Tally()
+def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     g_first = OPERATORS[OP_G_FIRST]
     graph = g_first.sampled_graph(
         [SparseSeq.unit(k) for k in range(1, 13)]
@@ -425,14 +411,11 @@ def _run_fds(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         "lower_bound_combinations": combos,
         "ni": ni.stats,
         "representability": representative.stats,
-        "failures": tally.failures[:3],
     }
-    return (VERIFIED if tally.ok() else REFUTED), (), stats, ()
+    return (), stats, ()
 
 
-def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "sds-i")
-    tally = _Tally()
+def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     g_second = OPERATORS[OP_G_SECOND]
     probes = ProbeSet.generate(OP_G_SECOND, cfg.seed, cfg.truncation, cfg.trials)
     ni = ni_witness_search(OP_G_SECOND, probes)
@@ -443,8 +426,7 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         and ni.witnesses[0]["margin"] == 1
     )
     tally.record("ni-fails-with-margin", ni_ok)
-    for z in negGstar_graph_samples(cfg.seed, 100):
-        assert isinstance(z.x, ModelMeasure)
+    for z in fitz_graph_samples(OP_G_SECOND, cfg.seed, 100):
         a = z.x.infinity_mass
         tally.record("indicator-on-negGstar-graph", g_second.fitz_closed(z) == 0, {"z": z})
         tally.record("coupling-is-mass-squared", coupling_value(z) == a * a, {"z": z})
@@ -452,7 +434,7 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     tally.record("indicator-off-graph", g_second.fitz_closed(off) == PLUS_INF)
     embedded = g_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     tally.record("embedded-graph-skew", all(coupling_value(z) == 0 for z in embedded.points))
-    for z in negGstar_graph_samples(cfg.seed + 1, 20):
+    for z in fitz_graph_samples(OP_G_SECOND, cfg.seed + 1, 20):
         sampled = fitz_sampled(z, embedded)
         tally.record("sampled-vanishes-on-closure", sampled == 0, {"z": z})
     ext = extension_probe(embedded, canonical, cfg.scale_max)
@@ -462,7 +444,7 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
     )
     negGstar_graph = SampledGraph(
         DualSystem.SECOND,
-        tuple(negGstar_graph_samples(cfg.seed + 2, 40, 32)),
+        tuple(fitz_graph_samples(OP_G_SECOND, cfg.seed + 2, 40, 32)),
         source=g_second.fitz_graph,
     )
     orth = orthogonality_report(embedded, negGstar_graph)
@@ -499,15 +481,11 @@ def _run_sds_i(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         "extension_witnesses_checked": witnesses_checked,
         "extension_witnesses_on_negGstar": witnesses_on_graph,
         "annihilator_basis": len(basis.basis),
-        "failures": tally.failures[:3],
     }
-    status = WITNESS_FOUND if tally.ok() else REFUTED
-    return status, tuple(ni.witnesses), stats, notes
+    return tuple(ni.witnesses), stats, notes
 
 
-def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    rng = rng_for(cfg.seed, "sds-ii")
-    tally = _Tally()
+def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     negg_second = OPERATORS[OP_NEGG_SECOND]
     probes = ProbeSet.generate(OP_NEGG_SECOND, cfg.seed, cfg.truncation, cfg.trials)
     values = evaluate_probes(negg_second, probes)
@@ -519,7 +497,7 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         gstar = apply_Gstar(mu)
         tally.record("coupling-on-negGstar", pair_measure(mu, -gstar) == a * a, {"mu": mu})
         tally.record("coupling-on-Gstar", pair_measure(mu, gstar) == -a * a, {"mu": mu})
-    for z in Gstar_graph_samples(cfg.seed, 50):
+    for z in fitz_graph_samples(OP_NEGG_SECOND, cfg.seed, 50):
         tally.record("indicator-on-Gstar-graph", negg_second.fitz_closed(z) == 0, {"z": z})
         mirrored = PairPoint.second(z.x, -z.y)
         tally.record(
@@ -529,7 +507,8 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         )
     neg_embedded = negg_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     refuted = 0
-    candidates = [z for z in Gstar_graph_samples(cfg.seed + 1, 50) if isinstance(z.x, ModelMeasure) and z.x.infinity_mass != 0]
+    candidates = fitz_graph_samples(OP_NEGG_SECOND, cfg.seed + 1, 50)
+    candidates = [z for z in candidates if z.x.infinity_mass != 0]
     for z in candidates:
         verdict = extension_probe(neg_embedded, z, cfg.scale_max)
         if verdict.status == REFUTED:
@@ -549,13 +528,11 @@ def _run_sds_ii(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
         "coupling_trials": cfg.trials,
         "extension_candidates_refuted": refuted,
         "representability": representative.stats,
-        "failures": tally.failures[:3],
     }
-    return (VERIFIED if tally.ok() else REFUTED), (), stats, notes
+    return (), stats, notes
 
 
-def _run_dichotomy(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]:
-    tally = _Tally()
+def _run_dichotomy(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     profiles = {}
     for op in (OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND):
         verdict = dichotomy_crosscheck(
@@ -567,8 +544,7 @@ def _run_dichotomy(cfg: CheckConfig) -> tuple[str, tuple, dict, tuple[str, ...]]
         )
         profiles[op] = verdict.stats
         tally.record(f"profile-{op}", verdict.status == VERIFIED)
-    stats = {"profiles": profiles, "failures": tally.failures[:3]}
-    return (VERIFIED if tally.ok() else REFUTED), (), stats, ()
+    return (), {"profiles": profiles}, ()
 
 
 @dataclass(frozen=True)
@@ -577,7 +553,7 @@ class CheckSpec:
     title: str
     claim: str
     expected_status: str
-    runner: Callable[[CheckConfig], tuple[str, tuple, dict, tuple[str, ...]]]
+    runner: Callable[[CheckConfig, random.Random, _Tally], _Outcome]
 
 
 CATALOG: tuple[CheckSpec, ...] = (
@@ -679,9 +655,11 @@ def run_checks(config: CheckConfig) -> ReportDoc:
     """Execute the selected checks and assemble the report, catalog order."""
     results = []
     for spec in select_checks(config.checks):
+        tally = _Tally()
         start = time.perf_counter()
-        status, witnesses, stats, notes = spec.runner(config)
+        witnesses, stats, notes = spec.runner(config, rng_for(config.seed, spec.name), tally)
         elapsed = time.perf_counter() - start
+        status = REFUTED if tally.failures else spec.expected_status
         results.append(
             CheckResult(
                 name=spec.name,
@@ -691,7 +669,7 @@ def run_checks(config: CheckConfig) -> ReportDoc:
                 status=status,
                 passed=status == spec.expected_status,
                 witnesses=witnesses,
-                stats=stats,
+                stats={**stats, "failures": tally.failures[:3]},
                 notes=notes,
                 wallclock_s=elapsed,
             )

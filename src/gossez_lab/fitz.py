@@ -11,9 +11,9 @@ split into two routes that check each other:
   system) and Graph G* (-G there); Fitzpatrick (1988), Gossez (1971).
 
 ``OPERATORS`` describes the three operator profiles in one place: each
-``Operator`` holds its dual system, how to sample its graph, its graph
-test, the graph its closed-form Fitzpatrick function is the indicator of,
-and the verdicts the dichotomy expects of it.
+``Operator`` holds its dual system, two maps (onto its graph and onto the
+graph its closed-form Fitzpatrick function is the indicator of) from which
+its graph points and tests derive, and the verdicts the dichotomy expects.
 
 Conjugation with respect to the product coupling is implemented for
 indicators of finitely spanned subspaces only: the conjugate of such an
@@ -37,7 +37,9 @@ from .spaces import (
     OutsideModelDomain,
     PairPoint,
     SparseSeq,
+    SystemMismatchError,
     TailSeq,
+    XPart,
     coupling_value,
     natural_couple,
 )
@@ -113,24 +115,38 @@ def fitz_sampled(z: PairPoint, graph: SampledGraph) -> ExtendedRational:
 class Operator:
     """One operator profile: G or -G in one dual system.
 
-    ``graph_point`` maps x in l1 to a point of the operator's graph (through
-    the canonical embedding in the second system); sampled graphs of it
-    carry ``graph_label``.  ``on_graph`` decides membership in the analytic
-    graph within the model.  The closed-form Fitzpatrick function is the
-    indicator of the graph labelled ``fitz_graph``, decided by
-    ``on_fitz_graph``.  ``expected`` holds the (NI, representability,
-    extension) verdicts that the dichotomy predicts for ``profile``.
+    ``graph_y`` maps x in l1 to the y of its graph point (x embedded as an
+    atomic measure in the second system); sampled graphs carry
+    ``graph_label``.  ``fitz_y`` maps an x-part to the y of its point on the
+    graph ``fitz_graph``, of which the closed-form Fitzpatrick function is
+    the indicator.  ``expected`` holds the (NI, representability, extension)
+    verdicts that the dichotomy predicts for ``profile``.
     """
 
     id: str
     system: DualSystem
     graph_label: str
-    graph_point: Callable[[SparseSeq], PairPoint]
-    on_graph: Callable[[PairPoint], bool]
+    graph_y: Callable[[SparseSeq], TailSeq]
     fitz_graph: str
-    on_fitz_graph: Callable[[PairPoint], bool]
+    fitz_y: Callable[[XPart], TailSeq]
     profile: str
     expected: tuple[str, str, str]
+
+    def graph_point(self, x: SparseSeq) -> PairPoint:
+        x_part = x if self.system is DualSystem.FIRST else ModelMeasure.from_atomic(x)
+        return PairPoint(self.system, x_part, self.graph_y(x))
+
+    def on_graph(self, z: PairPoint) -> bool:
+        # Within the model, second-system graph points carry no mass at infinity.
+        if self.system is DualSystem.FIRST:
+            return z.y == self.graph_y(z.x)
+        return z.x.infinity_mass == 0 and z.y == self.graph_y(z.x.atomic)
+
+    def fitz_point(self, x_part: XPart) -> PairPoint:
+        return PairPoint(self.system, x_part, self.fitz_y(x_part))
+
+    def on_fitz_graph(self, z: PairPoint) -> bool:
+        return z.y == self.fitz_y(z.x)
 
     def fitz_closed(self, z: PairPoint) -> ExtendedRational:
         """Closed-form Fitzpatrick value: 0 on the Fitzpatrick graph, +inf off it."""
@@ -154,10 +170,9 @@ OPERATORS: dict[str, Operator] = {
             id=OP_G_FIRST,
             system=DualSystem.FIRST,
             graph_label="Graph G",
-            graph_point=lambda x: PairPoint.first(x, apply_G(x)),
-            on_graph=lambda z: z.y == apply_G(z.x),
+            graph_y=lambda x: apply_G(x),
             fitz_graph="Graph G",
-            on_fitz_graph=lambda z: z.y == apply_G(z.x),
+            fitz_y=lambda x: apply_G(x),
             profile="maximal-consistent",
             expected=(VERIFIED, VERIFIED, REFUTED),
         ),
@@ -165,10 +180,9 @@ OPERATORS: dict[str, Operator] = {
             id=OP_G_SECOND,
             system=DualSystem.SECOND,
             graph_label="Graph G embedded",
-            graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x)),
-            on_graph=lambda z: z.x.infinity_mass == 0 and z.y == apply_G(z.x.atomic),
+            graph_y=lambda x: apply_G(x),
             fitz_graph="Graph negG*",
-            on_fitz_graph=lambda z: z.y == -apply_Gstar(z.x),
+            fitz_y=lambda mu: -apply_Gstar(mu),
             profile="not-maximal-consistent",
             expected=(WITNESS_FOUND, WITNESS_FOUND, WITNESS_FOUND),
         ),
@@ -177,10 +191,9 @@ OPERATORS: dict[str, Operator] = {
             id=OP_NEGG_SECOND,
             system=DualSystem.SECOND,
             graph_label="Graph negG embedded",
-            graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), -apply_G(x)),
-            on_graph=lambda z: z.x.infinity_mass == 0 and z.y == -apply_G(z.x.atomic),
+            graph_y=lambda x: -apply_G(x),
             fitz_graph="Graph G*",
-            on_fitz_graph=lambda z: z.y == apply_Gstar(z.x),
+            fitz_y=lambda mu: apply_Gstar(mu),
             profile="NI-but-not-maximal-consistent",
             expected=(VERIFIED, VERIFIED, REFUTED),
         ),
@@ -265,27 +278,21 @@ class TruncatedAnnihilator:
         }
 
 
-def _annihilator_row_first(w: PairPoint, n: int) -> list[Fraction]:
-    u, v = w.x, w.y
-    assert isinstance(u, SparseSeq)
-    if u.max_index() > n:
+def _annihilator_row(w: PairPoint, n: int) -> list[Fraction]:
+    """Coefficients of z -> z.w on z's window coordinates: x 1..N, in the
+    second system the mass (pairs with lim w.y), y-head 1..N and tail."""
+    second = w.system is DualSystem.SECOND
+    v, atomic = w.y, (w.x.atomic if second else w.x)
+    if atomic.max_index() > n:
         raise ValueError("spanning first component exceeds the truncation window")
     x_coeffs = [v.value(j) for j in range(1, n + 1)]
-    y_coeffs = [u.value(j) for j in range(1, n + 1)]
-    return x_coeffs + y_coeffs + [Fraction(0)]
-
-
-def _annihilator_row_second(w: PairPoint, n: int) -> list[Fraction]:
-    nu, v = w.x, w.y
-    assert isinstance(nu, ModelMeasure)
-    if nu.atomic.max_index() > n:
-        raise ValueError("spanning first component exceeds the truncation window")
-    lim = v.limit()
-    if lim is None:
-        raise OutsideModelDomain("spanning point with oscillating y is not pairable")
-    x_coeffs = [v.value(j) for j in range(1, n + 1)] + [lim]
-    y_coeffs = [nu.atomic.value(j) for j in range(1, n + 1)] + [nu.infinity_mass]
-    return x_coeffs + y_coeffs
+    if second:
+        lim = v.limit()
+        if lim is None:
+            raise OutsideModelDomain("spanning point with oscillating y is not pairable")
+        x_coeffs.append(lim)
+    mass = w.x.infinity_mass if second else Fraction(0)
+    return x_coeffs + [atomic.value(j) for j in range(1, n + 1)] + [mass]
 
 
 def annihilator_truncated(
@@ -297,23 +304,15 @@ def annihilator_truncated(
     (x supported in 1..N, y with head 1..N and a constant tail).
     """
     spanning = list(spanning)
-    if system is DualSystem.FIRST:
-        rows = [_annihilator_row_first(w, n) for w in spanning]
-        ncols = 2 * n + 1
-    else:
-        rows = [_annihilator_row_second(w, n) for w in spanning]
-        ncols = 2 * n + 2
-    vectors = linalg.nullspace(rows, ncols)
+    if any(w.system is not system for w in spanning):
+        raise SystemMismatchError(f"all spanning points must be {system.value}-system points")
+    rows = [_annihilator_row(w, n) for w in spanning]
+    m = int(system is DualSystem.SECOND)  # the mass coordinate after the x-entries
     basis = []
-    for vec in vectors:
-        if system is DualSystem.FIRST:
-            x: SparseSeq | ModelMeasure = SparseSeq.from_pairs(
-                (j + 1, vec[j]) for j in range(n)
-            )
-            y = TailSeq(tuple(vec[n : 2 * n]), (vec[2 * n],))
-        else:
-            x = ModelMeasure(SparseSeq.from_pairs((j + 1, vec[j]) for j in range(n)), vec[n])
-            y = TailSeq(tuple(vec[n + 1 : 2 * n + 1]), (vec[2 * n + 1],))
+    for vec in linalg.nullspace(rows, 2 * n + 1 + m):
+        atomic = SparseSeq.from_pairs((j + 1, vec[j]) for j in range(n))
+        x: XPart = ModelMeasure(atomic, vec[n]) if m else atomic
+        y = TailSeq(tuple(vec[n + m : 2 * n + m]), (vec[2 * n + m],))
         basis.append(PairPoint(system, x, y))
     return TruncatedAnnihilator(system, n, tuple(basis))
 

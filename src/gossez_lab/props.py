@@ -132,8 +132,6 @@ def extension_probe(
     A violation refutes; survival makes z a monotone-extension witness,
     flagged when z already lies on the analytic graph of the source.
     """
-    membership = SOURCE_MEMBERSHIP.get(graph.source)
-    on_analytic_graph = membership(z) if membership is not None else None
     ladder = _scale_ladder(scale_max)
     try:
         cz = coupling_value(z)
@@ -181,8 +179,9 @@ def extension_probe(
                     stats={"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max},
                 )
     stats = {"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max}
-    if on_analytic_graph is not None:
-        stats["already_in_analytic_graph"] = on_analytic_graph
+    membership = SOURCE_MEMBERSHIP.get(graph.source)
+    if membership is not None:
+        stats["already_in_analytic_graph"] = membership(z)
     status = INCONCLUSIVE if skipped else WITNESS_FOUND
     return PropertyVerdict(
         property="extension",

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adjoint import graph_Gstar_point, graph_negGstar_point
-from .fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS, operator_for
+from .fitz import OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND, OPERATORS, operator_for
 from .gossez import apply_G
 from .spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
@@ -208,27 +207,20 @@ def _second_system_grid(rng: random.Random, truncation: int, count: int) -> list
         mu = random_measure(rng, truncation, 5, 50, 50)
         if roll < 0.25:
             points.append(embed_first(mu.atomic))
-        elif roll < 0.5:
-            points.append(graph_negGstar_point(mu if mu.infinity_mass != 0 else ModelMeasure(mu.atomic, Fraction(1))))
         elif roll < 0.75:
-            points.append(graph_Gstar_point(mu if mu.infinity_mass != 0 else ModelMeasure(mu.atomic, Fraction(1))))
+            massive = mu if mu.infinity_mass != 0 else ModelMeasure(mu.atomic, Fraction(1))
+            op_id = OP_G_SECOND if roll < 0.5 else OP_NEGG_SECOND
+            points.append(OPERATORS[op_id].fitz_point(massive))
         else:
             y = random_constant_tail(rng) if mu.infinity_mass != 0 else random_tail(rng)
             points.append(PairPoint.second(mu, y))
     return points[:count]
 
 
-def negGstar_graph_samples(seed: int, count: int, truncation: int = 32) -> list[PairPoint]:
-    rng = rng_for(seed, f"negGstar:{truncation}:{count}")
-    return [
-        graph_negGstar_point(random_measure(rng, truncation, 5, 50, 50))
-        for _ in range(count)
-    ]
-
-
-def Gstar_graph_samples(seed: int, count: int, truncation: int = 32) -> list[PairPoint]:
-    rng = rng_for(seed, f"Gstar:{truncation}:{count}")
-    return [
-        graph_Gstar_point(random_measure(rng, truncation, 5, 50, 50))
-        for _ in range(count)
-    ]
+def fitz_graph_samples(op_id: str, seed: int, count: int, truncation: int = 32) -> list[PairPoint]:
+    """Points (mu, fitz_y(mu)) of the Fitzpatrick graph of G-second or negG-second."""
+    # The generator labels fix the samples, and with them the report bytes.
+    label = {OP_G_SECOND: "negGstar", OP_NEGG_SECOND: "Gstar"}[op_id]
+    rng = rng_for(seed, f"{label}:{truncation}:{count}")
+    op = OPERATORS[op_id]
+    return [op.fitz_point(random_measure(rng, truncation, 5, 50, 50)) for _ in range(count)]

@@ -616,9 +616,11 @@ class TailSeq:
 
     @staticmethod
     def from_json(obj: dict) -> TailSeq:
+        kind, values = obj["tail"].get("kind"), obj["tail"]["values"]
+        if kind not in ("const", "periodic") or (kind == "const" and len(values) != 1):
+            raise ValueError(f"invalid tail: kind {kind!r} with {len(values)} values")
         head = tuple(parse_rational(v) for v in obj["head"])
-        tail = tuple(parse_rational(v) for v in obj["tail"]["values"])
-        return TailSeq(head, tail)
+        return TailSeq(head, tuple(parse_rational(v) for v in values))
 
 
 @dataclass(frozen=True)

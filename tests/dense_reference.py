@@ -9,10 +9,24 @@ elimination whose (rows, pivots, d) the forward and back passes of
 shares code with the library: a sequence is a canonical ``(head, tail)``
 pair, a summable sequence a dict ``{index: value}`` without zeros, a
 matrix a list of ``Fraction`` rows.
+
+The oracles at the end are the exception: they build library points.  The
+operator-table oracles are the former written-out description of the three
+operator profiles (the per-profile lambdas of ``fitz.OPERATORS`` and the
+adjoint's graph-point helpers) and call the library's ``apply_G`` and
+``apply_Gstar``: they check how ``Operator``'s derived methods wire the
+kernels (which kernel, which sign, the mass condition), not the kernels.
+``annihilator_basis`` is the former per-system row builders and basis
+branches of ``fitz.annihilator_truncated`` over ``nullspace`` above.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 import math
+
+from gossez_lab.adjoint import apply_Gstar as lib_apply_Gstar
+from gossez_lab.gossez import apply_G as lib_apply_G
+from gossez_lab.spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
 
 def minimal_period(pattern):
@@ -251,3 +265,63 @@ def runs(head):
             ends.append(n)
             values.append(v)
     return tuple(ends), tuple(values)
+
+
+# ------------------------------------------------------ operator-table oracles
+
+
+def graph_negGstar_point(mu):
+    """The graph point (mu, -G* mu) of the sign-flipped adjoint."""
+    return PairPoint.second(mu, -lib_apply_Gstar(mu))
+
+
+def graph_Gstar_point(mu):
+    """The graph point (mu, G* mu) of the adjoint itself."""
+    return PairPoint.second(mu, lib_apply_Gstar(mu))
+
+
+OperatorOracle = namedtuple("OperatorOracle", "graph_point on_graph fitz_point on_fitz_graph")
+
+OPERATOR_ORACLES = {
+    "G-first": OperatorOracle(
+        graph_point=lambda x: PairPoint.first(x, lib_apply_G(x)),
+        on_graph=lambda z: z.y == lib_apply_G(z.x),
+        fitz_point=lambda x: PairPoint.first(x, lib_apply_G(x)),
+        on_fitz_graph=lambda z: z.y == lib_apply_G(z.x),
+    ),
+    "G-second": OperatorOracle(
+        graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), lib_apply_G(x)),
+        on_graph=lambda z: z.x.infinity_mass == 0 and z.y == lib_apply_G(z.x.atomic),
+        fitz_point=graph_negGstar_point,
+        on_fitz_graph=lambda z: z.y == -lib_apply_Gstar(z.x),
+    ),
+    "negG-second": OperatorOracle(
+        graph_point=lambda x: PairPoint.second(ModelMeasure.from_atomic(x), -lib_apply_G(x)),
+        on_graph=lambda z: z.x.infinity_mass == 0 and z.y == -lib_apply_G(z.x.atomic),
+        fitz_point=graph_Gstar_point,
+        on_fitz_graph=lambda z: z.y == lib_apply_Gstar(z.x),
+    ),
+}
+
+
+def annihilator_basis(spanning, n, system):
+    """Basis points of the window annihilator, one system per branch."""
+    rows = []
+    for w in spanning:
+        if system is DualSystem.FIRST:
+            x_coeffs = [w.y.value(j) for j in range(1, n + 1)]
+            rows.append(x_coeffs + [w.x.value(j) for j in range(1, n + 1)] + [Fraction(0)])
+        else:
+            x_coeffs = [w.y.value(j) for j in range(1, n + 1)] + [w.y.limit()]
+            y_coeffs = [w.x.atomic.value(j) for j in range(1, n + 1)] + [w.x.infinity_mass]
+            rows.append(x_coeffs + y_coeffs)
+    ncols = 2 * n + 1 if system is DualSystem.FIRST else 2 * n + 2
+    basis = []
+    for vec in nullspace(rows, ncols):
+        atomic = SparseSeq.from_pairs((j + 1, vec[j]) for j in range(n))
+        if system is DualSystem.FIRST:
+            basis.append(PairPoint.first(atomic, TailSeq(tuple(vec[n : 2 * n]), (vec[2 * n],))))
+        else:
+            y = TailSeq(tuple(vec[n + 1 : 2 * n + 1]), (vec[2 * n + 1],))
+            basis.append(PairPoint.second(ModelMeasure(atomic, vec[n]), y))
+    return basis

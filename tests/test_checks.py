@@ -263,6 +263,41 @@ def test_cli_reports_check_failure_with_exit_one(monkeypatch, capsys, fast_repor
     assert "first failing check: g-basic" in capsys.readouterr().err
 
 
+def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch):
+    import dataclasses
+
+    import gossez_lab.checks as checks
+    from gossez_lab.sampling import rng_for
+
+    draws = []
+
+    def failing(cfg, rng, tally):
+        draws.append(rng.random())
+        for k in range(5):
+            tally.record("p", k == 0, {"k": k})
+        return (), {"n": 1}, ()
+
+    def passing(cfg, rng, tally):
+        draws.append(rng.random())
+        tally.record("p", True)
+        return ({"w": 1},), {}, ("note",)
+
+    g_basic, sds_i = checks.CATALOG[0], checks.CATALOG[5]
+    assert sds_i.expected_status == "witness-found"
+    catalog = (
+        dataclasses.replace(g_basic, runner=failing),
+        dataclasses.replace(sds_i, runner=passing),
+    )
+    monkeypatch.setattr(checks, "CATALOG", catalog)
+    failed, found = checks.run_checks(checks.CheckConfig(seed=5)).results
+    assert draws == [rng_for(5, "g-basic").random(), rng_for(5, "sds-i").random()]
+    assert (failed.status, failed.passed) == ("refuted", False)
+    assert failed.stats == {"n": 1, "failures": [{"property": "p", "k": k} for k in (1, 2, 3)]}
+    assert (found.status, found.passed) == ("witness-found", True)
+    assert found.stats == {"failures": []}
+    assert found.witnesses == ({"w": 1},) and found.notes == ("note",)
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "gossez_lab.cli", "list"],
@@ -278,7 +313,7 @@ def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
     import gossez_lab.checks as checks
 
-    def crash(config):
+    def crash(config, rng, tally):
         raise RuntimeError("kernel exploded")
 
     broken = dataclasses.replace(checks.CATALOG[3], runner=crash)

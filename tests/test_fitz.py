@@ -1,13 +1,13 @@
 """Fitzpatrick values: sampled lower bounds vs closed forms, the operator table,
 annihilators."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gossez_lab.adjoint import graph_Gstar_point, graph_negGstar_point
 from gossez_lab.fitz import (
     MINUS_INF,
     OP_G_FIRST,
@@ -25,17 +25,31 @@ from gossez_lab.fitz import (
     orthogonality_report,
 )
 from gossez_lab.gossez import apply_G
-from gossez_lab.sampling import embed_first, graph_point_first, unit_graph_points
+from gossez_lab.sampling import (
+    embed_first,
+    fitz_graph_samples,
+    graph_point_first,
+    unit_graph_points,
+)
 from gossez_lab.spaces import (
     DualSystem,
     ModelMeasure,
     PairPoint,
     SparseSeq,
+    SystemMismatchError,
     TailSeq,
 )
 from gossez_lab.verdict import INCONCLUSIVE, REFUTED, VERIFIED
 
-from strategies import model_measures, seq, sparse_seqs
+import dense_reference as ref
+from strategies import (
+    constant_tail_seqs,
+    model_measures,
+    nonzero_rationals,
+    seq,
+    sparse_seqs,
+    tail_seqs,
+)
 
 F = Fraction
 
@@ -43,6 +57,9 @@ UNIT_MASS = ModelMeasure(SparseSeq.zero(), F(1))
 CANONICAL = PairPoint.second(UNIT_MASS, TailSeq.ones())
 G_SECOND = OPERATORS[OP_G_SECOND]
 NEGG_SECOND = OPERATORS[OP_NEGG_SECOND]
+# (mu, -G* mu) and (mu, G* mu): Fitzpatrick graph points of G and -G.
+graph_negGstar_point = G_SECOND.fitz_point
+graph_Gstar_point = NEGG_SECOND.fitz_point
 
 
 def first_graph(*xs) -> SampledGraph:
@@ -194,9 +211,44 @@ def test_annihilator_second_system_contains_mass_direction():
         assert annihilator_violation(graph_negGstar_point(mu), spanning) is None
 
 
+@st.composite
+def spanning_sets(draw, system, n=5):
+    """A few points with x inside the window; in the second system with
+    mass at infinity and convergent y."""
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(sparse_seqs(max_index=n, max_size=3))
+        if system is DualSystem.FIRST:
+            points.append(PairPoint.first(x, draw(tail_seqs())))
+        else:
+            mu = ModelMeasure(x, draw(nonzero_rationals()))
+            points.append(PairPoint.second(mu, draw(constant_tail_seqs())))
+    return points
+
+
+@pytest.mark.parametrize("system", [DualSystem.FIRST, DualSystem.SECOND])
+@given(data=st.data())
+def test_annihilator_matches_the_per_system_builders(system, data):
+    n = 5
+    spanning = data.draw(spanning_sets(system, n))
+    result = annihilator_truncated(spanning, n, system)
+    assert list(result.basis) == ref.annihilator_basis(spanning, n, system)
+    for vec in result.basis:
+        assert annihilator_violation(vec, spanning) is None
+
+
 def test_annihilator_rejects_wide_support():
     with pytest.raises(ValueError):
         annihilator_truncated([graph_point_first(SparseSeq.unit(9))], 4, DualSystem.FIRST)
+
+
+def test_annihilator_rejects_points_of_the_other_system():
+    # A second-system row is one coordinate longer; eliminating it as a
+    # first-system row would return a wrong basis instead of failing.
+    with pytest.raises(SystemMismatchError):
+        annihilator_truncated([embed_first(SparseSeq.unit(1))], 4, DualSystem.FIRST)
+    with pytest.raises(SystemMismatchError):
+        annihilator_truncated(unit_graph_points(2), 4, DualSystem.SECOND)
 
 
 # --------------------------------------------------------------- orthogonality
@@ -306,6 +358,16 @@ def test_graph_points_lie_on_their_graphs(x):
     assert NEGG_SECOND.fitz_closed(NEGG_SECOND.graph_point(x)) == 0
 
 
+def test_fitz_graph_samples_lie_on_the_fitzpatrick_graph():
+    for op in (G_SECOND, NEGG_SECOND):
+        points = fitz_graph_samples(op.id, 3, 12)
+        assert points == fitz_graph_samples(op.id, 3, 12)
+        assert all(op.on_fitz_graph(z) and op.fitz_closed(z) == 0 for z in points)
+        assert any(z.x.infinity_mass != 0 for z in points)
+    with pytest.raises(KeyError):
+        fitz_graph_samples(OP_G_FIRST, 3, 12)
+
+
 def test_sampled_graph_dedup_and_json():
     p = graph_point_first(SparseSeq.unit(1))
     g = SampledGraph(DualSystem.FIRST, (p, p), source="Graph G")
@@ -348,3 +410,54 @@ def test_sampled_graph_dedup_matches_quadratic_scan(picks, xs):
 def test_sampled_graph_rejects_mixed_systems():
     with pytest.raises(ValueError):
         SampledGraph(DualSystem.FIRST, (CANONICAL,), source="custom")
+
+
+# ------------------------------------------- derived methods vs the old table
+
+
+def test_each_row_holds_exactly_two_maps():
+    for op in OPERATORS.values():
+        maps = [f.name for f in dataclasses.fields(op) if callable(getattr(op, f.name))]
+        assert maps == ["graph_y", "fitz_y"]
+
+
+@st.composite
+def table_probes(draw, op_id):
+    """(x, x-part, points) for one row: its graph and Fitzpatrick graph
+    points, their sign flips, oscillating and arbitrary y, deviations off
+    the graphs, and in the second system measures with mass at infinity."""
+    op, oracle = OPERATORS[op_id], ref.OPERATOR_ORACLES[op_id]
+    x = draw(sparse_seqs())
+    if op.system is DualSystem.FIRST:
+        x_parts = [x]
+    else:
+        mass = draw(nonzero_rationals())
+        x_parts = [ModelMeasure.from_atomic(x), ModelMeasure(x, mass), draw(model_measures())]
+    x_part = draw(st.sampled_from(x_parts))
+    deviation = TailSeq.constant(0, [0] * draw(st.integers(0, 6)) + [draw(nonzero_rationals())])
+    ys = [
+        oracle.graph_point(x).y,
+        oracle.fitz_point(x_part).y,
+        draw(tail_seqs()),
+        TailSeq.periodic([1, -1]),
+    ]
+    ys += [-y for y in ys[:2]] + [y + deviation for y in ys[:2]]
+    points = [PairPoint(op.system, xp, y) for xp in x_parts for y in ys]
+    return x, x_part, points
+
+
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+@given(data=st.data())
+def test_derived_methods_match_the_old_table(op_id, data):
+    op, oracle = OPERATORS[op_id], ref.OPERATOR_ORACLES[op_id]
+    x, x_part, points = data.draw(table_probes(op_id))
+    assert op.graph_point(x) == oracle.graph_point(x)
+    assert op.fitz_point(x_part) == oracle.fitz_point(x_part)
+    assert op.on_graph(oracle.graph_point(x))
+    assert op.on_fitz_graph(oracle.fitz_point(x_part))
+    for z in points:
+        assert op.on_graph(z) == oracle.on_graph(z), z
+        assert op.on_fitz_graph(z) == oracle.on_fitz_graph(z), z
+        assert op.fitz_closed(z) == (0 if oracle.on_fitz_graph(z) else PLUS_INF)
+        assert SOURCE_MEMBERSHIP[op.graph_label](z) == oracle.on_graph(z)
+        assert SOURCE_MEMBERSHIP[op.fitz_graph](z) == oracle.on_fitz_graph(z)

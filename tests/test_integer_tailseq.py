@@ -13,6 +13,7 @@ probe (and ``fds`` once per graph point).
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -295,6 +296,14 @@ def test_json_indices_must_be_integers(index):
 # ---------------------------------------------- one evaluation per probe
 
 
+def _run_one(runner, cfg):
+    """(status, stats) of the catalog check with this runner, run through
+    ``run_checks`` with the generator and tally it hands every runner."""
+    (spec,) = [spec for spec in checks.CATALOG if spec.runner is runner]
+    (result,) = checks.run_checks(dataclasses.replace(cfg, checks=(spec.name,))).results
+    return result.status, result.stats
+
+
 @pytest.mark.parametrize("run", [checks._run_fds, checks._run_sds_ii])
 def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     probe_ids: set[int] = set()
@@ -315,7 +324,7 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     kept: list = []
     monkeypatch.setattr(ProbeSet, "generate", staticmethod(recording_generate))
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
-    status, _, stats, _ = run(checks.CheckConfig(trials=40))
+    status, stats = _run_one(run, checks.CheckConfig(trials=40))
     assert len(kept) == 1 and status == VERIFIED
     assert calls and max(calls.values()) == 1
     assert stats["ni"]["probes_checked"] == len(calls) == 40
@@ -341,7 +350,7 @@ def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
     kept: list = []
     monkeypatch.setattr(Operator, "sampled_graph", recording_sampled_graph)
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
-    status, _, stats, _ = checks._run_fds(checks.CheckConfig(trials=40))
+    status, stats = _run_one(checks._run_fds, checks.CheckConfig(trials=40))
     assert status == VERIFIED
     # Every graph point, also those the lower-bound draws pick again.
     assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200

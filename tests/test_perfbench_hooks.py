@@ -18,7 +18,7 @@ from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.fitz import OP_G_FIRST, OP_G_SECOND, OPERATORS
 from gossez_lab.gossez import _shifted_G, apply_G
 from gossez_lab.sampling import ProbeSet
-from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq
+from gossez_lab.spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,6 +80,24 @@ def test_tracer_sees_apply_Gstar_through_the_operator_table(tracer):
     before = tracer.summary().get("adjoint.apply_Gstar", (0, 0.0))[0]
     assert OPERATORS[OP_G_SECOND].on_fitz_graph(z)
     assert tracer.summary()["adjoint.apply_Gstar"][0] == before + 1
+
+
+@pytest.mark.parametrize("op_id", list(OPERATORS))
+def test_tracer_reaches_both_maps_of_every_row(tracer, op_id):
+    # graph_y is G (or -G) on x; fitz_y is G on x in the first system and
+    # -G* or G* on a measure in the second.  A map that captured its kernel
+    # when the table was built would run untraced here.
+    op = OPERATORS[op_id]
+    x = SparseSeq.from_values([1, 2])
+    first = op.system is DualSystem.FIRST
+    x_part = x if first else ModelMeasure(x, 3)
+    for call, span in (
+        (lambda: op.graph_y(x), "gossez.apply_G"),
+        (lambda: op.fitz_y(x_part), "gossez.apply_G" if first else "adjoint.apply_Gstar"),
+    ):
+        before = tracer.summary().get(span, (0, 0.0))[0]
+        assert isinstance(call(), TailSeq)
+        assert tracer.summary()[span][0] == before + 1, span
 
 
 def test_tracer_counts_through_staticmethods_and_constructors(tracer):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossez_lab.adjoint import graph_negGstar_point
 from gossez_lab.fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
     OP_NEGG_SECOND,
     OPERATORS,
     PLUS_INF,
+    SOURCE_MEMBERSHIP,
     SampledGraph,
 )
 from gossez_lab.props import (
@@ -263,6 +263,24 @@ def test_extension_probe_undefined_own_coupling_is_inconclusive():
     assert not verdict.witnesses
 
 
+def test_membership_test_runs_only_for_the_verdict_that_reports_it(monkeypatch):
+    calls = []
+    test = SOURCE_MEMBERSHIP["Graph G"]
+    monkeypatch.setitem(SOURCE_MEMBERSHIP, "Graph G", lambda z: calls.append(z) or test(z))
+    g = graph_samples(5)
+    refuted_at_origin = PairPoint.first(SparseSeq.unit(1), -TailSeq.ones())
+    refuted_in_scan = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
+    for z in (refuted_at_origin, refuted_in_scan):
+        verdict = extension_probe(g, z)
+        assert verdict.status == REFUTED and "already_in_analytic_graph" not in verdict.stats
+    assert calls == []
+    fresh = graph_point_first(seq(0, 0, 0, 0, 0, F(7, 3)))
+    verdict = extension_probe(g, fresh)
+    assert verdict.status == WITNESS_FOUND
+    assert verdict.stats["already_in_analytic_graph"] is True
+    assert calls == [fresh]
+
+
 def test_off_graph_probes_all_refuted():
     rng = rng_for(3, "off")
     g = SampledGraph(
@@ -287,7 +305,7 @@ def test_ni_search_finds_canonical_witness_for_G_second():
 
 def test_ni_margin_is_squared_mass():
     a = F(3, 2)
-    z = graph_negGstar_point(ModelMeasure(SparseSeq.zero(), a))
+    z = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure(SparseSeq.zero(), a))
     probes = ProbeSet(DualSystem.SECOND, (z,), {"seed": 0})
     verdict = ni_witness_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
@@ -367,9 +385,7 @@ def test_representability_evaluates_each_probe_once(op_id):
     # midpoint; the probe values are reused for the finite set and the ends.
     calls = []
     op = OPERATORS[op_id]
-    counting = dataclasses.replace(
-        op, on_fitz_graph=lambda z: calls.append(z) or op.on_fitz_graph(z)
-    )
+    counting = dataclasses.replace(op, fitz_y=lambda x: calls.append(x) or op.fitz_y(x))
     graph = counting.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
     probes = ProbeSet.generate(op_id, 3, 16, 60)
     verdict = representability_check(counting, graph, probes, seed=3, convexity_pairs=40)

@@ -195,6 +195,31 @@ def test_tail_json_round_trip():
     assert TailSeq.from_json(c.to_json()) == c
 
 
+BAD_TAILS = [
+    {"kind": "const", "values": ["1/1", "2/1"]},  # would read as a period-2 pattern
+    {"kind": "const", "values": []},
+    {"kind": "banana", "values": ["1/1"]},
+    {"values": ["1/1"]},
+]
+
+
+@pytest.mark.parametrize("tail", BAD_TAILS)
+def test_tail_json_kind_is_validated(tail):
+    with pytest.raises(ValueError):
+        TailSeq.from_json({"head": ["1/2"], "tail": tail})
+    doc = PairPoint.first(seq(1), TailSeq.ones()).to_json()
+    doc["y"]["tail"] = tail
+    with pytest.raises(ValueError):
+        PairPoint.from_json(doc)
+
+
+def test_tail_json_accepts_both_kinds():
+    periodic = {"head": [], "tail": {"kind": "periodic", "values": ["1/1", "-1/1"]}}
+    assert TailSeq.from_json(periodic) == TailSeq.periodic([1, -1])
+    const = {"head": ["0/1"], "tail": {"kind": "const", "values": ["3/1"]}}
+    assert TailSeq.from_json(const) == TailSeq.constant(3, [0])
+
+
 # ---------------------------------------------------------------- couplings
 
 
