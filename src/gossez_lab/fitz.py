@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import cycle, islice
 from typing import Callable, Iterable, Union
 
 from . import linalg
@@ -57,6 +59,14 @@ OP_G_SECOND = "G-second"
 OP_NEGG_SECOND = "negG-second"
 
 
+def coupling_or_none(z: PairPoint) -> Fraction | None:
+    """c(z), None where z leaves the model."""
+    try:
+        return coupling_value(z)
+    except OutsideModelDomain:
+        return None
+
+
 @dataclass(frozen=True)
 class SampledGraph:
     """A finite list of graph points sharing one dual system.
@@ -80,6 +90,11 @@ class SampledGraph:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def couplings(self) -> tuple[Fraction | None, ...]:
+        """c(w) of each point, None where w leaves the model; computed once."""
+        return tuple(map(coupling_or_none, self.points))
 
     def to_json(self) -> dict:
         return {
@@ -278,21 +293,38 @@ class TruncatedAnnihilator:
         }
 
 
-def _annihilator_row(w: PairPoint, n: int) -> list[Fraction]:
+def _annihilator_row(w: PairPoint, n: int) -> list[int]:
     """Coefficients of z -> z.w on z's window coordinates: x 1..N, in the
-    second system the mass (pairs with lim w.y), y-head 1..N and tail."""
+    second system the mass (pairs with lim w.y), y-head 1..N and tail.
+
+    Scaled by the lcm of their denominators, which leaves the annihilator
+    alone, and read from the integer fields.
+    """
     second = w.system is DualSystem.SECOND
     v, atomic = w.y, (w.x.atomic if second else w.x)
     if atomic.max_index() > n:
         raise ValueError("spanning first component exceeds the truncation window")
-    x_coeffs = [v.value(j) for j in range(1, n + 1)]
-    if second:
-        lim = v.limit()
-        if lim is None:
-            raise OutsideModelDomain("spanning point with oscillating y is not pairable")
-        x_coeffs.append(lim)
+    if second and len(v.tail_nums) != 1:
+        raise OutsideModelDomain("spanning point with oscillating y is not pairable")
     mass = w.x.infinity_mass if second else Fraction(0)
-    return x_coeffs + [atomic.value(j) for j in range(1, n + 1)] + [mass]
+    scale = math.lcm(v.den, atomic.den, mass.denominator)
+    v_scale = scale // v.den
+    x_coeffs: list[int] = []
+    start = 0
+    for end, num in zip(v.run_ends, v.run_nums):
+        if start >= n:
+            break
+        x_coeffs += [num * v_scale] * (min(end, n) - start)
+        start = end
+    tail = [t * v_scale for t in v.tail_nums]
+    x_coeffs += islice(cycle(tail), n - len(x_coeffs))
+    if second:
+        x_coeffs.append(tail[0])  # the limit
+    y_coeffs = [0] * n
+    x_scale = scale // atomic.den
+    for index, num in zip(atomic.indices, atomic.nums):
+        y_coeffs[index - 1] = num * x_scale
+    return x_coeffs + y_coeffs + [mass.numerator * (scale // mass.denominator)]
 
 
 def annihilator_truncated(

@@ -1,61 +1,153 @@
-"""Exact Gaussian elimination over the rationals, done on integers.
+"""Exact Gaussian elimination over the rationals, done on packed integers.
 
 Small and deterministic: pivots are chosen leftmost-first, so solutions put
 their nonzero entries on the smallest possible column indices and free
 variables are fixed to zero.  Used for the finite moment-matching systems
-and for truncated annihilator (nullspace) computations.
+and for truncated annihilator (nullspace) computations.  Entries are ints
+or ``Fraction``s; each row is scaled once by the lcm of its denominators.
 
 The elimination is integer-preserving after Bareiss (1968, *Math. Comp.*
 22, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination"), with fraction-free back substitution (Nakos, Turner and
-Williams, *Math. Comput. Educ.* 1997).  Each row is scaled once by the lcm
-of its denominators; then two passes run on Python ints.
+Williams, *Math. Comput. Educ.* 1997).
 
 - Forward pass.  With p the new pivot and d the previous one (1 at the
   start), every row below the pivot row becomes (p*a - f*b) // d, where f
-  is its entry in the pivot column and b the pivot row, over the columns
-  from the pivot on: the earlier ones are zero already.  By Sylvester's
+  is its entry in the pivot column and b the pivot row.  By Sylvester's
   identity every entry stays a minor of the scaled matrix, so the division
   is exact.  The result is an echelon form U whose pivot U_ii is the pivot
-  value of step i; the last one is d.
+  value of step i; the last one is d.  When |p| == |d| == 1 the rows below
+  keep a - (f*p)*b and one sign for all of them takes the factor p*d; a
+  row takes that sign when it becomes the pivot row.
 - Back substitution.  From the bottom pivot row up, row i becomes
-  R_i = (d*U_i - sum_{l>i} U_i[p_l] * R_l) // U_ii on the free columns,
-  with d at its own pivot and 0 at the other pivots.  R_i is d times row i
-  of the reduced row echelon form, whose entries times d are integers
-  (minors again), so this division is exact too.
-- Unit multipliers.  When |p| == |d| == 1, (p*a - f*b) // d equals
-  (p*d) * (a - (f*p)*b).  The rows below keep a - (f*p)*b and one sign
-  for all of them takes the factor p*d; a row takes that sign when it
-  becomes the pivot row.  A multiplier of +-1, in that step or in back
-  substitution, subtracts or adds the other row with ``operator.sub`` or
-  ``operator.add`` mapped over it: no product or division per entry.
+  R_i = (d*U_i - sum_{l>i} U_i[p_l] * R_l) // U_ii, which is d at its own
+  pivot and 0 at the other pivots.  R_i is d times row i of the reduced
+  row echelon form, whose entries times d are integers (minors again), so
+  this division is exact too.
+
+Packed rows (Kronecker substitution; Dumas, Fousse and Salvy, *J. Symbolic
+Comput.* 46(7), 2011).  Both passes run on rows stored as single ints, so
+each row operation above is one big-int operation in C.
+
+- Slot layout.  A row (a_0, ..., a_{n-1}) is the int
+  X = sum_j a_j * B**(n-1-j) with B = 2**w: column j sits in slot n-1-j of
+  w bits, column 0 the most significant.  The digits are balanced: a
+  negative entry borrows from the slot above.  w is a whole number of
+  bytes, 16 bits at the least.
+- Bound invariant.  Each row carries a bound b >= max |a_j|, and
+  b < 2**(w-1) - 1.  While it holds, balanced digits are unique, so X
+  decodes exactly: adding 2**(w-1) to every slot makes every digit
+  nonnegative, and the slots are read off the bytes of the sum.  While a
+  row's earlier columns are zero, its entry at column j is
+  (X + 2**(w*k-1)) >> (w*k) with k = n-1-j (X itself for k = 0), because
+  everything below that slot is less than half of it.
+- Exact packed division.  Evaluation at B is Z-linear, so p*X - f*Y packs
+  the entrywise combination, whatever its digits.  d divides every entry
+  of that combination, so it divides the integer, and the quotient packs
+  the entrywise quotients.  Intermediate products may overflow their
+  slots; only results must fit.
+- Bounds follow the operations: (|p|*b_a + |f|*b_b) // |d| in the forward
+  pass, (|d|*b_U + sum |U_i[p_l]|*b_l) // |U_ii| in back substitution.  A
+  pivot row's bound is made exact when it is chosen.
+- Tightening and widening.  Before an operation whose bound would reach
+  the cap 2**(w-1) - 1, its rows are decoded and their bounds made exact.
+  If the bound still reaches the cap, w doubles and every row is
+  repacked.  No row is ever decoded past its bound, so nothing overflows
+  and no second path is needed.
+- Back substitution decodes each U_i once, to read its coefficients, and
+  each R_i once: that makes its bound exact and is the row returned.
 
 The reduced row echelon form is the integer rows divided by d.  That form
 is unique, so the bases and solutions equal those of elimination on
-``Fraction`` rows; a ``Fraction`` is built only for the entries returned.
+``Fraction`` rows; one ``Fraction`` is built per distinct value returned.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+import sys
+from array import array
 from fractions import Fraction
 from math import lcm
-from operator import add, neg, sub
+from typing import Union
 
-Matrix = list[list[Fraction]]
+Entry = Union[int, Fraction]
+Matrix = list[list[Entry]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Unsigned array type codes by item size: slots of 16 to 64 bits are read
+# through the buffer protocol, in native byte order; wider ones byte-wise.
+_CODES = {array(code).itemsize: code for code in "HIQ"}
+_LITTLE = sys.byteorder == "little"
 
-def _minus_multiple(a: list[int], b: list[int], h: int):
-    """a - h*b entrywise; h = +-1 takes an ``operator`` map, with no
-    integer multiplication in the interpreter."""
-    if h == 1:
-        return map(sub, a, b)
-    if h == -1:
-        return map(add, a, b)
-    return [x - h * y for x, y in zip(a, b)]
+
+class _Slots:
+    """The packing of rows of ``ncols`` entries into slots of ``width`` bits."""
+
+    def __init__(self, width: int, ncols: int) -> None:
+        self.width = width
+        self.ncols = ncols
+        self.half = 1 << (width - 1)
+        self.cap = self.half - 1
+        self.size = width // 8
+        self.code = _CODES.get(self.size)
+        # half in every slot: added, it turns balanced digits into plain ones.
+        self.offset = int.from_bytes((b"\x80" + bytes(self.size - 1)) * ncols, "big")
+
+    @staticmethod
+    def fitting(bound: int, ncols: int) -> _Slots:
+        """The narrowest slots, 16 bits or a doubling of that, holding ``bound``."""
+        width = 16
+        while bound >= (1 << (width - 1)) - 1:
+            width *= 2
+        return _Slots(width, ncols)
+
+    def pack(self, row: list[int]) -> int:
+        half = self.half
+        if self.code:
+            digits = array(self.code, [a + half for a in row])
+            if _LITTLE:
+                digits.reverse()
+            return int.from_bytes(digits, sys.byteorder) - self.offset
+        raw = b"".join((a + half).to_bytes(self.size, "big") for a in row)
+        return int.from_bytes(raw, "big") - self.offset
+
+    def _digits(self, x: int):
+        """The slots of x plus half: column 0 first, but last in a
+        little-endian array."""
+        if self.code:
+            raw = (x + self.offset).to_bytes(self.size * self.ncols, sys.byteorder)
+            return array(self.code, raw)
+        raw = (x + self.offset).to_bytes(self.size * self.ncols, "big")
+        size = self.size
+        return [int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size)]
+
+    def unpack(self, x: int) -> list[int]:
+        half = self.half
+        digits = self._digits(x)
+        if self.code and _LITTLE:
+            digits.reverse()
+        return [v - half for v in digits]
+
+    def bound(self, x: int) -> int:
+        """max |entry| of the packed row x."""
+        digits = self._digits(x)
+        return max(max(digits) - self.half, self.half - min(digits))
+
+
+def _integer_row(row: list[Entry], ncols: int) -> list[int]:
+    """The row times the lcm of its denominators."""
+    if len(row) != ncols:
+        raise ValueError(f"ragged matrix: a row of {len(row)} entries among rows of {ncols}")
+    kinds = set(map(type, row))
+    if kinds <= {int}:
+        return row
+    if not kinds <= {int, Fraction}:
+        bad = next(v for v in row if type(v) is not int and type(v) is not Fraction)
+        raise TypeError(f"matrix entries must be int or Fraction, got {type(bad).__name__}")
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
@@ -64,82 +156,115 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
     The rational reduced row echelon form of ``matrix`` is ``rows`` divided
     entrywise by ``d``.
     """
-    rows = []
-    for row in matrix:
-        scale = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [_integer_row(row, ncols) for row in matrix]
+    bounds = [max(map(abs, row), default=0) for row in rows]
+    slots = _Slots.fitting(max(bounds, default=0), ncols)
+    packed = [slots.pack(row) for row in rows]
+
+    def make_room(terms: list[tuple[int, int]], divisor: int) -> int:
+        """The bound of sum(c * row i) // divisor over (c, i) in ``terms``,
+        after tightening those rows' bounds and widening the slots to hold it."""
+        nonlocal slots
+        for _, i in terms:
+            bounds[i] = slots.bound(packed[i])
+        bound = sum(abs(c) * bounds[i] for c, i in terms) // divisor
+        while bound >= slots.cap:
+            wider = _Slots(2 * slots.width, ncols)
+            packed[:] = [wider.pack(slots.unpack(x)) for x in packed]
+            slots = wider
+        return bound
+
     pivots: list[int] = []
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     d = 1
-    # Forward pass: one-step Bareiss on the rows below the pivot, over the
-    # columns from the pivot on; their earlier columns are zero already.
-    # The rows not yet pivotal hold their Bareiss values times ``sign``.
+    # Forward pass.  The rows not yet pivotal hold their Bareiss values
+    # times ``sign``.
     sign = 1
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if pivot_row is None:
+        shift = slots.width * (ncols - 1 - col)
+        rounding = (1 << shift) >> 1
+        # Entries at col of the rows from r on; their earlier columns are zero.
+        entries = [(x + rounding) >> shift for x in packed[r:]]
+        k = next((k for k, f in enumerate(entries) if f), None)
+        if k is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        i = r + k
+        packed[r], packed[i] = packed[i], packed[r]
+        bounds[r], bounds[i] = bounds[i], bounds[r]
+        entries[0], entries[k] = entries[k], entries[0]
+        p = entries[0]
+        bounds[r] = slots.bound(packed[r])
         if sign == -1:
-            rows[r][col:] = map(neg, rows[r][col:])
-        pivot = rows[r][col:]
-        p = pivot[0]
-        if (p == 1 or p == -1) and (d == 1 or d == -1):
-            # (p*a - f*b) // d == (p*d) * (a - (f*p)*b) when |p| == |d| == 1:
-            # the row keeps a - (f*p)*b and the sign takes the factor p*d.
-            for row in rows[r + 1 :]:
-                f = row[col]
-                if f:
-                    row[col:] = _minus_multiple(row[col:], pivot, f * p)
+            packed[r] = -packed[r]
+            p = -p
+        abs_p, abs_d = abs(p), abs(d)
+        unit = abs_p == 1 and abs_d == 1
+        for i, f in enumerate(entries[1:], r + 1):
+            if not f and (unit or p == d):
+                continue
+            bound = (abs_p * bounds[i] + abs(f) * bounds[r]) // abs_d
+            if bound >= slots.cap:
+                bound = make_room([(p, i), (f, r)], abs_d)
+            bounds[i] = bound
+            if unit:
+                # (p*a - f*b) // d == (p*d) * (a - (f*p)*b); the sign takes p*d.
+                h = f * p
+                if h == 1:
+                    packed[i] -= packed[r]
+                elif h == -1:
+                    packed[i] += packed[r]
+                else:
+                    packed[i] -= h * packed[r]
+            else:
+                packed[i] = (p * packed[i] - f * packed[r]) // d
+        if unit:
             sign *= p * d
-        else:
-            for row in rows[r + 1 :]:
-                f = row[col]
-                if f:
-                    row[col:] = [(p * a - f * b) // d for a, b in zip(row[col:], pivot)]
-                elif p != d:
-                    row[col:] = [p * a // d for a in row[col:]]
         d = p
         pivots.append(col)
-    # Back substitution on the free columns, bottom pivot row first.
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    reduced: list[list[int]] = []  # R_l on the free columns after p_l, bottom row first
-    for i in range(len(pivots) - 1, -1, -1):
-        row, col = rows[i], pivots[i]
-        cols = free[bisect(free, col) :]
-        part = [d * row[j] for j in cols]
-        for other, other_col in zip(reversed(reduced), pivots[i + 1 :]):
-            c = row[other_col]
-            if c:
-                start = len(part) - len(other)
-                part[start:] = _minus_multiple(part[start:], other, c)
-        u = row[col]
+    # Back substitution, bottom pivot row first: packed[l] becomes R_l.
+    rank = len(pivots)
+    upper = [slots.unpack(x) for x in packed[:rank]]
+    result = upper + [[0] * ncols for _ in range(rank, nrows)]
+    for i in range(rank - 1, -1, -1):
+        row = upper[i]
+        u = row[pivots[i]]
+        terms = [(row[c], l) for l, c in enumerate(pivots[i + 1 :], i + 1) if row[c]]
+        bounds[i] = max(map(abs, row))
+        bound = (abs(d) * bounds[i] + sum(abs(c) * bounds[l] for c, l in terms)) // abs(u)
+        if bound >= slots.cap:
+            make_room([(d, i), *terms], abs(u))
+        x = d * packed[i]
+        for c, l in terms:
+            if c == 1:
+                x -= packed[l]
+            elif c == -1:
+                x += packed[l]
+            else:
+                x -= c * packed[l]
         if u != 1:
-            part = [a // u for a in part]
-        reduced.append(part)
-        row = [0] * ncols
-        row[col] = d
-        for j, v in zip(cols, part):
-            row[j] = v
-        rows[i] = row
-    return rows, pivots, d
+            x //= u
+        packed[i] = x
+        result[i] = slots.unpack(x)
+        bounds[i] = max(map(abs, result[i]))
+    return result, pivots, d
 
 
-def solve_minimal(rows: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
+def solve_minimal(rows: Matrix, rhs: list[Entry]) -> list[Fraction] | None:
     """Solve rows * x = rhs exactly, or return None if inconsistent.
 
     Free variables are zero, so the returned solution is supported on the
     leftmost pivot columns only.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return []
     ncols = len(rows[0])
-    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    augmented = [[*row, b] for row, b in zip(rows, rhs)]
     reduced, pivots, d = _rref(augmented)
     if ncols in pivots:
         return None  # a row reduced to 0 = nonzero
@@ -153,8 +278,12 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of {x : rows * x = 0}, one vector per free column."""
     if not rows:
         return [[_ONE if i == j else _ZERO for i in range(ncols)] for j in range(ncols)]
+    if len(rows[0]) != ncols:
+        raise ValueError(f"rows have {len(rows[0])} entries, expected ncols = {ncols}")
     reduced, pivots, d = _rref(rows)
     pivot_set = set(pivots)
+    # One Fraction per distinct value; the vectors share them and _ZERO.
+    shared: dict[int, Fraction] = {}
     basis: list[list[Fraction]] = []
     for free in range(ncols):
         if free in pivot_set:
@@ -162,6 +291,11 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
         vector = [_ZERO] * ncols
         vector[free] = _ONE
         for row, col in zip(reduced, pivots):
-            vector[col] = Fraction(-row[free], d)
+            num = row[free]
+            if num:
+                value = shared.get(num)
+                if value is None:
+                    value = shared[num] = Fraction(-num, d)
+                vector[col] = value
         basis.append(vector)
     return basis

@@ -25,6 +25,7 @@ from .fitz import (
     SOURCE_MEMBERSHIP,
     Operator,
     SampledGraph,
+    coupling_or_none,
     operator_for,
 )
 from .sampling import ProbeSet, off_graph_first, random_sparse, rng_for
@@ -51,14 +52,6 @@ __all__ = [
 ]
 
 
-def _coupling_or_none(z: PairPoint) -> Fraction | None:
-    """c(z), None where z leaves the model."""
-    try:
-        return coupling_value(z)
-    except OutsideModelDomain:
-        return None
-
-
 def _difference_coupling(
     z1: PairPoint, c1: Fraction | None, z2: PairPoint, c2: Fraction | None
 ) -> Fraction:
@@ -83,7 +76,7 @@ def is_monotone(graph: SampledGraph) -> PropertyVerdict:
     c(z) is computed once per sample point.  Verified only if at least one
     pair was evaluated and none was skipped.
     """
-    couplings = [_coupling_or_none(z) for z in graph.points]
+    couplings = graph.couplings
     checked = 0
     skipped = 0
     minimum: Fraction | None = None
@@ -154,11 +147,12 @@ def extension_probe(
     skipped = 0
     # Every ladder scale is an integer, so t is its own numerator.
     steps = [(t, t.numerator) for t in ladder]
-    for w in graph.points:
+    for w, cw in zip(graph.points, graph.couplings):
         try:
             zw = natural_couple(z, w)
-            cw = coupling_value(w)
         except OutsideModelDomain:
+            cw = None
+        if cw is None:
             skipped += 1
             continue
         # c(z - t*w) = cz - t*zw + t^2*cw, exact for every scale; its sign is
@@ -192,7 +186,7 @@ def extension_probe(
 
 
 def _evaluate(fitz, z: PairPoint) -> tuple:
-    cv = _coupling_or_none(z)
+    cv = coupling_or_none(z)
     try:
         fv = fitz(z)
     except OutsideModelDomain:

@@ -4,11 +4,12 @@ These are the original implementations, one ``Fraction`` operation per
 index, per term or per matrix entry, kept as the oracle for the run-aware
 and integer-numerator kernels and the integer elimination in
 ``gossez_lab``; ``bareiss_gauss_jordan`` is the integer Gauss-Jordan
-elimination whose (rows, pivots, d) the forward and back passes of
-``linalg._rref`` must reproduce.  They work on plain tuples and lists so that nothing here
-shares code with the library: a sequence is a canonical ``(head, tail)``
-pair, a summable sequence a dict ``{index: value}`` without zeros, a
-matrix a list of ``Fraction`` rows.
+elimination whose (rows, pivots, d) the packed forward and back passes of
+``linalg._rref`` must reproduce, and ``list_rref`` the same two passes on
+lists of ints, one operation per entry.  They work on plain tuples and
+lists so that nothing here shares code with the library: a sequence is a
+canonical ``(head, tail)`` pair, a summable sequence a dict
+``{index: value}`` without zeros, a matrix a list of ``Fraction`` rows.
 
 The oracles at the end are the exception: they build library points.  The
 operator-table oracles are the former written-out description of the three
@@ -20,9 +21,11 @@ kernels (which kernel, which sign, the mass condition), not the kernels.
 branches of ``fitz.annihilator_truncated`` over ``nullspace`` above.
 """
 
+from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 import math
+from operator import add, neg, sub
 
 from gossez_lab.adjoint import apply_Gstar as lib_apply_Gstar
 from gossez_lab.gossez import apply_G as lib_apply_G
@@ -217,6 +220,89 @@ def bareiss_gauss_jordan(matrix):
         pivots.append(col)
         if len(pivots) == len(rows):
             break
+    return rows, pivots, d
+
+
+def minus_multiple(a, b, h):
+    """a - h*b entrywise; h = +-1 takes an ``operator`` map, with no
+    integer multiplication in the interpreter."""
+    if h == 1:
+        return map(sub, a, b)
+    if h == -1:
+        return map(add, a, b)
+    return [x - h * y for x, y in zip(a, b)]
+
+
+def list_rref(matrix):
+    """Forward Bareiss and fraction-free back substitution on lists of ints.
+
+    The list elimination that packed rows replaced in ``linalg._rref``,
+    one Python integer operation per entry; it returns (rows, pivot column
+    per row, d) as ``bareiss_gauss_jordan`` does.
+    """
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    pivots = []
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    d = 1
+    # Forward pass: one-step Bareiss on the rows below the pivot, over the
+    # columns from the pivot on; their earlier columns are zero already.
+    # The rows not yet pivotal hold their Bareiss values times ``sign``.
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if sign == -1:
+            rows[r][col:] = map(neg, rows[r][col:])
+        pivot = rows[r][col:]
+        p = pivot[0]
+        if (p == 1 or p == -1) and (d == 1 or d == -1):
+            # (p*a - f*b) // d == (p*d) * (a - (f*p)*b) when |p| == |d| == 1:
+            # the row keeps a - (f*p)*b and the sign takes the factor p*d.
+            for row in rows[r + 1 :]:
+                f = row[col]
+                if f:
+                    row[col:] = minus_multiple(row[col:], pivot, f * p)
+            sign *= p * d
+        else:
+            for row in rows[r + 1 :]:
+                f = row[col]
+                if f:
+                    row[col:] = [(p * a - f * b) // d for a, b in zip(row[col:], pivot)]
+                elif p != d:
+                    row[col:] = [p * a // d for a in row[col:]]
+        d = p
+        pivots.append(col)
+    # Back substitution on the free columns, bottom pivot row first.
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    reduced = []  # R_l on the free columns after p_l, bottom row first
+    for i in range(len(pivots) - 1, -1, -1):
+        row, col = rows[i], pivots[i]
+        cols = free[bisect(free, col) :]
+        part = [d * row[j] for j in cols]
+        for other, other_col in zip(reversed(reduced), pivots[i + 1 :]):
+            c = row[other_col]
+            if c:
+                start = len(part) - len(other)
+                part[start:] = minus_multiple(part[start:], other, c)
+        u = row[col]
+        if u != 1:
+            part = [a // u for a in part]
+        reduced.append(part)
+        row = [0] * ncols
+        row[col] = d
+        for j, v in zip(cols, part):
+            row[j] = v
+        rows[i] = row
     return rows, pivots, d
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from gossez_lab import fitz
 from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.checks import _difference_recurrence
 from gossez_lab.fitz import SampledGraph
@@ -420,3 +421,24 @@ def test_extension_probe_refutes_only_at_large_scale():
     assert verdict.witnesses[0]["value"] == 1 - F(10**12, 10**11)
     for scale_max in (1, 10, 10**6):
         assert_extension_matches(graph, z, scale_max)
+
+
+def test_extension_probe_couples_each_graph_point_once(monkeypatch):
+    # Repeated probes of one graph reuse its couplings, and a point outside
+    # the model (mass at infinity against an oscillating y) is skipped.
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return coupling_value(w)
+
+    monkeypatch.setattr(fitz, "coupling_value", counting)
+    outside = PairPoint.second(ModelMeasure(SparseSeq.unit(1), F(1)), TailSeq.periodic([1, -1]))
+    units = [ModelMeasure.from_atomic(SparseSeq.unit(k)) for k in (1, 2, 3)]
+    points = [PairPoint.second(x, apply_G(x.atomic)) for x in units]
+    graph = SampledGraph(DualSystem.SECOND, (outside, *points), "custom")
+    probes = [PairPoint.second(x, TailSeq.constant(k, [0] * k)) for k, x in enumerate(units)]
+    for z in probes:
+        assert_extension_matches(graph, z, 10)
+        assert extension_probe(graph, z, 10).stats["skipped"] == 1
+    assert calls == list(graph.points)

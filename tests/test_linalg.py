@@ -1,11 +1,14 @@
 """Exact elimination: minimal-support solving and nullspace bases.
 
-The integer elimination is checked for exact equality against the
+The packed integer elimination is checked for exact equality against the
 ``Fraction`` elimination kept in ``dense_reference``, and its integer
-(rows, pivots, d) against the Gauss-Jordan Bareiss elimination kept there.
+(rows, pivots, d) against the Gauss-Jordan Bareiss elimination and the
+list elimination kept there.
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -197,11 +200,119 @@ def test_unit_matrices_solve_minimal_matches_fraction_elimination(data):
         assert_all_fractions([solution])
 
 
+@st.composite
+def wide_matrices(draw):
+    """Entry growth that packed rows meet by tightening and widening.
+
+    Numerators and denominators up to 2**120, or Hilbert-type rows
+    1/(i + j + shift) whose pivots are not units.
+    """
+    if draw(st.booleans()):
+        nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+        shift = draw(st.integers(1, 4))
+        return [[F(1, i + j + shift) for j in range(ncols)] for i in range(nrows)]
+    ncols = draw(st.integers(1, 6))
+    huge = st.builds(F, st.integers(-(2**120), 2**120), st.integers(1, 2**120))
+    values = st.one_of(st.just(F(0)), huge, st.integers(-3, 3).map(F))
+    return draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(matrices(), unit_matrices()))
+@given(st.one_of(matrices(), unit_matrices(), wide_matrices()))
 def test_rref_matches_gauss_jordan_bareiss(rows):
     # The same integer rows, pivots and final pivot d, signs included.
-    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows)
+    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[0]],
+        [[-7]],
+        [[0, 0, 0]],
+        [[0, 2, -3]],
+        [[0], [4], [0], [-6]],
+        [[0, 0], [0, 0]],
+        [[0, 1, 0], [0, 0, 0], [0, 2, 0]],
+        [[F(1, 3), 0, F(-2, 5)], [0, 0, 0], [1, 0, 1]],
+    ],
+)
+def test_rref_edge_shapes_match_both_oracles(rows):
+    # No equations, zero rows and columns, a single row or column; int entries too.
+    fractions = [[F(v) for v in row] for row in rows]
+    expected = ref.bareiss_gauss_jordan(fractions)
+    assert expected == ref.list_rref(fractions)
+    assert linalg._rref(rows) == linalg._rref(fractions) == expected
+
+
+def count_slot_work(monkeypatch):
+    """Record each packing width and count the bounds decoded."""
+    widths, decoded = [], []
+    init, bound = linalg._Slots.__init__, linalg._Slots.bound
+
+    def recording_init(self, width, ncols):
+        widths.append(width)
+        init(self, width, ncols)
+
+    def counting_bound(self, x):
+        decoded.append(x)
+        return bound(self, x)
+
+    monkeypatch.setattr(linalg._Slots, "__init__", recording_init)
+    monkeypatch.setattr(linalg._Slots, "bound", counting_bound)
+    return widths, decoded
+
+
+def test_packed_rows_tighten_without_widening(monkeypatch):
+    # The second step rescales the third row, zero by then, by p/d = -14464/2:
+    # its carried bound 8 would give 57856, over the 16-bit cap, and
+    # decoding the row shows that it fits.
+    rows = [[2, 2], [-1, -7233], [2, 2]]
+    widths, decoded = count_slot_work(monkeypatch)
+    reduced, pivots, d = linalg._rref(rows)
+    assert widths == [16]
+    assert len(decoded) > len(pivots)  # beyond one exact bound per pivot row
+    assert (reduced, pivots, d) == ref.bareiss_gauss_jordan(rows_of(*rows))
+
+
+def test_packed_rows_widen_by_doubling(monkeypatch):
+    # Hilbert minors outgrow the slots the scaled rows start in.
+    n = 8
+    rows = [[F(1, i + j + 1) for j in range(n)] for i in range(n)]
+    widths, _ = count_slot_work(monkeypatch)
+    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
+    assert len(widths) > 1
+    assert widths[1:] == [2 * w for w in widths[:-1]]
+
+
+def test_nullspace_rejects_mismatched_ncols():
+    with pytest.raises(ValueError):
+        nullspace([[1, 2, 3]], 2)
+    with pytest.raises(ValueError):
+        nullspace([[1, 2]], 3)
+
+
+def test_elimination_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        nullspace([[1, 2], [3]], 2)
+    with pytest.raises(ValueError):
+        solve_minimal([[1, 2], [3]], [1, 2])
+
+
+def test_solve_minimal_rejects_mismatched_rhs():
+    with pytest.raises(ValueError):
+        solve_minimal([[1, 2], [3, 4]], [1])
+    with pytest.raises(ValueError):
+        solve_minimal([], [1])
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+def test_elimination_rejects_entries_not_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        nullspace([[1, bad]], 2)
+    with pytest.raises(TypeError):
+        solve_minimal([[F(1), 2]], [bad])
 
 
 def test_alternating_unit_pivots_match_fraction_elimination():
@@ -230,7 +341,8 @@ def spanning_sets(n):
     ]
 
 
-def assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, n):
+def annihilator_system(monkeypatch, system, spanning, n):
+    """(rows, ncols, basis) of the one nullspace call of the annihilator."""
     seen = []
 
     def recording(rows, ncols):
@@ -241,8 +353,13 @@ def assert_annihilator_matches_fraction_elimination(monkeypatch, system, spannin
     monkeypatch.setattr(linalg, "nullspace", recording)
     annihilator_truncated(spanning, n, system)
     [(rows, ncols, basis)] = seen
-    assert basis == ref.nullspace(rows, ncols)
     assert_all_fractions(basis)
+    return rows, ncols, basis
+
+
+def assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, n):
+    rows, ncols, basis = annihilator_system(monkeypatch, system, spanning, n)
+    assert basis == ref.nullspace(rows_of(*rows), ncols)
 
 
 @pytest.mark.parametrize("system, spanning", spanning_sets(32))
@@ -253,3 +370,21 @@ def test_annihilator_window_32_matches_fraction_elimination(monkeypatch, system,
 @pytest.mark.parametrize("system, spanning", spanning_sets(64))
 def test_annihilator_window_64_matches_fraction_elimination(monkeypatch, system, spanning):
     assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, 64)
+
+
+def test_annihilator_window_128_matches_integer_elimination(monkeypatch):
+    # The Fraction elimination takes tens of seconds at n = 128: the integer
+    # oracles pin (rows, pivots, d), and the basis is the unique one with
+    # 1 at its own free column and 0 at the others that annihilates the rows.
+    [(system, spanning)] = spanning_sets(128)[:1]
+    rows, ncols, basis = annihilator_system(monkeypatch, system, spanning, 128)
+    fractions = rows_of(*rows)
+    reduced, pivots, d = linalg._rref(rows)
+    assert (reduced, pivots, d) == ref.bareiss_gauss_jordan(fractions) == ref.list_rref(fractions)
+    free = [j for j in range(ncols) if j not in pivots]
+    assert len(basis) == len(free) == 129
+    for j, vector in zip(free, basis):
+        assert [vector[k] for k in free] == [int(k == j) for k in free]
+        scale = math.lcm(*(v.denominator for v in vector))
+        integers = [v.numerator * (scale // v.denominator) for v in vector]
+        assert all(sum(map(mul, row, integers)) == 0 for row in rows)
