@@ -22,14 +22,12 @@ from .fitz import (
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
-    fitz_closed_first,
     fitz_sampled,
     orthogonality_report,
 )
 from .gossez import (
     RangeCertificate,
     apply_G,
-    apply_negG,
     range_ratio_family,
     solve_G,
     weakstar_approximate,

@@ -34,11 +34,10 @@ from .fitz import (
     fitz_sampled,
     orthogonality_report,
 )
-from .gossez import apply_G, apply_negG, range_ratio_family, solve_G, weakstar_approximate
+from .gossez import apply_G, range_ratio_family, solve_G, weakstar_approximate
 from .props import (
     ProbeSet,
     dichotomy_crosscheck,
-    evaluate_probes,
     extension_probe,
     ni_witness_search,
     representability_check,
@@ -207,6 +206,7 @@ def _difference_recurrence(x: SparseSeq, gx: TailSeq) -> bool:
 
 def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     width = min(cfg.truncation, 64)
+    neg_g = OPERATORS[OP_NEGG_SECOND].graph_y
     for _ in range(cfg.trials):
         x = random_sparse(rng, width, 8, 1000, 1000)
         y = random_sparse(rng, width, 8, 1000, 1000)
@@ -229,7 +229,7 @@ def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcom
             {"x": x, "y": y, "a": a, "b": b},
         )
         tally.record("difference-recurrence", _difference_recurrence(x, gx), {"x": x})
-        tally.record("negation", apply_negG(x) == -gx, {"x": x})
+        tally.record("negation", neg_g(x) == -gx, {"x": x})
     e1 = SparseSeq.unit(1)
     tally.record(
         "norm-bound-equality-at-e1",
@@ -372,14 +372,13 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         [SparseSeq.unit(k) for k in range(1, 13)]
         + [random_sparse(rng, cfg.truncation, 6, 50, 50) for _ in range(188)]
     )
-    # Evaluated once here: the lower-bound draws and representability_check
-    # read these values again.
-    graph_values = tuple((g_first.fitz_closed(z), coupling_value(z)) for z in graph.points)
-    for z, (fv, cv) in zip(graph.points, graph_values):
+    # Evaluated once here for the tally and the lower-bound draws.
+    closed = [g_first.fitz_closed(z) for z in graph.points]
+    for z, fv, cv in zip(graph.points, closed, graph.couplings):
         tally.record("indicator-on-graph", fv == 0 == cv, {"z": z})
     max_value = None
     for z in off_graph_first(rng, 50, 32):
-        cert = divergence_certificate(z, cfg.scale_max)
+        cert = divergence_certificate(g_first, z, cfg.scale_max)
         tally.record("divergence", cert["value"] > cfg.scale_max, {"z": z, "certificate": cert})
         if max_value is None or cert["value"] > max_value:
             max_value = cert["value"]
@@ -387,23 +386,21 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     for _ in range(combos):
         if rng.random() < 0.5:
             i = rng.randrange(len(graph.points))
-            z, closed = graph.points[i], graph_values[i][0]
+            z, fv = graph.points[i], closed[i]
         else:
             z = off_graph_first(rng, 1, 16)[0]
-            closed = g_first.fitz_closed(z)
+            fv = g_first.fitz_closed(z)
         subset = tuple(rng.sample(graph.points, rng.randint(1, 6)))
         sub = SampledGraph(g_first.system, subset, g_first.graph_label)
         sampled = fitz_sampled(z, sub)
-        tally.record("sampled-below-closed", sampled <= closed, {"z": z})
+        tally.record("sampled-below-closed", sampled <= fv, {"z": z})
         if z in subset:
-            tally.record("sampled-exact-on-graph", sampled == 0 == closed, {"z": z})
+            tally.record("sampled-exact-on-graph", sampled == 0 == fv, {"z": z})
     probes = ProbeSet.generate(OP_G_FIRST, cfg.seed, cfg.truncation, cfg.trials)
-    values = evaluate_probes(g_first, probes)
+    values = tuple(map(g_first.evaluate, probes.points))
     ni = ni_witness_search(OP_G_FIRST, probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
-    representative = representability_check(
-        g_first, graph, probes, seed=cfg.seed, values=values, graph_values=graph_values
-    )
+    representative = representability_check(g_first, graph, probes, values, seed=cfg.seed)
     tally.record("representability", representative.status == VERIFIED)
     stats = {
         "graph_points": len(graph.points),
@@ -418,7 +415,7 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
 def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     g_second = OPERATORS[OP_G_SECOND]
     probes = ProbeSet.generate(OP_G_SECOND, cfg.seed, cfg.truncation, cfg.trials)
-    ni = ni_witness_search(OP_G_SECOND, probes)
+    ni = ni_witness_search(OP_G_SECOND, probes, map(g_second.evaluate, probes.points))
     canonical = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.ones())
     ni_ok = (
         ni.status == WITNESS_FOUND
@@ -431,9 +428,13 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         tally.record("indicator-on-negGstar-graph", g_second.fitz_closed(z) == 0, {"z": z})
         tally.record("coupling-is-mass-squared", coupling_value(z) == a * a, {"z": z})
     off = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.zero())
-    tally.record("indicator-off-graph", g_second.fitz_closed(off) == PLUS_INF)
+    tally.record(
+        "indicator-off-graph",
+        g_second.fitz_closed(off) == PLUS_INF
+        and divergence_certificate(g_second, off, cfg.scale_max)["value"] > cfg.scale_max,
+    )
     embedded = g_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
-    tally.record("embedded-graph-skew", all(coupling_value(z) == 0 for z in embedded.points))
+    tally.record("embedded-graph-skew", all(c == 0 for c in embedded.couplings))
     for z in fitz_graph_samples(OP_G_SECOND, cfg.seed + 1, 20):
         sampled = fitz_sampled(z, embedded)
         tally.record("sampled-vanishes-on-closure", sampled == 0, {"z": z})
@@ -488,7 +489,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
 def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     negg_second = OPERATORS[OP_NEGG_SECOND]
     probes = ProbeSet.generate(OP_NEGG_SECOND, cfg.seed, cfg.truncation, cfg.trials)
-    values = evaluate_probes(negg_second, probes)
+    values = tuple(map(negg_second.evaluate, probes.points))
     ni = ni_witness_search(OP_NEGG_SECOND, probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
     for _ in range(cfg.trials):
@@ -515,7 +516,7 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
             refuted += 1
     tally.record("no-representable-extension", refuted == len(candidates))
     representative = representability_check(
-        negg_second, neg_embedded, probes, seed=cfg.seed, values=values
+        negg_second, neg_embedded, probes, values, seed=cfg.seed
     )
     tally.record("representability-on-model", representative.status == VERIFIED)
     notes = (

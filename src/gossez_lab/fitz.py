@@ -14,6 +14,9 @@ split into two routes that check each other:
 ``Operator`` holds its dual system, two maps (onto its graph and onto the
 graph its closed-form Fitzpatrick function is the indicator of) from which
 its graph points and tests derive, and the verdicts the dichotomy expects.
+``Operator.evaluate`` is the one evaluation of a point, (closed form,
+coupling); ``divergence_certificate`` backs the +inf off the Fitzpatrick
+graph of any row with a sampled value above a threshold.
 
 Conjugation with respect to the product coupling is implemented for
 indicators of finitely spanned subspaces only: the conjugate of such an
@@ -169,6 +172,13 @@ class Operator:
             raise ValueError(f"{self.id} expects a {self.system.value}-system point")
         return Fraction(0) if self.on_fitz_graph(z) else PLUS_INF
 
+    def evaluate(self, z: PairPoint) -> tuple[ExtendedRational, Fraction | None]:
+        """(fitz_closed(z), c(z)), the coupling None where z leaves the model.
+
+        The one evaluation the NI search and the representability check read.
+        """
+        return self.fitz_closed(z), coupling_or_none(z)
+
     def sampled_graph(self, xs: Iterable[SparseSeq]) -> SampledGraph:
         return SampledGraph(self.system, tuple(self.graph_point(x) for x in xs), self.graph_label)
 
@@ -215,8 +225,6 @@ OPERATORS: dict[str, Operator] = {
     )
 }
 
-fitz_closed_first = OPERATORS[OP_G_FIRST].fitz_closed
-
 # Analytic membership tests by sampled-graph label.
 SOURCE_MEMBERSHIP: dict[str, Callable[[PairPoint], bool]] = {
     label: test
@@ -232,18 +240,19 @@ def operator_for(op_id: str) -> Operator:
     return OPERATORS[op_id]
 
 
-def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
-    """Exhibit sampled Fitzpatrick values exceeding ``threshold`` for an
-    off-graph first-system point.
+def divergence_certificate(op: Operator, z: PairPoint, threshold: int = 10**6) -> dict:
+    """Exhibit a sampled Fitzpatrick value of ``op`` above ``threshold`` at a
+    point z off its Fitzpatrick graph, where the closed form is +inf.
 
-    Uses the scaled family (t*u, G(t*u)) along a unit direction u where
-    y - Gx does not vanish; the sampled value there is t * <u, y - Gx>,
-    unbounded in t.  Returns the witness: direction, scale, exact value.
+    Let d = z.y - fitz_y(z.x) and n the first index with d_n != 0.  The
+    graph point w of t*e_n pairs with z to t*d_n and c(w) = 0 (G is skew),
+    so the sampled value over the one-point graph is t*d_n, unbounded in t;
+    t grows by powers of ten until it exceeds ``threshold``.  Returns the
+    witness: direction index, scale, exact value and the margin d_n.
     """
-    if z.system is not DualSystem.FIRST:
-        raise ValueError("divergence certificate works in the first system")
-    assert isinstance(z.x, SparseSeq)
-    deviation = z.y - apply_G(z.x)
+    if z.system is not op.system:
+        raise ValueError(f"{op.id} expects a {op.system.value}-system point")
+    deviation = z.y - op.fitz_y(z.x)
     # The first nonzero run, or else the first nonzero tail entry.
     head_len = deviation.head_len()
     tail_ends = tuple(range(head_len + 1, head_len + len(deviation.tail_nums) + 1))
@@ -255,13 +264,11 @@ def divergence_certificate(z: PairPoint, threshold: int = 10**6) -> dict:
             break
         start = end + 1
     if index is None:
-        raise ValueError("point lies on the graph; no divergence available")
-    direction = SparseSeq.unit(index)
+        raise ValueError("point lies on the Fitzpatrick graph; no divergence available")
     scale = Fraction(1) if margin > 0 else Fraction(-1)
     while scale * margin <= threshold:
         scale *= 10
-    sample = OPERATORS[OP_G_FIRST].sampled_graph([direction.scale(scale)])
-    value = fitz_sampled(z, sample)
+    value = fitz_sampled(z, op.sampled_graph([SparseSeq.unit(index).scale(scale)]))
     return {
         "direction_index": index,
         "scale": scale,
@@ -342,7 +349,7 @@ def annihilator_truncated(
     m = int(system is DualSystem.SECOND)  # the mass coordinate after the x-entries
     basis = []
     for vec in linalg.nullspace(rows, 2 * n + 1 + m):
-        atomic = SparseSeq.from_pairs((j + 1, vec[j]) for j in range(n))
+        atomic = SparseSeq.from_values(vec[:n])
         x: XPart = ModelMeasure(atomic, vec[n]) if m else atomic
         y = TailSeq(tuple(vec[n + m : 2 * n + m]), (vec[2 * n + m],))
         basis.append(PairPoint(system, x, y))

@@ -72,11 +72,6 @@ def _shifted_G(x: SparseSeq, sign: int, shift: Fraction) -> TailSeq:
     return TailSeq._from_runs(tuple(ends), tuple(runs), (base + sign * level,), den)
 
 
-def apply_negG(x: SparseSeq) -> TailSeq:
-    """Pointwise negation of Gx."""
-    return -apply_G(x)
-
-
 @dataclass(frozen=True)
 class RangeCertificate:
     """Outcome of deciding whether a TailSeq lies in the range of G.

@@ -8,15 +8,17 @@ point, and linearity makes monotonicity violations scale-sensitive, so the
 ladder catches what unit-scale probes miss.
 
 The NI search, the representability check and the dichotomy take what they
-know of an operator from its ``fitz.OPERATORS`` entry.
+know of an operator from its ``fitz.OPERATORS`` entry.  The NI search and
+the representability check read the probe values ``Operator.evaluate``
+gives, passed in by the caller, so one set of values serves both.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
+from typing import Iterable
 
 from .fitz import (
     OP_G_FIRST,
@@ -25,7 +27,6 @@ from .fitz import (
     SOURCE_MEMBERSHIP,
     Operator,
     SampledGraph,
-    coupling_or_none,
     operator_for,
 )
 from .sampling import ProbeSet, off_graph_first, random_sparse, rng_for
@@ -45,7 +46,6 @@ __all__ = [
     "PropertyVerdict",
     "is_monotone",
     "extension_probe",
-    "evaluate_probes",
     "ni_witness_search",
     "representability_check",
     "dichotomy_crosscheck",
@@ -185,43 +185,20 @@ def extension_probe(
     )
 
 
-def _evaluate(fitz, z: PairPoint) -> tuple:
-    cv = coupling_or_none(z)
-    try:
-        fv = fitz(z)
-    except OutsideModelDomain:
-        fv = None
-    return fv, cv
-
-
-def evaluate_probes(op: Operator, probes: ProbeSet) -> tuple:
-    """(op.fitz_closed(z), c(z)) at every probe, None where z leaves the model.
-
-    ``ni_witness_search`` and ``representability_check`` read the same
-    values; a caller running both on one probe set evaluates them once here
-    and passes them to each.
-    """
-    return tuple(_evaluate(op.fitz_closed, z) for z in probes.points)
-
-
-def ni_witness_search(
-    op_id: str, probes: ProbeSet, values: tuple | None = None
-) -> PropertyVerdict:
+def ni_witness_search(op_id: str, probes: ProbeSet, values: Iterable[tuple]) -> PropertyVerdict:
     """Search probes for fitz(z) < c(z), refuting the negative-infimum property.
 
     The closed-form Fitzpatrick value is an indicator here, so a witness is
     a graph point of the indicator's graph whose coupling is positive.
-    ``values`` are the probe values of ``evaluate_probes``; without them
-    each probe is evaluated as the search reaches it.  Verified only if at
-    least one probe was evaluated and none was skipped.
+    ``values`` are the pairs ``Operator.evaluate(z)`` along ``probes.points``,
+    read only as far as the search goes.  Verified only if at least one
+    probe was evaluated and none was skipped.
     """
-    if values is None:
-        values = map(partial(_evaluate, operator_for(op_id).fitz_closed), probes.points)
     seed = probes.descriptor.get("seed")
     checked = 0
     skipped = 0
     for z, (fv, cv) in zip(probes.points, values):
-        if fv is None or cv is None:
+        if cv is None:
             skipped += 1
             continue
         checked += 1
@@ -245,10 +222,9 @@ def representability_check(
     op: Operator,
     graph: SampledGraph,
     probes: ProbeSet,
+    values: tuple,
     seed: int = 0,
     convexity_pairs: int = 100,
-    values: tuple | None = None,
-    graph_values: tuple | None = None,
 ) -> PropertyVerdict:
     """Check op's closed-form Fitzpatrick function as a candidate representative.
 
@@ -257,17 +233,20 @@ def representability_check(
     values finite.  A probe strictly below the coupling is reported as a
     witness (it disqualifies fn from the representative class); equality on
     the graph failing refutes outright.  The equality set among probes is
-    reported for comparison with op's analytic graph.  With no graph points
+    reported for comparison with op's analytic graph.  A graph point or
+    probe whose coupling leaves the model is skipped.  With no graph points
     and no probes nothing is evaluated, and the verdict is inconclusive.
-    ``values`` are the probe values of ``evaluate_probes`` and
-    ``graph_values`` the pairs (fn(z), c(z)) at the graph points, each
-    computed here when not given.
+    ``values`` is a sequence, read twice, of the pairs ``Operator.evaluate(z)``
+    along ``probes.points``; the graph couplings are ``graph.couplings``.
     """
     fn = op.fitz_closed
     name = f"indicator({op.fitz_graph})"
-    if graph_values is None:
-        graph_values = ((fn(z), coupling_value(z)) for z in graph.points)
-    for z, (fv, cv) in zip(graph.points, graph_values):
+    skipped = 0
+    for z, cv in zip(graph.points, graph.couplings):
+        if cv is None:
+            skipped += 1
+            continue
+        fv = fn(z)
         if fv != cv:
             return PropertyVerdict(
                 property=f"representability({name})",
@@ -276,14 +255,11 @@ def representability_check(
                 stats={"graph_points": len(graph.points)},
                 seed=seed,
             )
-    if values is None:
-        values = evaluate_probes(op, probes)
     below: dict | None = None
     equality_set = 0
     equality_on_analytic = 0
-    skipped = 0
     for z, (fv, cv) in zip(probes.points, values):
-        if fv is None or cv is None:
+        if cv is None:
             skipped += 1
             continue
         if fv < cv and below is None:
@@ -294,20 +270,13 @@ def representability_check(
                 equality_on_analytic += 1
     rng = rng_for(seed, f"convexity:{name}")
     # A probe enters by its fn value alone, even if its coupling is outside the model.
-    finite = [
-        (z, fv) for z, (fv, _) in zip(probes.points, values) if fv is not None and fv != PLUS_INF
-    ]
+    finite = [(z, fv) for z, (fv, _) in zip(probes.points, values) if fv != PLUS_INF]
     convex_checked = 0
     for _ in range(convexity_pairs):
         if len(finite) < 2:
             break
         (z1, f1), (z2, f2) = rng.sample(finite, 2)
-        try:
-            mid = (z1 + z2).scale(Fraction(1, 2))
-            fm = fn(mid)
-        except OutsideModelDomain:
-            skipped += 1
-            continue
+        fm = fn((z1 + z2).scale(Fraction(1, 2)))
         convex_checked += 1
         if fm != PLUS_INF and fm > (f1 + f2) / 2:
             return PropertyVerdict(
@@ -376,9 +345,9 @@ def dichotomy_crosscheck(
     )
     probes = ProbeSet.generate(op_id, seed, truncation, probe_count)
     monotone = is_monotone(graph)
-    values = evaluate_probes(op, probes)
+    values = tuple(map(op.evaluate, probes.points))
     ni = ni_witness_search(op_id, probes, values)
-    representative = representability_check(op, graph, probes, seed=seed, values=values)
+    representative = representability_check(op, graph, probes, values, seed=seed)
 
     notes: list[str] = []
     if op_id == OP_G_FIRST:

@@ -18,7 +18,9 @@ adjoint's graph-point helpers) and call the library's ``apply_G`` and
 ``apply_Gstar``: they check how ``Operator``'s derived methods wire the
 kernels (which kernel, which sign, the mass condition), not the kernels.
 ``annihilator_basis`` is the former per-system row builders and basis
-branches of ``fitz.annihilator_truncated`` over ``nullspace`` above.
+branches of ``fitz.annihilator_truncated`` over ``nullspace`` above, and
+``divergence_certificate_first`` the former first-system-only divergence
+certificate, with its own copy of G-first's Fitzpatrick map.
 """
 
 from bisect import bisect
@@ -28,6 +30,7 @@ import math
 from operator import add, neg, sub
 
 from gossez_lab.adjoint import apply_Gstar as lib_apply_Gstar
+from gossez_lab.fitz import SampledGraph, fitz_sampled
 from gossez_lab.gossez import apply_G as lib_apply_G
 from gossez_lab.spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
@@ -411,3 +414,29 @@ def annihilator_basis(spanning, n, system):
             y = TailSeq(tuple(vec[n + 1 : 2 * n + 1]), (vec[2 * n + 1],))
             basis.append(PairPoint.second(ModelMeasure(atomic, vec[n]), y))
     return basis
+
+
+def divergence_certificate_first(z, threshold=10**6):
+    """Sampled values past ``threshold`` at an off-graph first-system point,
+    along the unit direction of the first index where y - Gx is nonzero."""
+    if z.system is not DualSystem.FIRST:
+        raise ValueError("divergence certificate works in the first system")
+    deviation = z.y - lib_apply_G(z.x)
+    head, tail = deviation.head, deviation.tail
+    entries = list(head) + list(tail)
+    index = next((n for n, v in enumerate(entries, start=1) if v != 0), None)
+    if index is None:
+        raise ValueError("point lies on the graph; no divergence available")
+    margin = entries[index - 1]
+    scale = Fraction(1) if margin > 0 else Fraction(-1)
+    while scale * margin <= threshold:
+        scale *= 10
+    direction = SparseSeq.unit(index).scale(scale)
+    sample = SampledGraph(DualSystem.FIRST, (PairPoint.first(direction, lib_apply_G(direction)),))
+    return {
+        "direction_index": index,
+        "scale": scale,
+        "value": fitz_sampled(z, sample),
+        "threshold": threshold,
+        "margin": margin,
+    }

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from gossez_lab.fitz import OPERATORS
+from gossez_lab.props import ni_witness_search
 from gossez_lab.sampling import graph_point_first, random_sparse
 from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq
 
@@ -96,3 +98,8 @@ def random_graph_points(
         graph_point_first(random_sparse(rng, max_index, max_support, max_num, max_den))
         for _ in range(count)
     ]
+
+
+def ni_search(op_id: str, probes):
+    """``ni_witness_search`` over the row's own values, evaluated lazily."""
+    return ni_witness_search(op_id, probes, map(OPERATORS[op_id].evaluate, probes.points))

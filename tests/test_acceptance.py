@@ -13,11 +13,11 @@ from gossez_lab.fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
     OP_NEGG_SECOND,
+    OPERATORS,
     SampledGraph,
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
-    fitz_closed_first,
     fitz_sampled,
     orthogonality_report,
 )
@@ -26,7 +26,6 @@ from gossez_lab.props import (
     ProbeSet,
     dichotomy_crosscheck,
     extension_probe,
-    ni_witness_search,
 )
 from gossez_lab.sampling import (
     embed_first,
@@ -47,7 +46,7 @@ from gossez_lab.spaces import (
     pair_measure,
 )
 from gossez_lab.verdict import REFUTED, VERIFIED, WITNESS_FOUND
-from strategies import random_graph_points
+from strategies import ni_search, random_graph_points
 
 F = Fraction
 
@@ -121,10 +120,11 @@ def test_criterion_06_fitz_first_duality():
     pool = unit_graph_points(12) + random_graph_points(rng, 188, 16, 6, 20, 20)
     graph = SampledGraph(DualSystem.FIRST, tuple(pool), source="Graph G")
     assert len(graph.points) == 200
+    g_first = OPERATORS[OP_G_FIRST]
     for z in graph.points:
-        assert fitz_closed_first(z) == 0
+        assert g_first.fitz_closed(z) == 0
     for z in off_graph_first(rng, 50, 32):
-        cert = divergence_certificate(z, threshold=10**6)
+        cert = divergence_certificate(g_first, z, threshold=10**6)
         assert cert["value"] > 10**6
     combos = 10**4
     for _ in range(combos):
@@ -134,7 +134,7 @@ def test_criterion_06_fitz_first_duality():
             z = off_graph_first(rng, 1, 16)[0]
         subset = tuple(rng.sample(graph.points, rng.randint(1, 6)))
         sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
-        assert fitz_sampled(z, sub) <= fitz_closed_first(z)
+        assert fitz_sampled(z, sub) <= g_first.fitz_closed(z)
     _passed(6, "Fitzpatrick first duality: 0 on 200 graph points, divergence "
                f"past 1e6 on 50 off-graph points, lower bound on {combos} combos")
 
@@ -167,14 +167,14 @@ def test_criterion_07_self_orthogonality():
 
 def test_criterion_08_ni_dichotomy():
     probes = ProbeSet.generate(OP_G_SECOND, SEED, 64, TRIALS)
-    verdict = ni_witness_search(OP_G_SECOND, probes)
+    verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["z"] == CANONICAL and witness["margin"] == 1
-    assert ni_witness_search(
+    assert ni_search(
         OP_NEGG_SECOND, ProbeSet.generate(OP_NEGG_SECOND, SEED, 64, TRIALS)
     ).status == VERIFIED
-    assert ni_witness_search(
+    assert ni_search(
         OP_G_FIRST, ProbeSet.generate(OP_G_FIRST, SEED, 64, TRIALS)
     ).status == VERIFIED
     rng = rng_for(SEED, "acceptance:mass")

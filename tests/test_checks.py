@@ -144,6 +144,22 @@ def test_single_check_run():
     assert report.all_passed
 
 
+def test_sds_i_off_graph_infinity_needs_its_certificate(monkeypatch):
+    # The +inf of the closed form at the unit-mass point off Graph(-G*) is
+    # only accepted with a sampled value above scale_max behind it.
+    import gossez_lab.checks as checks
+
+    certify = checks.divergence_certificate
+    monkeypatch.setattr(
+        checks,
+        "divergence_certificate",
+        lambda op, z, threshold: {**certify(op, z, threshold), "value": threshold},
+    )
+    (result,) = run_checks(CheckConfig(checks=("sds-i",), trials=20)).results
+    assert not result.passed
+    assert [f["property"] for f in result.stats["failures"]] == ["indicator-off-graph"]
+
+
 def test_empty_selection_gives_header_only_report():
     report = run_checks(CheckConfig(checks=()))
     assert report.results == ()

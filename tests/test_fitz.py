@@ -5,7 +5,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gossez_lab.fitz import (
@@ -20,7 +20,6 @@ from gossez_lab.fitz import (
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
-    fitz_closed_first,
     fitz_sampled,
     orthogonality_report,
 )
@@ -29,6 +28,8 @@ from gossez_lab.sampling import (
     embed_first,
     fitz_graph_samples,
     graph_point_first,
+    off_graph_first,
+    rng_for,
     unit_graph_points,
 )
 from gossez_lab.spaces import (
@@ -55,6 +56,7 @@ F = Fraction
 
 UNIT_MASS = ModelMeasure(SparseSeq.zero(), F(1))
 CANONICAL = PairPoint.second(UNIT_MASS, TailSeq.ones())
+G_FIRST = OPERATORS[OP_G_FIRST]
 G_SECOND = OPERATORS[OP_G_SECOND]
 NEGG_SECOND = OPERATORS[OP_NEGG_SECOND]
 # (mu, -G* mu) and (mu, G* mu): Fitzpatrick graph points of G and -G.
@@ -100,14 +102,14 @@ def test_fitz_sampled_empty_is_minus_inf():
 
 
 def test_fitz_closed_first_examples():
-    assert fitz_closed_first(graph_point_first(SparseSeq.unit(1))) == 0
-    assert fitz_closed_first(PairPoint.first(SparseSeq.zero(), TailSeq.ones())) == PLUS_INF
-    assert fitz_closed_first(PairPoint.zero(DualSystem.FIRST)) == 0
+    assert G_FIRST.fitz_closed(graph_point_first(SparseSeq.unit(1))) == 0
+    assert G_FIRST.fitz_closed(PairPoint.first(SparseSeq.zero(), TailSeq.ones())) == PLUS_INF
+    assert G_FIRST.fitz_closed(PairPoint.zero(DualSystem.FIRST)) == 0
 
 
 def test_fitz_closed_first_rejects_second_system():
     with pytest.raises(ValueError):
-        fitz_closed_first(CANONICAL)
+        G_FIRST.fitz_closed(CANONICAL)
 
 
 @given(sparse_seqs())
@@ -115,17 +117,75 @@ def test_sampled_below_closed_on_graph(x):
     z = graph_point_first(x)
     g = first_graph(x, SparseSeq.unit(1), seq(1, -2))
     sampled = fitz_sampled(z, g)
-    assert sampled <= fitz_closed_first(z)
+    assert sampled <= G_FIRST.fitz_closed(z)
     assert sampled == 0
 
 
 def test_divergence_certificate_exceeds_threshold():
     z = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
-    cert = divergence_certificate(z, threshold=10**6)
+    cert = divergence_certificate(G_FIRST, z, threshold=10**6)
     assert cert["value"] > 10**6
     on = graph_point_first(seq(1, 2))
     with pytest.raises(ValueError):
-        divergence_certificate(on)
+        divergence_certificate(G_FIRST, on)
+
+
+@st.composite
+def off_fitz_graph_points(draw, op_id):
+    """(z, d): the row's Fitzpatrick point moved by a nonzero deviation d,
+    often oscillating or zero on a head of up to six indices; second-system
+    x-parts often carry mass at infinity."""
+    op = OPERATORS[op_id]
+    x = draw(sparse_seqs())
+    if op.system is DualSystem.SECOND:
+        x = ModelMeasure(x, draw(st.one_of(st.just(F(0)), nonzero_rationals())))
+    zeros = tuple([0] * draw(st.integers(0, 6)))
+    c = draw(nonzero_rationals())
+    tail = draw(st.sampled_from([(c,), (1, -1), (0, c)]))
+    deviation = draw(st.one_of(st.just(TailSeq(zeros, tail)), tail_seqs()))
+    assume(deviation != TailSeq.zero())
+    return PairPoint(op.system, x, op.fitz_y(x) + deviation), deviation
+
+
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+@given(data=st.data(), threshold=st.sampled_from([1, 10**3, 10**6]))
+def test_divergence_certificate_on_every_row(op_id, data, threshold):
+    # The certificate's value is the sampled Fitzpatrick value at one graph
+    # point, scale * margin, with the margin the first nonzero deviation.
+    op = OPERATORS[op_id]
+    z, deviation = data.draw(off_fitz_graph_points(op_id))
+    assert op.fitz_closed(z) == PLUS_INF
+    cert = divergence_certificate(op, z, threshold)
+    index, scale, margin = cert["direction_index"], cert["scale"], cert["margin"]
+    assert all(deviation.value(n) == 0 for n in range(1, index))
+    assert margin == deviation.value(index) != 0
+    sample = op.sampled_graph([SparseSeq.unit(index).scale(scale)])
+    assert cert["value"] == fitz_sampled(z, sample) == scale * margin > threshold
+    assert cert["threshold"] == threshold
+
+
+@given(sparse_seqs(), tail_seqs())
+def test_divergence_certificate_matches_the_first_system_oracle(x, y):
+    z = PairPoint.first(x, y)
+    assume(not G_FIRST.on_fitz_graph(z))
+    assert divergence_certificate(G_FIRST, z) == ref.divergence_certificate_first(z)
+
+
+def test_divergence_certificate_matches_the_oracle_on_off_graph_samples():
+    for z in off_graph_first(rng_for(0, "certificate-oracle"), 200, 32):
+        assert divergence_certificate(G_FIRST, z) == ref.divergence_certificate_first(z)
+
+
+@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
+def test_divergence_certificate_refuses_graph_and_other_system_points(op_id):
+    op = OPERATORS[op_id]
+    x = seq(1, F(-2, 3), 0, 4)
+    x_part = x if op.system is DualSystem.FIRST else ModelMeasure(x, F(5, 2))
+    with pytest.raises(ValueError, match="Fitzpatrick graph"):
+        divergence_certificate(op, op.fitz_point(x_part))
+    other = DualSystem.SECOND if op.system is DualSystem.FIRST else DualSystem.FIRST
+    with pytest.raises(ValueError, match="expects"):
+        divergence_certificate(op, PairPoint(other, PairPoint.zero(other).x, TailSeq.ones()))
 
 
 def test_fitz_closed_second_G_examples():
@@ -300,7 +360,6 @@ def test_orthogonality_on_empty_graphs_is_inconclusive():
 
 def test_operator_table_entries():
     assert list(OPERATORS) == [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND]
-    assert fitz_closed_first == OPERATORS[OP_G_FIRST].fitz_closed
     rows = {
         op.id: (op.system, op.graph_label, op.fitz_graph, op.profile)
         for op in OPERATORS.values()

@@ -9,10 +9,10 @@ from fractions import Fraction
 from hypothesis import given
 
 from dense_reference import alpha
+from gossez_lab.fitz import OP_NEGG_SECOND, OPERATORS
 from gossez_lab.gossez import (
     alternating,
     apply_G,
-    apply_negG,
     range_ratio_family,
     solve_G,
     weakstar_approximate,
@@ -45,6 +45,7 @@ def test_apply_G_examples():
 
 
 def test_apply_negG_examples():
+    apply_negG = OPERATORS[OP_NEGG_SECOND].graph_y
     assert apply_negG(SparseSeq.zero()) == TailSeq.zero()
     assert apply_negG(SparseSeq.unit(1)) == TailSeq.constant(1, head=[0])
     assert apply_negG(seq(1, 1)) == TailSeq.constant(2, head=[-1, 1])

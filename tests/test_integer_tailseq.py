@@ -9,7 +9,8 @@ and hashes whatever route built them, and the ``Fraction`` views
 equal the dense reference.  The SparseSeq paths that skip
 validation must give what the validated constructor gives, and ``fds``
 and ``sds-ii`` must evaluate the closed-form Fitzpatrick value once per
-probe (and ``fds`` once per graph point).
+probe (and ``fds`` twice per graph point: once for its own tally and
+lower-bound draws, once in the representability graph scan).
 """
 
 import copy
@@ -26,14 +27,9 @@ from hypothesis import strategies as st
 import dense_reference as ref
 from gossez_lab import checks
 from gossez_lab.adjoint import apply_Gstar
-from gossez_lab.fitz import OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND, OPERATORS, Operator
+from gossez_lab.fitz import OP_G_SECOND, OPERATORS, Operator
 from gossez_lab.gossez import _shifted_G, apply_G, solve_G
-from gossez_lab.props import (
-    ProbeSet,
-    evaluate_probes,
-    ni_witness_search,
-    representability_check,
-)
+from gossez_lab.props import ProbeSet, ni_witness_search
 from gossez_lab.sampling import random_sparse
 from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq, as_fraction
 from gossez_lab.verdict import VERIFIED
@@ -330,7 +326,7 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     assert stats["ni"]["probes_checked"] == len(calls) == 40
 
 
-def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
+def test_fitz_closed_runs_twice_per_graph_point_in_fds(monkeypatch):
     graph_ids: set[int] = set()
     calls: dict[int, int] = {}
     sampled_graph, fitz_closed = Operator.sampled_graph, Operator.fitz_closed
@@ -352,30 +348,17 @@ def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
     status, stats = _run_one(checks._run_fds, checks.CheckConfig(trials=40))
     assert status == VERIFIED
-    # Every graph point, also those the lower-bound draws pick again.
+    # Every graph point twice: once in the check's own list, which the
+    # lower-bound draws read again, and once in the representability scan.
     assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
-    assert set(calls.values()) == {1}
-
-
-@pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
-def test_shared_probe_values_give_the_same_verdicts(op_id):
-    op = OPERATORS[op_id]
-    probes = ProbeSet.generate(op_id, 3, 16, 60)
-    graph = op.sampled_graph(SparseSeq.unit(k) for k in range(1, 18))
-    values = evaluate_probes(op, probes)
-    assert len(values) == len(probes)
-    shared = ni_witness_search(op_id, probes, values)
-    alone = ni_witness_search(op_id, probes)
-    assert shared == alone and shared.to_json() == alone.to_json()
-    shared = representability_check(op, graph, probes, seed=3, values=values)
-    alone = representability_check(op, graph, probes, seed=3)
-    assert shared == alone and shared.to_json() == alone.to_json()
+    assert set(calls.values()) == {2}
 
 
 def test_probe_values_mark_points_outside_the_model():
     op = OPERATORS[OP_G_SECOND]
     oscillating = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([0, 1]))
     probes = ProbeSet(op.system, (oscillating, PairPoint.zero(op.system)))
-    assert evaluate_probes(op, probes) == ((math.inf, None), (F(0), F(0)))
-    verdict = ni_witness_search(OP_G_SECOND, probes)
+    values = tuple(map(op.evaluate, probes.points))
+    assert values == ((math.inf, None), (F(0), F(0)))
+    verdict = ni_witness_search(OP_G_SECOND, probes, values)
     assert verdict.stats == {"probes_checked": 1, "skipped": 1}

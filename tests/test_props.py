@@ -22,7 +22,6 @@ from gossez_lab.props import (
     dichotomy_crosscheck,
     extension_probe,
     is_monotone,
-    ni_witness_search,
     representability_check,
 )
 from gossez_lab.sampling import (
@@ -43,12 +42,18 @@ from gossez_lab.spaces import (
 )
 from gossez_lab.verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND
 
-from strategies import random_graph_points, seq, sparse_seqs, tail_seqs
+from strategies import ni_search, random_graph_points, seq, sparse_seqs, tail_seqs
 
 F = Fraction
 
 UNIT_MASS = ModelMeasure(SparseSeq.zero(), F(1))
 CANONICAL = PairPoint.second(UNIT_MASS, TailSeq.ones())
+
+
+def represent(op, graph, probes, **kwargs):
+    """``representability_check`` over the row's own probe values."""
+    values = tuple(map(op.evaluate, probes.points))
+    return representability_check(op, graph, probes, values, **kwargs)
 
 
 def graph_samples(count=20, seed=7) -> SampledGraph:
@@ -295,7 +300,7 @@ def test_off_graph_probes_all_refuted():
 
 def test_ni_search_finds_canonical_witness_for_G_second():
     probes = ProbeSet.generate(OP_G_SECOND, 0, 16, 100)
-    verdict = ni_witness_search(OP_G_SECOND, probes)
+    verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["z"] == CANONICAL
@@ -307,22 +312,22 @@ def test_ni_margin_is_squared_mass():
     a = F(3, 2)
     z = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure(SparseSeq.zero(), a))
     probes = ProbeSet(DualSystem.SECOND, (z,), {"seed": 0})
-    verdict = ni_witness_search(OP_G_SECOND, probes)
+    verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     assert verdict.witnesses[0]["margin"] == a * a
 
 
 def test_ni_search_finds_nothing_for_negG_second_and_G_first():
     second = ProbeSet.generate(OP_NEGG_SECOND, 0, 16, 200)
-    assert ni_witness_search(OP_NEGG_SECOND, second).status == VERIFIED
+    assert ni_search(OP_NEGG_SECOND, second).status == VERIFIED
     first = ProbeSet.generate(OP_G_FIRST, 0, 16, 200)
-    assert ni_witness_search(OP_G_FIRST, first).status == VERIFIED
+    assert ni_search(OP_G_FIRST, first).status == VERIFIED
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
 def test_ni_search_on_empty_probes_is_inconclusive(op_id):
     probes = ProbeSet(OPERATORS[op_id].system, (), {"seed": 0})
-    verdict = ni_witness_search(op_id, probes)
+    verdict = ni_search(op_id, probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats == {"probes_checked": 0, "skipped": 0}
 
@@ -333,7 +338,7 @@ def test_ni_search_on_empty_probes_is_inconclusive(op_id):
 def test_representability_of_first_indicator():
     g = graph_samples(15)
     probes = ProbeSet.generate(OP_G_FIRST, 1, 16, 150)
-    verdict = representability_check(OPERATORS[OP_G_FIRST], g, probes, seed=1)
+    verdict = represent(OPERATORS[OP_G_FIRST], g, probes, seed=1)
     assert verdict.status == VERIFIED
     assert verdict.stats["equality_set"] > 0
 
@@ -345,7 +350,7 @@ def test_representability_of_second_fitzpatrick_reports_below_witness():
         source="Graph G embedded",
     )
     probes = ProbeSet.generate(OP_G_SECOND, 0, 16, 100)
-    verdict = representability_check(OPERATORS[OP_G_SECOND], embedded, probes, seed=0)
+    verdict = represent(OPERATORS[OP_G_SECOND], embedded, probes, seed=0)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["fn"] == 0 and witness["coupling"] > 0
@@ -358,7 +363,7 @@ def test_representability_refutes_wrong_function():
     # is +inf there while the coupling is 1, so equality on the graph fails.
     g = SampledGraph(DualSystem.SECOND, (CANONICAL,), source="Graph negG*")
     probes = ProbeSet.generate(OP_NEGG_SECOND, 2, 16, 50)
-    verdict = representability_check(OPERATORS[OP_NEGG_SECOND], g, probes, seed=2)
+    verdict = represent(OPERATORS[OP_NEGG_SECOND], g, probes, seed=2)
     assert verdict.status == REFUTED
     witness = verdict.witnesses[0]
     assert witness["z"] == CANONICAL
@@ -371,12 +376,27 @@ def test_representability_with_nothing_to_evaluate_is_inconclusive(op_id):
     op = OPERATORS[op_id]
     graph = SampledGraph(op.system, (), op.graph_label)
     no_probes = ProbeSet(op.system, (), {"seed": 0})
-    verdict = representability_check(op, graph, no_probes)
+    verdict = represent(op, graph, no_probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["graph_points"] == 0 and verdict.stats["probes"] == 0
     # Graph points alone are evaluated (fn = c on each), so they verify.
     graph = op.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
-    assert representability_check(op, graph, no_probes).status == VERIFIED
+    assert represent(op, graph, no_probes).status == VERIFIED
+
+
+@pytest.mark.parametrize("op_id", [OP_G_SECOND, OP_NEGG_SECOND])
+def test_representability_skips_graph_points_outside_the_model(op_id):
+    # Mass at infinity against an oscillating y: c(z) is undefined.  As a
+    # graph point it is skipped just as it is as a probe, not a crash.
+    op = OPERATORS[op_id]
+    outside = PairPoint.second(UNIT_MASS, TailSeq.periodic([1, -1]))
+    graph = SampledGraph(DualSystem.SECOND, (op.graph_point(SparseSeq.unit(1)), outside))
+    no_probes = ProbeSet(op.system, (), {"seed": 0})
+    verdict = represent(op, graph, no_probes)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.stats["skipped"] == 1 and verdict.stats["graph_points"] == 2
+    as_probe = represent(op, op.sampled_graph([SparseSeq.unit(1)]), ProbeSet(op.system, (outside,)))
+    assert as_probe.status == INCONCLUSIVE and as_probe.stats["skipped"] == 1
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
@@ -388,8 +408,8 @@ def test_representability_evaluates_each_probe_once(op_id):
     counting = dataclasses.replace(op, fitz_y=lambda x: calls.append(x) or op.fitz_y(x))
     graph = counting.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
     probes = ProbeSet.generate(op_id, 3, 16, 60)
-    verdict = representability_check(counting, graph, probes, seed=3, convexity_pairs=40)
-    assert verdict == representability_check(op, graph, probes, seed=3, convexity_pairs=40)
+    verdict = represent(counting, graph, probes, seed=3, convexity_pairs=40)
+    assert verdict == represent(op, graph, probes, seed=3, convexity_pairs=40)
     assert verdict.stats["convexity_pairs"] > 0
     midpoints = verdict.stats["convexity_pairs"] + verdict.stats["skipped"]
     assert len(calls) <= len(graph.points) + len(probes.points) + midpoints
