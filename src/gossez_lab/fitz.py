@@ -46,7 +46,7 @@ from .spaces import (
     TailSeq,
     XPart,
     coupling_value,
-    natural_couple,
+    natural_couple_terms,
 )
 from .verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND, PropertyVerdict
 
@@ -119,14 +119,20 @@ def fitz_sampled(z: PairPoint, graph: SampledGraph) -> ExtendedRational:
     """Exact max of z.w - c(w) over the sample; -inf for the empty sample.
 
     A lower bound for the Fitzpatrick value over any graph containing the
-    sample.  Raises OutsideModelDomain if a pairing is not evaluable.
+    sample.  Raises OutsideModelDomain if a pairing is not evaluable.  The
+    candidates are compared as integer fractions over positive
+    denominators; the max alone becomes a ``Fraction``.
     """
-    best: ExtendedRational = MINUS_INF
-    for w in graph.points:
-        candidate = natural_couple(z, w) - coupling_value(w)
-        if best is MINUS_INF or candidate > best:
-            best = candidate
-    return best
+    best_num, best_den = -1, 0  # -inf: below every candidate
+    for w, cw in zip(graph.points, graph.couplings):
+        if cw is None:
+            raise OutsideModelDomain("a sample point's coupling leaves the model")
+        a, d = natural_couple_terms(z, w)
+        p, q = cw.numerator, cw.denominator
+        num, den = a * q - p * d, d * q
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den) if best_den else MINUS_INF
 
 
 @dataclass(frozen=True)
@@ -359,9 +365,9 @@ def annihilator_truncated(
 def annihilator_violation(z: PairPoint, spanning: Iterable[PairPoint]) -> dict | None:
     """First spanning element w with z.w != 0, or None if z annihilates all."""
     for w in spanning:
-        value = natural_couple(z, w)
-        if value != 0:
-            return {"point": z, "against": w, "value": value}
+        num, den = natural_couple_terms(z, w)
+        if num:
+            return {"point": z, "against": w, "value": Fraction(num, den)}
     return None
 
 
@@ -377,15 +383,15 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
     for z in b.points:
         for w in a.points:
             try:
-                value = natural_couple(z, w)
+                num, den = natural_couple_terms(z, w)
             except OutsideModelDomain:
                 skipped += 1
                 continue
-            if value != 0:
+            if num:
                 return PropertyVerdict(
                     property="orthogonality",
                     status=REFUTED,
-                    witnesses=({"z": z, "w": w, "value": value},),
+                    witnesses=({"z": z, "w": w, "value": Fraction(num, den)},),
                     stats={
                         "pairs_checked": zeros + skipped + 1,
                         "zeros": zeros,

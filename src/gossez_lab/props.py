@@ -37,7 +37,7 @@ from .spaces import (
     SparseSeq,
     TailSeq,
     coupling_value,
-    natural_couple,
+    natural_couple_terms,
 )
 from .verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND, PropertyVerdict
 
@@ -52,53 +52,60 @@ __all__ = [
 ]
 
 
-def _difference_coupling(
-    z1: PairPoint, c1: Fraction | None, z2: PairPoint, c2: Fraction | None
-) -> Fraction:
-    """c(z1 - z2), from the couplings c1 = c(z1) and c2 = c(z2) when both exist.
+def _difference_terms(
+    z1: PairPoint, t1: tuple[int, int] | None, z2: PairPoint, t2: tuple[int, int] | None
+) -> tuple[int, int]:
+    """c(z1 - z2) as an unreduced (numerator, denominator > 0) pair, from the
+    couplings t1 = c(z1) and t2 = c(z2) as (numerator, denominator) when both exist.
 
     The coupling is bilinear: c(z1 - z2) = c(z1) + c(z2) - z1.z2.  A term
     may leave the model where the difference does not (two measures with
     equal mass at infinity cancel it), so the difference point is built
     only then.  Raises OutsideModelDomain when c(z1 - z2) itself does.
     """
-    if c1 is not None and c2 is not None:
+    if t1 is not None and t2 is not None:
         try:
-            return c1 + c2 - natural_couple(z1, z2)
+            a, d = natural_couple_terms(z1, z2)
         except OutsideModelDomain:
             pass
-    return coupling_value(z1 - z2)
+        else:
+            (p1, q1), (p2, q2) = t1, t2
+            return (p1 * q2 + p2 * q1) * d - a * q1 * q2, q1 * q2 * d
+    value = coupling_value(z1 - z2)
+    return value.numerator, value.denominator
 
 
 def is_monotone(graph: SampledGraph) -> PropertyVerdict:
     """Check c(z1 - z2) >= 0 over all unordered sample pairs.
 
-    c(z) is computed once per sample point.  Verified only if at least one
-    pair was evaluated and none was skipped.
+    c(z) is computed once per sample point.  The pair values stay integer
+    fractions over positive denominators, so signs and the running minimum
+    are decided on ints.  Verified only if at least one pair was evaluated
+    and none was skipped.
     """
-    couplings = graph.couplings
+    terms = [None if c is None else (c.numerator, c.denominator) for c in graph.couplings]
     checked = 0
     skipped = 0
-    minimum: Fraction | None = None
-    for (z1, c1), (z2, c2) in combinations(zip(graph.points, couplings), 2):
+    min_num, min_den = 0, 0  # no value yet
+    for (z1, t1), (z2, t2) in combinations(zip(graph.points, terms), 2):
         try:
-            value = _difference_coupling(z1, c1, z2, c2)
+            num, den = _difference_terms(z1, t1, z2, t2)
         except OutsideModelDomain:
             skipped += 1
             continue
         checked += 1
-        if minimum is None or value < minimum:
-            minimum = value
-        if value < 0:
+        if not min_den or num * min_den < min_num * den:
+            min_num, min_den = num, den
+        if num < 0:
             return PropertyVerdict(
                 property="monotone",
                 status=REFUTED,
-                witnesses=({"z1": z1, "z2": z2, "value": value},),
+                witnesses=({"z1": z1, "z2": z2, "value": Fraction(num, den)},),
                 stats={"pairs_checked": checked, "skipped": skipped},
             )
     stats = {"pairs_checked": checked, "skipped": skipped}
-    if minimum is not None:
-        stats["min_value"] = minimum
+    if min_den:
+        stats["min_value"] = Fraction(min_num, min_den)
     return PropertyVerdict(
         property="monotone",
         status=VERIFIED if checked and not skipped else INCONCLUSIVE,
@@ -147,20 +154,23 @@ def extension_probe(
     skipped = 0
     # Every ladder scale is an integer, so t is its own numerator.
     steps = [(t, t.numerator) for t in ladder]
+    cz_num, cz_den = cz.numerator, cz.denominator
     for w, cw in zip(graph.points, graph.couplings):
-        try:
-            zw = natural_couple(z, w)
-        except OutsideModelDomain:
-            cw = None
         if cw is None:
+            skipped += 1
+            continue
+        try:
+            zw_num, zw_den = natural_couple_terms(z, w)
+        except OutsideModelDomain:
             skipped += 1
             continue
         # c(z - t*w) = cz - t*zw + t^2*cw, exact for every scale; its sign is
         # that of A - t*B + t^2*C, the numerators over one positive denominator.
-        den = math.lcm(cz.denominator, zw.denominator, cw.denominator)
-        a = cz.numerator * (den // cz.denominator)
-        b = zw.numerator * (den // zw.denominator)
-        c = cw.numerator * (den // cw.denominator)
+        cw_den = cw.denominator
+        den = math.lcm(cz_den, zw_den, cw_den)
+        a = cz_num * (den // cz_den)
+        b = zw_num * (den // zw_den)
+        c = cw.numerator * (den // cw_den)
         for t, p in steps:
             checked += 1
             numerator = a - p * b + p * p * c

@@ -4,6 +4,16 @@ All randomness flows through `random.Random` seeded with a string derived
 from (seed, label), so identical descriptors reproduce identical objects,
 bit for bit.  Magnitude caps keep the exact arithmetic fast and keep scaled
 refutation searches inside the default scale ladder.
+
+Draws are ints.  ``_randint`` and ``_draw_fractions`` take ``getrandbits``
+as ``Random.randint`` does, and ``_sample_range`` replays
+``Random.sample(range(1, n + 1), k)``, whose code is the same in CPython
+3.10 to 3.13, without building the range; each consumes the generator's
+bits exactly as the stdlib call it replaces, so the report bytes depend on
+the seed alone.  Sparse sequences, tails and off-graph deviations are
+built from the drawn numerators by the integer kernel constructors
+(``SparseSeq._from_ints``, ``TailSeq._from_runs``), never from dense
+``Fraction`` heads: an off-graph point costs O(support) at any window.
 """
 
 from __future__ import annotations
@@ -17,8 +27,6 @@ from .fitz import OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND, OPERATORS, operator_f
 from .gossez import apply_G
 from .spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
-_ZERO = Fraction(0)
-
 
 def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
@@ -31,7 +39,7 @@ def _randint(rng: random.Random, low: int, high: int) -> int:
     ``a + r`` with ``r = getrandbits(k)`` for ``k`` the bit length of the
     width ``b - a + 1``, redrawn until ``r`` is below the width
     (``Random._randbelow_with_getrandbits``, the same in CPython 3.10 to
-    3.12).  Drawing the same way consumes the generator's bits exactly as
+    3.13).  Drawing the same way consumes the generator's bits exactly as
     ``randint`` does, so every seed reproduces the same objects and the
     same reports.  This holds for ``random.Random`` itself, whose
     ``_randbelow`` is that method; ``rng_for`` makes only such generators.
@@ -49,10 +57,80 @@ def _randint(rng: random.Random, low: int, high: int) -> int:
 def random_rational(
     rng: random.Random, max_num: int = 1000, max_den: int = 1000, nonzero: bool = False
 ) -> Fraction:
-    num = _randint(rng, -max_num, max_num)
-    while nonzero and num == 0:
-        num = _randint(rng, -max_num, max_num)
-    return Fraction(num, _randint(rng, 1, max_den))
+    (num,), den = _draw_fractions(rng, 1, max_num, max_den, nonzero)
+    return Fraction(num, den)
+
+
+def _draw_fractions(
+    rng: random.Random, count: int, max_num: int, max_den: int, nonzero: bool = False
+) -> tuple[list[int], int]:
+    """``count`` rationals drawn as ints: their numerators over the lcm of
+    the drawn denominators, and that lcm.
+
+    Each value takes the bits that ``Fraction(randint(-max_num, max_num),
+    randint(1, max_den))`` takes, drawn inline under ``_randint``'s
+    contract: a numerator redrawn while it is out of range or, for
+    ``nonzero``, zero (``random_rational`` calls ``randint`` anew), then a
+    denominator.  The denominator is common but not least; the kernels'
+    constructors reduce it.
+    """
+    width = 2 * max_num + 1
+    if width < 1 or max_den < 1:
+        raise ValueError(f"empty range for a rational with |p| <= {max_num}, 1 <= q <= {max_den}")
+    getrandbits = rng.getrandbits
+    num_bits, den_bits = width.bit_length(), max_den.bit_length()
+    zero = max_num if nonzero else -1  # the draw of a zero numerator, when redrawn
+    nums, dens = [], []
+    for _ in range(count):
+        r = getrandbits(num_bits)
+        while r >= width or r == zero:
+            r = getrandbits(num_bits)
+        q = getrandbits(den_bits)
+        while q >= max_den:
+            q = getrandbits(den_bits)
+        nums.append(r - max_num)
+        dens.append(q + 1)
+    den = math.lcm(*dens)
+    return [n * (den // q) for n, q in zip(nums, dens)], den
+
+
+def _sample_range(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(1, n + 1), k)``, drawn as ints without the range.
+
+    A replica of ``random.Random.sample`` on a range population, whose code
+    is the same in CPython 3.10 to 3.13: a pool of n values when n is at
+    most ``setsize`` (a set of k selections would be larger), else a set of
+    the selected positions, redrawn on a repeat.  Each position is one
+    ``_randbelow``, drawn as ``_randint`` draws; the same bits are consumed
+    and the same values returned in the same order, and the set branch
+    never builds the population.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(range(1, n + 1))
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+        return result
+    bits = n.bit_length()
+    selected: set[int] = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(j + 1)
+    return result
 
 
 def random_sparse(
@@ -63,41 +141,43 @@ def random_sparse(
     max_den: int = 1000,
 ) -> SparseSeq:
     k = _randint(rng, 1, min(max_support, max_index))
-    indices = sorted(rng.sample(range(1, max_index + 1), k))
-    # One nonzero p/q per index, drawn as random_rational draws it and
-    # reduced; the lcm of the reduced denominators is the least one.
-    nums, dens = [], []
-    den = 1
-    for _ in indices:
-        num = _randint(rng, -max_num, max_num)
-        while num == 0:
-            num = _randint(rng, -max_num, max_num)
-        q = _randint(rng, 1, max_den)
-        common = math.gcd(num, q)
-        nums.append(num // common)
-        dens.append(q // common)
-        den = math.lcm(den, dens[-1])
-    return SparseSeq._from_ints(
-        tuple(indices), tuple([n * (den // q) for n, q in zip(nums, dens)]), den
-    )
+    indices = sorted(_sample_range(rng, max_index, k))
+    # One nonzero p/q per index; _from_ints reduces to the least denominator.
+    nums, den = _draw_fractions(rng, k, max_num, max_den, nonzero=True)
+    return SparseSeq._from_ints(tuple(indices), tuple(nums), den)
+
+
+def _tail_seq(head: tuple[list[int], int], tail: tuple[list[int], int]) -> TailSeq:
+    """``TailSeq(head, tail)`` of drawn (numerators, denominator) pairs,
+    built from integer runs."""
+    (head_nums, head_den), (tail_nums, tail_den) = head, tail
+    den = math.lcm(head_den, tail_den)
+    ends: list[int] = []
+    runs: list[int] = []
+    for n, v in enumerate(head_nums, start=1):
+        v *= den // head_den
+        if runs and runs[-1] == v:
+            ends[-1] = n
+        else:
+            ends.append(n)
+            runs.append(v)
+    tail_nums = tuple([v * (den // tail_den) for v in tail_nums])
+    return TailSeq._from_runs(tuple(ends), tuple(runs), tail_nums, den)
 
 
 def random_tail(
     rng: random.Random, max_head: int = 4, max_num: int = 100, max_den: int = 100
 ) -> TailSeq:
-    head = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 0, max_head)))
-    if rng.random() < 0.5:
-        tail: tuple[Fraction, ...] = (random_rational(rng, max_num, max_den),)
-    else:
-        tail = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 2, 3)))
-    return TailSeq(head, tail)
+    head = _draw_fractions(rng, _randint(rng, 0, max_head), max_num, max_den)
+    period = 1 if rng.random() < 0.5 else _randint(rng, 2, 3)
+    return _tail_seq(head, _draw_fractions(rng, period, max_num, max_den))
 
 
 def random_constant_tail(
     rng: random.Random, max_head: int = 4, max_num: int = 100, max_den: int = 100
 ) -> TailSeq:
-    head = tuple(random_rational(rng, max_num, max_den) for _ in range(_randint(rng, 0, max_head)))
-    return TailSeq.constant(random_rational(rng, max_num, max_den), head)
+    head = _draw_fractions(rng, _randint(rng, 0, max_head), max_num, max_den)
+    return _tail_seq(head, _draw_fractions(rng, 1, max_num, max_den))
 
 
 def random_measure(
@@ -138,20 +218,33 @@ def off_graph_first(
 
     The deviation is supported on indices 1..max_index with zero tail, so
     any sample set containing the unit graph points up to max_index can
-    detect and refute it.
+    detect and refute it.  It is built from integer runs, one per support
+    index and one per gap, so a point costs O(support) at any window.
     """
     points = []
     for _ in range(count):
         x = random_sparse(rng, max_index, 6, max_num, max_den)
         dev_index = _randint(rng, 1, max_index)
-        values = {dev_index: random_rational(rng, max_num, max_den, nonzero=True)}
+        (p,), q = _draw_fractions(rng, 1, max_num, max_den, nonzero=True)
         extra = random_sparse(rng, max_index, 3, max_num, max_den)
+        # Numerators over q * extra.den, by index.
+        values = {dev_index: p * extra.den}
         for n, num in zip(extra.indices, extra.nums):
             if n != dev_index and rng.random() < 0.5:
-                values[n] = Fraction(num, extra.den)
-        top = max(values)
-        head = [values.get(n, _ZERO) for n in range(1, top + 1)]
-        deviation = TailSeq.constant(0, head)
+                values[n] = num * q
+        ends: list[int] = []
+        runs: list[int] = []
+        for n in sorted(values):
+            covered = ends[-1] if ends else 0
+            if n - 1 > covered:  # a zero gap; it never equals a value
+                ends.append(n - 1)
+                runs.append(0)
+            elif runs and runs[-1] == values[n]:
+                ends[-1] = n
+                continue
+            ends.append(n)
+            runs.append(values[n])
+        deviation = TailSeq._from_runs(tuple(ends), tuple(runs), (0,), q * extra.den)
         points.append(PairPoint.first(x, apply_G(x) + deviation))
     return points
 

@@ -25,7 +25,9 @@ z.w = c(x_z, y_w) + c(x_w, y_z) on pairs.
 
 The hot kernels do no ``Fraction`` arithmetic.  ``couple``,
 ``pair_measure`` and ``natural_couple`` take one integer dot product of
-the numerators and build one normalised ``Fraction`` at the end.  The
+the numerators and build one normalised ``Fraction`` at the end;
+``natural_couple_terms`` stops before it, for callers that only test a
+sign or a zero.  The
 ``SparseSeq`` kernels (sums, negation, scaling, sums of entries, the l1
 norm, equality and hashing) and the ``TailSeq`` kernels (sums, negation,
 scaling, equality, hashing, the sup norm and the canonical trim) work on
@@ -372,15 +374,15 @@ class TailSeq:
 
         The one construction hook of both the public and the kernel path.
         """
-        tail = _minimal_period(tail)
+        if len(tail) > 1:
+            tail = _minimal_period(tail)
         period = len(tail)
-        length = keep = ends[-1] if ends else 0
-        if period == 1:
+        if period == 1 and nums and nums[-1] == tail[0]:
             # A run equal to the constant tail is absorbed whole; the run
             # before it differs from it.
-            if nums and nums[-1] == tail[0]:
-                keep = ends[-2] if len(ends) > 1 else 0
-        else:
+            ends, nums = ends[:-1], nums[:-1]
+        length = keep = ends[-1] if ends else 0
+        if period > 1:
             # The pattern is not constant, so the trim stops within one
             # period of entering a run: O(period) steps per run crossed.
             run = len(ends) - 1
@@ -388,21 +390,21 @@ class TailSeq:
                 keep -= 1
                 if run and keep == ends[run - 1]:
                     run -= 1
-        if keep != length:
-            cut = bisect_left(ends, keep)  # the run holding index keep
-            ends = ends[:cut] + (keep,) if keep else ()
-            nums = nums[: cut + 1] if keep else ()
-            shift = (length - keep) % period
-            if shift:
-                tail = tail[-shift:] + tail[:-shift]
+            if keep != length:
+                cut = bisect_left(ends, keep)  # the run holding index keep
+                ends = ends[:cut] + (keep,) if keep else ()
+                nums = nums[: cut + 1] if keep else ()
+                shift = (length - keep) % period
+                if shift:
+                    tail = tail[-shift:] + tail[:-shift]
         # Every trimmed value recurs in the pattern, so the trim leaves the
         # gcd alone; it is taken over what is left.
         if den != 1:
             common = math.gcd(math.gcd(*nums), math.gcd(*tail), den)
             if common != 1:
                 den //= common
-                nums = tuple(n // common for n in nums)
-                tail = tuple(t // common for t in tail)
+                nums = tuple([n // common for n in nums])
+                tail = tuple([t // common for t in tail])
         set_attr = object.__setattr__
         set_attr(self, "run_ends", ends)
         set_attr(self, "run_nums", nums)
@@ -551,6 +553,8 @@ class TailSeq:
         # one common period, on numerators over the lcm of both
         # denominators; equal neighbouring results merge into one run.
         den = math.lcm(self.den, other.den)
+        if len(self.tail_nums) == 1 == len(other.tail_nums):
+            return self._combine_convergent(other, op, den)
         head_len = max(self._head_len, other._head_len)
         upto = head_len + math.lcm(len(self.tail_nums), len(other.tail_nums))
         pieces_a = self._pieces(upto, den // self.den)
@@ -576,6 +580,42 @@ class TailSeq:
             i += end_a == end
             j += end_b == end
         return TailSeq._from_runs(tuple(ends), tuple(nums), tuple(tail), den)
+
+    def _combine_convergent(self, other: TailSeq, op, den: int) -> TailSeq:
+        """``_combine`` of two constant tails: the run ends of both heads
+        merged directly, each operand's tail standing as one last run past
+        its head; no pieces are built."""
+        fa, fb = den // self.den, den // other.den
+        nums_a = self.run_nums + self.tail_nums
+        nums_b = other.run_nums + other.tail_nums
+        if fa != 1:
+            nums_a = [n * fa for n in nums_a]
+        if fb != 1:
+            nums_b = [n * fb for n in nums_b]
+        head_len = max(self._head_len, other._head_len)
+        past = head_len + 1  # the end of each tail run: past the longer head
+        ends_a, ends_b = self.run_ends + (past,), other.run_ends + (past,)
+        ends: list[int] = []
+        nums: list[int] = []
+        i = j = 0
+        end_a, end_b = ends_a[0], ends_b[0]
+        while True:
+            end = end_a if end_a < end_b else end_b
+            v = op(nums_a[i], nums_b[j])
+            if end == past:
+                break
+            if nums and v == nums[-1]:
+                ends[-1] = end
+            else:
+                ends.append(end)
+                nums.append(v)
+            if end_a == end:
+                i += 1
+                end_a = ends_a[i]
+            if end_b == end:
+                j += 1
+                end_b = ends_b[j]
+        return TailSeq._from_runs(tuple(ends), tuple(nums), (v,), den)
 
     def __add__(self, other: TailSeq) -> TailSeq:
         return self._combine(other, operator.add)
@@ -798,9 +838,25 @@ def coupling_value(z: PairPoint) -> Fraction:
 
 
 def _cross_terms(x: XPart, y: TailSeq) -> tuple[int, int]:
-    if isinstance(x, SparseSeq):
+    if x.__class__ is SparseSeq:
         return _couple_terms(x, y)
     return _measure_terms(x, y)
+
+
+def natural_couple_terms(z: PairPoint, w: PairPoint) -> tuple[int, int]:
+    """z.w as an unreduced (numerator, denominator > 0) pair.
+
+    The integer form of ``natural_couple``: its sign and its zeros are
+    those of the numerator, so a caller that tests them builds a
+    ``Fraction`` only for a value it reports.
+    """
+    _require_same_system(z, w)
+    a, p = _cross_terms(z.x, w.y)
+    b, q = _cross_terms(w.x, z.y)
+    if p == q:
+        return a + b, p
+    common = math.lcm(p, q)
+    return a * (common // p) + b * (common // q), common
 
 
 def natural_couple(z: PairPoint, w: PairPoint) -> Fraction:
@@ -808,8 +864,4 @@ def natural_couple(z: PairPoint, w: PairPoint) -> Fraction:
 
     Symmetric by construction; z.z = 2*c(z).
     """
-    _require_same_system(z, w)
-    a, p = _cross_terms(z.x, w.y)
-    b, q = _cross_terms(w.x, z.y)
-    common = math.lcm(p, q)
-    return Fraction(a * (common // p) + b * (common // q), common)
+    return Fraction(*natural_couple_terms(z, w))

@@ -20,7 +20,12 @@ kernels (which kernel, which sign, the mass condition), not the kernels.
 ``annihilator_basis`` is the former per-system row builders and basis
 branches of ``fitz.annihilator_truncated`` over ``nullspace`` above, and
 ``divergence_certificate_first`` the former first-system-only divergence
-certificate, with its own copy of G-first's Fitzpatrick map.
+certificate, with its own copy of G-first's Fitzpatrick map, and
+``fitz_sampled_fractions`` the former ``Fraction`` sampled value.  The
+sampling oracles are the former ``sampling`` generators: they draw through
+the stdlib's ``randint``, ``sample`` and ``random`` and build ``Fraction``
+values and dense heads through the public constructors, as the integer
+draws must reproduce bit for bit.
 """
 
 from bisect import bisect
@@ -32,7 +37,15 @@ from operator import add, neg, sub
 from gossez_lab.adjoint import apply_Gstar as lib_apply_Gstar
 from gossez_lab.fitz import SampledGraph, fitz_sampled
 from gossez_lab.gossez import apply_G as lib_apply_G
-from gossez_lab.spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
+from gossez_lab.spaces import (
+    DualSystem,
+    ModelMeasure,
+    PairPoint,
+    SparseSeq,
+    TailSeq,
+    coupling_value,
+    natural_couple,
+)
 
 
 def minimal_period(pattern):
@@ -440,3 +453,62 @@ def divergence_certificate_first(z, threshold=10**6):
         "threshold": threshold,
         "margin": margin,
     }
+
+
+def fitz_sampled_fractions(z, graph):
+    """The former ``fitz_sampled``: z.w - c(w) as Fractions, one
+    ``natural_couple`` and one ``coupling_value`` per sample point."""
+    best = -math.inf
+    for w in graph.points:
+        candidate = natural_couple(z, w) - coupling_value(w)
+        if best == -math.inf or candidate > best:
+            best = candidate
+    return best
+
+
+# ------------------------------------------------------------ sampling oracles
+
+
+def random_rational(rng, max_num=1000, max_den=1000, nonzero=False):
+    num = rng.randint(-max_num, max_num)
+    while nonzero and num == 0:
+        num = rng.randint(-max_num, max_num)
+    return Fraction(num, rng.randint(1, max_den))
+
+
+def random_sparse(rng, max_index=64, max_support=8, max_num=1000, max_den=1000):
+    k = rng.randint(1, min(max_support, max_index))
+    indices = sorted(rng.sample(range(1, max_index + 1), k))
+    return SparseSeq.from_pairs(
+        [(n, random_rational(rng, max_num, max_den, nonzero=True)) for n in indices]
+    )
+
+
+def random_tail(rng, max_head=4, max_num=100, max_den=100):
+    head = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(0, max_head)))
+    if rng.random() < 0.5:
+        tail = (random_rational(rng, max_num, max_den),)
+    else:
+        tail = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(2, 3)))
+    return TailSeq(head, tail)
+
+
+def random_constant_tail(rng, max_head=4, max_num=100, max_den=100):
+    head = tuple(random_rational(rng, max_num, max_den) for _ in range(rng.randint(0, max_head)))
+    return TailSeq.constant(random_rational(rng, max_num, max_den), head)
+
+
+def off_graph_first(rng, count, max_index=32, max_num=10, max_den=10):
+    """Points (x, Gx + d), the deviation d a dense Fraction head."""
+    points = []
+    for _ in range(count):
+        x = random_sparse(rng, max_index, 6, max_num, max_den)
+        dev_index = rng.randint(1, max_index)
+        values = {dev_index: random_rational(rng, max_num, max_den, nonzero=True)}
+        extra = random_sparse(rng, max_index, 3, max_num, max_den)
+        for n, v in extra.entries:
+            if n != dev_index and rng.random() < 0.5:
+                values[n] = v
+        head = [values.get(n, Fraction(0)) for n in range(1, max(values) + 1)]
+        points.append(PairPoint.first(x, lib_apply_G(x) + TailSeq.constant(0, head)))
+    return points
