@@ -138,6 +138,20 @@ def test_seed_one_report_bytes_are_pinned():
     assert_pinned(run_checks(CheckConfig(seed=1)), 1, "json")
 
 
+# A non-default window and trial count: the default pins never reach the
+# code paths that only a window of 128 takes.
+WIDE_WINDOW_REPORT_SHA256 = "9bc30e7c3a1a8f0f38d9647c3cb448b69a10c8884207584adf96ed62933d82b7"
+
+
+def test_wide_window_report_bytes_are_pinned():
+    report = run_checks(CheckConfig(seed=0, truncation=128, trials=200))
+    digest = hashlib.sha256(emit(report, "json")).hexdigest()
+    assert digest == WIDE_WINDOW_REPORT_SHA256, (
+        f"json report at seed 0, truncation 128, 200 trials (ARTIFACT_VERSION "
+        f"{ARTIFACT_VERSION}) changed: sha256 {digest}"
+    )
+
+
 def test_single_check_run():
     report = run_checks(CheckConfig(checks=("range",), trials=10))
     assert [r.name for r in report.results] == ["range"]
