@@ -189,15 +189,8 @@ def _difference_recurrence(x: SparseSeq, gx: TailSeq) -> bool:
     """
     top = x.max_index()
     den = math.lcm(x.den, gx.den)
-    gf, xf = den // gx.den, den // x.den
-    # g[n - 1] is the numerator of (Gx)_n, for n = 1..top + 1 at least.
-    g: list[int] = []
-    start = 0
-    for end, v in zip(gx.run_ends, gx.run_nums):
-        g += [v * gf] * (end - start)
-        start = end
-    tail = gx.tail_nums
-    g += [tail[(n - start - 1) % len(tail)] * gf for n in range(start + 1, top + 2)]
+    xf = den // x.den
+    g = gx._dense(top + 1, den // gx.den)  # g[n - 1] is the numerator of (Gx)_n
     xs = [0] * (top + 2)  # xs[n] is the numerator of x_n
     for n, v in zip(x.indices, x.nums):
         xs[n] = v * xf

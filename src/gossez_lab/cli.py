@@ -2,9 +2,9 @@
 
 Exit codes: 0 all selected checks reach their expected status, 1 a check
 failed (first failure named on stderr), 2 usage error, 3 I/O failure, 4
-internal error (an unexpected exception while running the checks, named in
-one ``internal error:`` line on stderr, so it never passes for a failed
-check).
+internal error (an unexpected exception while running the checks or
+serializing the report, named in one ``internal error:`` line on stderr, so
+it never passes for a failed check; nothing is emitted).
 Report bytes go to --out or stdout; per-check timing goes to stderr only,
 keeping the emitted artifact reproducible.
 """
@@ -96,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         report = run_checks(config)
+        payload = emit(report, args.format)
     except UnknownCheckError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -111,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    payload = emit(report, args.format)
     if args.out is not None:
         try:
             with open(args.out, "wb") as handle:

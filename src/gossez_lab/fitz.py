@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, islice
 from typing import Callable, Iterable, Union
 
 from . import linalg
@@ -258,19 +257,10 @@ def divergence_certificate(op: Operator, z: PairPoint, threshold: int = 10**6) -
     """
     if z.system is not op.system:
         raise ValueError(f"{op.id} expects a {op.system.value}-system point")
-    deviation = z.y - op.fitz_y(z.x)
-    # The first nonzero run, or else the first nonzero tail entry.
-    head_len = deviation.head_len()
-    tail_ends = tuple(range(head_len + 1, head_len + len(deviation.tail_nums) + 1))
-    index = margin = None
-    start = 1
-    for end, num in zip(deviation.run_ends + tail_ends, deviation.run_nums + deviation.tail_nums):
-        if num:
-            index, margin = start, Fraction(num, deviation.den)
-            break
-        start = end + 1
-    if index is None:
+    first = (z.y - op.fitz_y(z.x)).first_nonzero()
+    if first is None:
         raise ValueError("point lies on the Fitzpatrick graph; no divergence available")
+    index, margin = first
     scale = Fraction(1) if margin > 0 else Fraction(-1)
     while scale * margin <= threshold:
         scale *= 10
@@ -311,28 +301,20 @@ def _annihilator_row(w: PairPoint, n: int) -> list[int]:
     second system the mass (pairs with lim w.y), y-head 1..N and tail.
 
     Scaled by the lcm of their denominators, which leaves the annihilator
-    alone, and read from the integer fields.
+    alone, and read as integers.
     """
     second = w.system is DualSystem.SECOND
     v, atomic = w.y, (w.x.atomic if second else w.x)
     if atomic.max_index() > n:
         raise ValueError("spanning first component exceeds the truncation window")
-    if second and len(v.tail_nums) != 1:
+    if second and not v.is_convergent():
         raise OutsideModelDomain("spanning point with oscillating y is not pairable")
     mass = w.x.infinity_mass if second else Fraction(0)
     scale = math.lcm(v.den, atomic.den, mass.denominator)
-    v_scale = scale // v.den
-    x_coeffs: list[int] = []
-    start = 0
-    for end, num in zip(v.run_ends, v.run_nums):
-        if start >= n:
-            break
-        x_coeffs += [num * v_scale] * (min(end, n) - start)
-        start = end
-    tail = [t * v_scale for t in v.tail_nums]
-    x_coeffs += islice(cycle(tail), n - len(x_coeffs))
+    x_coeffs = v._dense(n, scale // v.den)
     if second:
-        x_coeffs.append(tail[0])  # the limit
+        lim = v.limit()
+        x_coeffs.append(lim.numerator * (scale // lim.denominator))
     y_coeffs = [0] * n
     x_scale = scale // atomic.den
     for index, num in zip(atomic.indices, atomic.nums):

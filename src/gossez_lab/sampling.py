@@ -11,9 +11,10 @@ as ``Random.randint`` does, and ``_sample_range`` replays
 3.10 to 3.13, without building the range; each consumes the generator's
 bits exactly as the stdlib call it replaces, so the report bytes depend on
 the seed alone.  Sparse sequences, tails and off-graph deviations are
-built from the drawn numerators by the integer kernel constructors
-(``SparseSeq._from_ints``, ``TailSeq._from_runs``), never from dense
-``Fraction`` heads: an off-graph point costs O(support) at any window.
+built from the drawn numerators by the integer constructors
+(``SparseSeq._from_ints``, ``TailSeq._from_values`` and
+``TailSeq._from_sparse``), never from ``Fraction`` values: an off-graph
+point costs O(support) at any window.
 """
 
 from __future__ import annotations
@@ -148,21 +149,11 @@ def random_sparse(
 
 
 def _tail_seq(head: tuple[list[int], int], tail: tuple[list[int], int]) -> TailSeq:
-    """``TailSeq(head, tail)`` of drawn (numerators, denominator) pairs,
-    built from integer runs."""
-    (head_nums, head_den), (tail_nums, tail_den) = head, tail
-    den = math.lcm(head_den, tail_den)
-    ends: list[int] = []
-    runs: list[int] = []
-    for n, v in enumerate(head_nums, start=1):
-        v *= den // head_den
-        if runs and runs[-1] == v:
-            ends[-1] = n
-        else:
-            ends.append(n)
-            runs.append(v)
-    tail_nums = tuple([v * (den // tail_den) for v in tail_nums])
-    return TailSeq._from_runs(tuple(ends), tuple(runs), tail_nums, den)
+    """``TailSeq(head, tail)`` of drawn (numerators, denominator) pairs."""
+    (head_nums, head_den), (pattern, pattern_den) = head, tail
+    den = math.lcm(head_den, pattern_den)
+    head_f, pattern_f = den // head_den, den // pattern_den
+    return TailSeq._from_values([v * head_f for v in head_nums], [v * pattern_f for v in pattern], den)
 
 
 def random_tail(
@@ -218,8 +209,8 @@ def off_graph_first(
 
     The deviation is supported on indices 1..max_index with zero tail, so
     any sample set containing the unit graph points up to max_index can
-    detect and refute it.  It is built from integer runs, one per support
-    index and one per gap, so a point costs O(support) at any window.
+    detect and refute it.  ``TailSeq._from_sparse`` builds it, so a point
+    costs O(support) at any window.
     """
     points = []
     for _ in range(count):
@@ -232,19 +223,8 @@ def off_graph_first(
         for n, num in zip(extra.indices, extra.nums):
             if n != dev_index and rng.random() < 0.5:
                 values[n] = num * q
-        ends: list[int] = []
-        runs: list[int] = []
-        for n in sorted(values):
-            covered = ends[-1] if ends else 0
-            if n - 1 > covered:  # a zero gap; it never equals a value
-                ends.append(n - 1)
-                runs.append(0)
-            elif runs and runs[-1] == values[n]:
-                ends[-1] = n
-                continue
-            ends.append(n)
-            runs.append(values[n])
-        deviation = TailSeq._from_runs(tuple(ends), tuple(runs), (0,), q * extra.den)
+        support = sorted(values)
+        deviation = TailSeq._from_sparse(support, [values[n] for n in support], q * extra.den)
         points.append(PairPoint.first(x, apply_G(x) + deviation))
     return points
 

@@ -34,8 +34,10 @@ scaling, equality, hashing, the sup norm and the canonical trim) work on
 the integers, so an image of G costs O(|supp x|) however far its support
 reaches.  ``Fraction`` values appear only at the boundary: ``value``,
 ``limit``, the norms, the cached ``SparseSeq.entries`` and
-``TailSeq.run_values``/``tail`` views and ``TailSeq.head``; only
-``TailSeq.head`` and ``TailSeq.to_json`` expand a head densely.
+``TailSeq.run_values``/``tail`` views and ``TailSeq.head``.  Only this
+module and the G kernels of ``gossez`` touch runs; other callers build a
+TailSeq with ``_from_values`` or ``_from_sparse`` and read it with ``_dense``
+(integer numerators at 1..N, like ``head`` and ``to_json`` a dense expansion).
 
 All types are immutable and safe to share across threads.
 """
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import groupby, repeat
+from itertools import cycle, groupby, islice, repeat
 from typing import Iterable, Union
 
 
@@ -304,6 +306,16 @@ def _expand(values: Iterable, ends: tuple[int, ...]) -> list:
     return dense
 
 
+def _runs(values: Iterable) -> tuple[tuple[int, ...], tuple]:
+    """(ends, values) of the runs of equal neighbours: ``_expand`` inverted."""
+    ends, kept, length = [], [], 0
+    for v, run in groupby(values):
+        length += len(list(run))
+        ends.append(length)
+        kept.append(v)
+    return tuple(ends), tuple(kept)
+
+
 class TailSeq:
     """Bounded sequence with a finite head and an eventually periodic tail.
 
@@ -342,15 +354,11 @@ class TailSeq:
         tail = tuple(v if v.__class__ is Fraction else as_fraction(v) for v in tail)
         if not tail:
             raise ValueError("tail pattern must be nonempty")
-        ends, values, length = [], [], 0
-        for v, run in groupby(head):
-            length += len(list(run))
-            ends.append(length)
-            values.append(v)
+        ends, values = _runs(head)
         # One lcm over the runs and the pattern, not over the dense values.
         den = math.lcm(*{v.denominator for v in values}, *{v.denominator for v in tail})
         self.__post_init__(
-            tuple(ends),
+            ends,
             tuple(v.numerator * (den // v.denominator) for v in values),
             tuple(v.numerator * (den // v.denominator) for v in tail),
             den,
@@ -365,6 +373,30 @@ class TailSeq:
         seq = object.__new__(TailSeq)
         seq.__post_init__(ends, nums, tail, den)
         return seq
+
+    @staticmethod
+    def _from_values(head: Iterable[int], tail: Iterable[int], den: int) -> TailSeq:
+        """Integer numerators over den > 0: a dense head at indices
+        1..len(head), its equal neighbours merged into runs, then a
+        nonempty tail pattern."""
+        return TailSeq._from_runs(*_runs(head), tuple(tail), den)
+
+    @staticmethod
+    def _from_sparse(indices: Iterable[int], nums: Iterable[int], den: int) -> TailSeq:
+        """Nonzero integer numerators over den > 0 at strictly increasing
+        indices, zero elsewhere and in the tail: one run per point and one
+        per gap, so the cost is O(support) however far the indices reach."""
+        ends, runs = [0], [0]  # an empty zero run before index 1
+        for n, v in zip(indices, nums):
+            if n - 1 > ends[-1]:  # a zero gap; it never equals a value
+                ends.append(n - 1)
+                runs.append(0)
+            if runs[-1] == v:
+                ends[-1] = n
+            else:
+                ends.append(n)
+                runs.append(v)
+        return TailSeq._from_runs(tuple(ends[1:]), tuple(runs[1:]), (0,), den)
 
     def __post_init__(
         self, ends: tuple[int, ...], nums: tuple[int, ...], tail: tuple[int, ...], den: int
@@ -504,6 +536,14 @@ class TailSeq:
         """The limit for a constant tail, None when the tail oscillates."""
         return self.tail[0] if len(self.tail_nums) == 1 else None
 
+    def first_nonzero(self) -> tuple[int, Fraction] | None:
+        """(index, value) of the first nonzero entry, None for the zero sequence."""
+        ends, nums = self._pieces(self._head_len + len(self.tail_nums))
+        for end, num in zip((0,) + ends, nums):  # the end before each piece
+            if num:
+                return end + 1, Fraction(num, self.den)
+        return None
+
     def __eq__(self, other: object) -> bool:
         # Canonical forms decide equality.
         if other.__class__ is not self.__class__:
@@ -532,79 +572,62 @@ class TailSeq:
         """
         return Fraction(max(self.tail_nums) - min(self.tail_nums), 2 * self.den)
 
-    def _pieces(self, upto: int, factor: int) -> list[tuple[int, int]]:
-        """(end, numerator over den * factor) pieces covering indices 1..upto,
-        for upto > head_len()."""
-        nums, tail = self.run_nums, self.tail_nums
+    def _pieces(self, upto: int, factor: int = 1) -> tuple[tuple[int, ...], Iterable[int]]:
+        """(ends, numerators over den * factor) of pieces covering indices
+        1..upto, for upto > head_len(): the runs, then a constant tail as
+        one piece or a periodic one as one piece per index."""
+        tail, start = self.tail_nums, self._head_len
+        if len(tail) == 1:
+            ends, nums = self.run_ends + (upto,), self.run_nums + tail
+        else:
+            ends = self.run_ends + tuple(range(start + 1, upto + 1))
+            nums = self.run_nums + tuple(islice(cycle(tail), upto - start))
         if factor != 1:
             nums = [n * factor for n in nums]
-            tail = [n * factor for n in tail]
-        pieces = list(zip(self.run_ends, nums))
-        start = self._head_len
-        if len(tail) == 1:
-            pieces.append((upto, tail[0]))
-        else:
-            period = len(tail)
-            pieces += [(n, tail[(n - start - 1) % period]) for n in range(start + 1, upto + 1)]
-        return pieces
+        return ends, nums
+
+    def _dense(self, upto: int, factor: int = 1) -> list[int]:
+        """The numerators over den * factor at indices 1..upto."""
+        ends, nums = self._pieces(max(upto, self._head_len + 1), factor)
+        return _expand(nums, ends[: bisect_left(ends, upto) + 1])[:upto]
 
     def _combine(self, other: TailSeq, op) -> TailSeq:
-        # Merge the run boundaries of both operands over the longer head and
-        # one common period, on numerators over the lcm of both
-        # denominators; equal neighbouring results merge into one run.
+        # Merge the pieces of both operands over the longer head and one
+        # common period, on numerators over the lcm of both denominators;
+        # equal neighbouring results merge into one run.
         den = math.lcm(self.den, other.den)
-        if len(self.tail_nums) == 1 == len(other.tail_nums):
-            return self._combine_convergent(other, op, den)
+        fa, fb = den // self.den, den // other.den
         head_len = max(self._head_len, other._head_len)
-        upto = head_len + math.lcm(len(self.tail_nums), len(other.tail_nums))
-        pieces_a = self._pieces(upto, den // self.den)
-        pieces_b = other._pieces(upto, den // other.den)
+        tail_a, tail_b = self.tail_nums, other.tail_nums
+        if len(tail_a) == 1 == len(tail_b):
+            # ``_pieces`` of two constant tails, built inline: the hot case.
+            upto = head_len + 1
+            ends_a, nums_a = self.run_ends + (upto,), self.run_nums + tail_a
+            ends_b, nums_b = other.run_ends + (upto,), other.run_nums + tail_b
+            if fa != 1:
+                nums_a = [n * fa for n in nums_a]
+            if fb != 1:
+                nums_b = [n * fb for n in nums_b]
+        else:
+            upto = head_len + math.lcm(len(tail_a), len(tail_b))
+            ends_a, nums_a = self._pieces(upto, fa)
+            ends_b, nums_b = other._pieces(upto, fb)
         ends: list[int] = []
         nums: list[int] = []
         tail: list[int] = []
-        i = j = start = 0
-        while start < upto:
-            (end_a, a), (end_b, b) = pieces_a[i], pieces_b[j]
-            v = op(a, b)
-            end = end_a if end_a < end_b else end_b
-            # Every piece ends at or before head_len or starts after it:
-            # the longer head has a run ending there.
-            if end > head_len:
-                tail += [v] * (end - start)
-            elif nums and v == nums[-1]:
-                ends[-1] = end
-            else:
-                ends.append(end)
-                nums.append(v)
-            start = end
-            i += end_a == end
-            j += end_b == end
-        return TailSeq._from_runs(tuple(ends), tuple(nums), tuple(tail), den)
-
-    def _combine_convergent(self, other: TailSeq, op, den: int) -> TailSeq:
-        """``_combine`` of two constant tails: the run ends of both heads
-        merged directly, each operand's tail standing as one last run past
-        its head; no pieces are built."""
-        fa, fb = den // self.den, den // other.den
-        nums_a = self.run_nums + self.tail_nums
-        nums_b = other.run_nums + other.tail_nums
-        if fa != 1:
-            nums_a = [n * fa for n in nums_a]
-        if fb != 1:
-            nums_b = [n * fb for n in nums_b]
-        head_len = max(self._head_len, other._head_len)
-        past = head_len + 1  # the end of each tail run: past the longer head
-        ends_a, ends_b = self.run_ends + (past,), other.run_ends + (past,)
-        ends: list[int] = []
-        nums: list[int] = []
         i = j = 0
         end_a, end_b = ends_a[0], ends_b[0]
         while True:
             end = end_a if end_a < end_b else end_b
             v = op(nums_a[i], nums_b[j])
-            if end == past:
-                break
-            if nums and v == nums[-1]:
+            # Every piece ends at or before head_len or starts after it (the
+            # longer head has a run ending there), and one past it is one
+            # index long: a tail entry.
+            if end > head_len:
+                tail.append(v)
+                if end == upto:
+                    break
+            elif nums and v == nums[-1]:
                 ends[-1] = end
             else:
                 ends.append(end)
@@ -615,7 +638,7 @@ class TailSeq:
             if end_b == end:
                 j += 1
                 end_b = ends_b[j]
-        return TailSeq._from_runs(tuple(ends), tuple(nums), (v,), den)
+        return TailSeq._from_runs(tuple(ends), tuple(nums), tuple(tail), den)
 
     def __add__(self, other: TailSeq) -> TailSeq:
         return self._combine(other, operator.add)

@@ -354,6 +354,27 @@ def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert captured.err == "internal error: RuntimeError: kernel exploded\n"
 
 
+def test_cli_emit_fault_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    import dataclasses
+
+    import gossez_lab.checks as checks
+
+    def float_stat(config, rng, tally):
+        tally.record("p", True)
+        return (), {"ratio": 0.5}, ()  # a finite float is not exact
+
+    broken = dataclasses.replace(checks.CATALOG[0], runner=float_stat)
+    monkeypatch.setattr(checks, "CATALOG", (broken,) + checks.CATALOG[1:])
+    out = tmp_path / "report.json"
+    for argv in ([], ["--out", str(out)]):
+        assert main(["run", "--checks", broken.name, *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: TypeError: ")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_package_runs_as_module():
     result = subprocess.run(
         [sys.executable, "-m", "gossez_lab", "list"],

@@ -3,8 +3,9 @@
 The sampling generators draw ints inline and replay ``Random.sample`` on a
 range; they must return what the former ``Fraction``-building generators
 in ``dense_reference`` return and leave the generator in the same state.
-The one-value-tail canonicalization and the convergent ``_combine`` must
-agree with the dense trim and combine and with the general path.
+The one-value-tail canonicalization and ``_combine``, the one merge of
+every sum, must agree with the dense trim and combine and with the
+general canonicalization.
 ``natural_couple_terms`` is ``natural_couple`` before normalisation, and
 each reader of it must report what the ``Fraction`` kernels reported.
 """
@@ -214,7 +215,7 @@ def test_one_value_tail_examples(runs, expected):
     assert fields(TailSeq._from_runs(*runs)) == expected
 
 
-# ------------------------------------------------ convergent combine
+# ------------------------------------------------ the one merge
 
 convergent = st.one_of(
     constant_tail_seqs(),
@@ -250,25 +251,12 @@ def test_convergent_combine_examples():
 
 
 @given(st.one_of(convergent, tail_seqs()), tail_seqs(values=rationals()))
-def test_only_two_constant_tails_take_the_convergent_path(a, b):
-    calls = []
-    original = TailSeq._combine_convergent
-
-    def spy(self, other, op, den):
-        calls.append(1)
-        return original(self, other, op, den)
-
-    TailSeq._combine_convergent = spy
-    try:
-        result = a + b
-    finally:
-        TailSeq._combine_convergent = original
-    assert bool(calls) == (a.is_convergent() and b.is_convergent())
+def test_sums_of_constant_and_periodic_tails_match_the_dense_combine(a, b):
     expected = ref.combine((a.head, a.tail), (b.head, b.tail), lambda u, v: u + v)
-    assert (result.head, result.tail) == expected
+    assert ((a + b).head, (a + b).tail) == expected
 
 
-def test_mixed_periodic_and_constant_operands_take_the_general_path():
+def test_mixed_periodic_and_constant_operands_match_the_dense_combine():
     periodic = TailSeq.periodic([1, -1], [F(1, 2)])
     constant = TailSeq.constant(F(1, 3), [2, 2, 5])
     for a, b in ((periodic, constant), (constant, periodic)):
@@ -276,6 +264,40 @@ def test_mixed_periodic_and_constant_operands_take_the_general_path():
         assert not result.is_convergent()
         expected = ref.combine((a.head, a.tail), (b.head, b.tail), lambda u, v: u - v)
         assert (result.head, result.tail) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # A constant tail plus a periodic one, either head the longer.
+        (TailSeq.constant(F(1, 2), [3, 1, 4, 1]), TailSeq.periodic([0, 1, 2], [5])),
+        (TailSeq.constant(-1), TailSeq.periodic([F(1, 3), F(2, 3)], [1, 2, 3])),
+        # Periods 2 and 3 under heads of unequal length: a common period of 6.
+        (TailSeq.periodic([1, 2], [7]), TailSeq.periodic([F(1, 5), 0, 3], [1, 1, 2, 9])),
+        (TailSeq.periodic([F(-1, 2), 4], [1, 2, 3, 4, 5]), TailSeq.periodic([1, 0, 0], [])),
+    ],
+)
+def test_mixed_tails_match_the_dense_combine(a, b):
+    for op, result in ((lambda u, v: u + v, a + b), (lambda u, v: u - v, a - b)):
+        assert (result.head, result.tail) == ref.combine((a.head, a.tail), (b.head, b.tail), op)
+        assert fields(result) == fields(TailSeq(result.head, result.tail))
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        TailSeq.constant(F(1, 3), [2, 2, 5]),
+        TailSeq.periodic([1, -1], [F(1, 2)]),
+        TailSeq.periodic([F(1, 2), 1, 2], [9, 9, 0, 4]),
+    ],
+)
+def test_sums_that_cancel_are_the_zero_sequence(y):
+    assert fields(y - y) == fields(y + (-y)) == fields(TailSeq.zero()) == ((), (), (0,), 1)
+    # Heads of unequal length and periods 2 and 3 whose sum is zero.
+    a = TailSeq.periodic([1, -1, 1, -1, 1, -1], [3])
+    b = TailSeq.periodic([-1, 1], [-3, -1, 1])
+    assert fields(a + b) == ((), (), (0,), 1)
+    assert fields((a + y) + (b - y)) == ((), (), (0,), 1)
 
 
 # ------------------------------------------------ the integer pair kernel
