@@ -598,20 +598,9 @@ class TailSeq:
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         head_len = max(self._head_len, other._head_len)
-        tail_a, tail_b = self.tail_nums, other.tail_nums
-        if len(tail_a) == 1 == len(tail_b):
-            # ``_pieces`` of two constant tails, built inline: the hot case.
-            upto = head_len + 1
-            ends_a, nums_a = self.run_ends + (upto,), self.run_nums + tail_a
-            ends_b, nums_b = other.run_ends + (upto,), other.run_nums + tail_b
-            if fa != 1:
-                nums_a = [n * fa for n in nums_a]
-            if fb != 1:
-                nums_b = [n * fb for n in nums_b]
-        else:
-            upto = head_len + math.lcm(len(tail_a), len(tail_b))
-            ends_a, nums_a = self._pieces(upto, fa)
-            ends_b, nums_b = other._pieces(upto, fb)
+        upto = head_len + math.lcm(len(self.tail_nums), len(other.tail_nums))
+        ends_a, nums_a = self._pieces(upto, fa)
+        ends_b, nums_b = other._pieces(upto, fb)
         ends: list[int] = []
         nums: list[int] = []
         tail: list[int] = []
