@@ -434,7 +434,9 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     ext = extension_probe(embedded, canonical, cfg.scale_max)
     tally.record(
         "extension-witness",
-        ext.status == WITNESS_FOUND and coupling_value(canonical) == 1,
+        ext.status == WITNESS_FOUND
+        and not ext.stats["already_in_analytic_graph"]
+        and coupling_value(canonical) == 1,
     )
     negGstar_graph = SampledGraph(
         DualSystem.SECOND,
@@ -627,8 +629,6 @@ CATALOG: tuple[CheckSpec, ...] = (
         _run_dichotomy,
     ),
 )
-
-CHECK_NAMES = tuple(spec.name for spec in CATALOG)
 
 
 def select_checks(names: tuple[str, ...]) -> tuple[CheckSpec, ...]:

@@ -90,9 +90,6 @@ class SampledGraph:
         # Canonical points hash by value; the first of equal points stays, in order.
         object.__setattr__(self, "points", tuple(dict.fromkeys(self.points)))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @cached_property
     def couplings(self) -> tuple[Fraction | None, ...]:
         """c(w) of each point, None where w leaves the model; computed once."""
@@ -287,13 +284,6 @@ class TruncatedAnnihilator:
     system: DualSystem
     truncation: int
     basis: tuple[PairPoint, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "system": self.system.value,
-            "truncation": self.truncation,
-            "basis": [p.to_json() for p in self.basis],
-        }
 
 
 def _annihilator_row(w: PairPoint, n: int) -> list[int]:

@@ -130,7 +130,9 @@ def extension_probe(
     Checks c(z - t*w) >= 0 for every sample w and every ladder scale t of
     both signs (plus the zero point, a graph point of every linear source).
     A violation refutes; survival makes z a monotone-extension witness,
-    flagged when z already lies on the analytic graph of the source.
+    flagged in ``stats["already_in_analytic_graph"]`` when the graph's source
+    has a membership test.  A flagged witness refutes no maximality, so
+    ``dichotomy_crosscheck`` and the ``sds-i`` check count only unflagged ones.
     """
     ladder = _scale_ladder(scale_max)
     try:
@@ -234,14 +236,13 @@ def representability_check(
     probes: ProbeSet,
     values: tuple,
     seed: int = 0,
-    convexity_pairs: int = 100,
 ) -> PropertyVerdict:
     """Check op's closed-form Fitzpatrick function as a candidate representative.
 
     Three conditions: exact equality fn = c on the graph samples, fn >= c
-    on every probe, and midpoint convexity on random probe pairs with both
-    values finite.  A probe strictly below the coupling is reported as a
-    witness (it disqualifies fn from the representative class); equality on
+    on every probe, and midpoint convexity on 100 random probe pairs with
+    both values finite.  A probe strictly below the coupling is reported as
+    a witness (it disqualifies fn from the representative class); equality on
     the graph failing refutes outright.  The equality set among probes is
     reported for comparison with op's analytic graph.  A graph point or
     probe whose coupling leaves the model is skipped.  With no graph points
@@ -282,7 +283,7 @@ def representability_check(
     # A probe enters by its fn value alone, even if its coupling is outside the model.
     finite = [(z, fv) for z, (fv, _) in zip(probes.points, values) if fv != PLUS_INF]
     convex_checked = 0
-    for _ in range(convexity_pairs):
+    for _ in range(100):
         if len(finite) < 2:
             break
         (z1, f1), (z2, f2) = rng.sample(finite, 2)
@@ -378,7 +379,7 @@ def dichotomy_crosscheck(
         verdict = extension_probe(graph, z, scale_max)
         if verdict.status == REFUTED:
             extension_refuted += 1
-        elif verdict.status == WITNESS_FOUND:
+        elif verdict.status == WITNESS_FOUND and not verdict.stats["already_in_analytic_graph"]:
             extension_found = verdict.witnesses[0]
     if extension_found is not None:
         extension = WITNESS_FOUND

@@ -55,10 +55,8 @@ def _randint(rng: random.Random, low: int, high: int) -> int:
     return low + r
 
 
-def random_rational(
-    rng: random.Random, max_num: int = 1000, max_den: int = 1000, nonzero: bool = False
-) -> Fraction:
-    (num,), den = _draw_fractions(rng, 1, max_num, max_den, nonzero)
+def random_rational(rng: random.Random, max_num: int = 1000, max_den: int = 1000) -> Fraction:
+    (num,), den = _draw_fractions(rng, 1, max_num, max_den)
     return Fraction(num, den)
 
 
@@ -177,16 +175,10 @@ def random_measure(
     max_support: int = 6,
     max_num: int = 100,
     max_den: int = 100,
-    mass_nonzero: bool | None = None,
 ) -> ModelMeasure:
+    """Atoms drawn by ``random_sparse``, then a mass at infinity that may be zero."""
     atomic = random_sparse(rng, max_index, max_support, max_num, max_den)
-    if mass_nonzero is None:
-        mass = random_rational(rng, max_num, max_den)
-    elif mass_nonzero:
-        mass = random_rational(rng, max_num, max_den, nonzero=True)
-    else:
-        mass = Fraction(0)
-    return ModelMeasure(atomic, mass)
+    return ModelMeasure(atomic, random_rational(rng, max_num, max_den))
 
 
 graph_point_first = OPERATORS[OP_G_FIRST].graph_point
@@ -241,9 +233,6 @@ class ProbeSet:
     system: DualSystem
     points: tuple[PairPoint, ...]
     descriptor: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     @staticmethod
     def generate(op_id: str, seed: int, truncation: int, count: int) -> ProbeSet:

@@ -219,9 +219,6 @@ class SparseSeq:
         except AttributeError:
             return self.entries[i][1]
 
-    def support(self) -> tuple[int, ...]:
-        return self.indices
-
     def max_index(self) -> int:
         """Largest support index, 0 for the zero sequence."""
         return self.indices[-1] if self.indices else 0
@@ -275,11 +272,6 @@ class SparseSeq:
         return SparseSeq._from_ints(
             self.indices, tuple([n * p for n in self.nums]), self.den * factor.denominator
         )
-
-    def __mul__(self, factor: RationalLike) -> SparseSeq:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {"entries": [[n, format_rational(v)] for n, v in self.entries]}
@@ -654,11 +646,6 @@ class TailSeq:
             self.den * factor.denominator,
         )
 
-    def __mul__(self, factor: RationalLike) -> TailSeq:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def to_json(self) -> dict:
         kind = "const" if len(self.tail_nums) == 1 else "periodic"
         return {
@@ -668,11 +655,16 @@ class TailSeq:
 
     @staticmethod
     def from_json(obj: dict) -> TailSeq:
-        kind, values = obj["tail"].get("kind"), obj["tail"]["values"]
+        head, kind, values = obj["head"], obj["tail"].get("kind"), obj["tail"]["values"]
+        # A string is iterable too: it would read as one-character rationals.
+        if not isinstance(head, list) or not isinstance(values, list):
+            raise TypeError("head and tail values must be lists of rational strings")
         if kind not in ("const", "periodic") or (kind == "const" and len(values) != 1):
             raise ValueError(f"invalid tail: kind {kind!r} with {len(values)} values")
-        head = tuple(parse_rational(v) for v in obj["head"])
-        return TailSeq(head, tuple(parse_rational(v) for v in values))
+        # One parse per run of equal strings; the run then shares one Fraction,
+        # so __init__ merges it by identity rather than by Fraction.__eq__.
+        ends, texts = _runs(head)
+        return TailSeq(_expand(map(parse_rational, texts), ends), map(parse_rational, values))
 
 
 @dataclass(frozen=True)
@@ -714,11 +706,6 @@ class ModelMeasure:
     def scale(self, factor: RationalLike) -> ModelMeasure:
         factor = as_fraction(factor)
         return ModelMeasure(self.atomic.scale(factor), factor * self.infinity_mass)
-
-    def __mul__(self, factor: RationalLike) -> ModelMeasure:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {"atomic": self.atomic.to_json(), "infinity_mass": format_rational(self.infinity_mass)}

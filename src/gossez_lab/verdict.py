@@ -69,15 +69,3 @@ class PropertyVerdict:
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-
-    def to_json(self) -> dict:
-        doc: dict = {
-            "property": self.property,
-            "status": self.status,
-            "stats": to_jsonable(self.stats),
-        }
-        if self.witnesses:
-            doc["witness"] = to_jsonable(list(self.witnesses))
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        return doc

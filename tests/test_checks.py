@@ -1,5 +1,6 @@
 """Check catalog, report emission, determinism, CLI contract."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 from gossez_lab.checks import (
     ARTIFACT_VERSION,
     CATALOG,
-    CHECK_NAMES,
     CheckConfig,
     UnknownCheckError,
     emit,
@@ -38,7 +38,8 @@ MANIFEST = {
 
 def test_catalog_matches_manifest():
     assert dict((s.name, s.expected_status) for s in CATALOG) == MANIFEST
-    assert len(set(CHECK_NAMES)) == len(CHECK_NAMES)
+    names = [spec.name for spec in CATALOG]
+    assert len(set(names)) == len(names)
     for spec in CATALOG:
         assert spec.claim and spec.title
 
@@ -172,6 +173,30 @@ def test_sds_i_off_graph_infinity_needs_its_certificate(monkeypatch):
     (result,) = run_checks(CheckConfig(checks=("sds-i",), trials=20)).results
     assert not result.passed
     assert [f["property"] for f in result.stats["failures"]] == ["indicator-off-graph"]
+
+
+def test_an_extension_witness_on_the_graph_refutes_nothing(monkeypatch):
+    # A witness that already lies on the analytic graph extends nothing.
+    # Marked so, it must fail sds-i's extension witness and the G-second
+    # dichotomy profile, and nothing else in either check.
+    import gossez_lab.checks as checks
+    import gossez_lab.props as props
+
+    probe = props.extension_probe
+
+    def on_graph(graph, z, scale_max):
+        verdict = probe(graph, z, scale_max)
+        if verdict.status != WITNESS_FOUND:
+            return verdict
+        return dataclasses.replace(
+            verdict, stats={**verdict.stats, "already_in_analytic_graph": True}
+        )
+
+    monkeypatch.setattr(checks, "extension_probe", on_graph)
+    monkeypatch.setattr(props, "extension_probe", on_graph)
+    sds_i, dichotomy = run_checks(CheckConfig(checks=("sds-i", "dichotomy"), trials=20)).results
+    assert [f["property"] for f in sds_i.stats["failures"]] == ["extension-witness"]
+    assert [f["property"] for f in dichotomy.stats["failures"]] == ["profile-G-second"]
 
 
 def test_empty_selection_gives_header_only_report():

@@ -132,7 +132,7 @@ def test_pair_measure_and_natural_couple_are_exact_fractions(values, y, mass):
 
 def assert_shared_gaps(x: SparseSeq, y: TailSeq) -> None:
     """Inside every gap of x the image repeats one object."""
-    support = set(x.support())
+    support = set(x.indices)
     for n in range(2, len(y.head) + 1):
         if n - 1 not in support and n not in support:
             assert y.head[n - 1] is y.head[n - 2]

@@ -430,7 +430,7 @@ def test_fitz_graph_samples_lie_on_the_fitzpatrick_graph():
 def test_sampled_graph_dedup_and_json():
     p = graph_point_first(SparseSeq.unit(1))
     g = SampledGraph(DualSystem.FIRST, (p, p), source="Graph G")
-    assert len(g) == 1
+    assert len(g.points) == 1
     doc = g.to_json()
     assert doc["source"] == "Graph G"
     assert SampledGraph.from_json(doc).points == g.points

@@ -216,7 +216,7 @@ def test_reductions_and_json_equal_the_reference(x):
     values = dense(x)
     assert x.entry_sum() == sum(values.values(), F(0))
     assert x.l1_norm() == sum(map(abs, values.values()), F(0))
-    assert x.support() == tuple(sorted(values)) and x.max_index() == max(values, default=0)
+    assert x.indices == tuple(sorted(values)) and x.max_index() == max(values, default=0)
     assert x.to_json() == {"entries": [[n, f"{v.numerator}/{v.denominator}"] for n, v in sorted(values.items())]}
     assert SparseSeq.from_json(x.to_json()) == x
 

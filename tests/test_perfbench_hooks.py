@@ -1,15 +1,19 @@
-"""The benchmark's tracer must keep finding what it wraps.
+"""The benchmark's tracer and workloads must keep finding what they call.
 
 ``perfbench/spans.py`` wraps functions and methods by module and attribute
-name.  A rename, a deletion or a changed method kind in ``gossez_lab`` would
-only show up as a crash of a traced benchmark run; these tests make it fail
-here instead.  The tracer is imported from its file, unchanged.
+name, and ``perfbench/workloads.py`` calls the program through the same
+names.  A rename, a deletion or a changed method kind in ``gossez_lab``
+would only show up as a crash or a failed operation of a benchmark run;
+these tests make it fail here instead.  The benchmark files are imported
+unchanged.
 """
 
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +36,20 @@ def _load(name):
 
 spans = _load("spans")
 reference = _load("reference")  # imports nothing from gossez_lab
+
+
+def _load_runner():
+    # run.py imports spans and workloads by bare name, from its own directory.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+runner = _load_runner()
+# The modules the workloads reach the program through, as run.py builds them.
+lab = SimpleNamespace(**{m: importlib.import_module(f"gossez_lab.{m}") for m in runner.MODULES})
 
 
 def _targets():
@@ -159,3 +177,16 @@ def test_head_supports_the_reads_perfbench_makes():
     assert [reference.seq_value(y, n) for n in range(1, 12)] == [y.value(n) for n in range(1, 12)]
     with pytest.raises(AttributeError):
         y.head = ()
+
+
+def test_report_default_builds_its_config():
+    inputs = runner.WORKLOADS["report-default"].inputs(lab, 1)
+    assert inputs["config"] == gossez_lab.checks.CheckConfig(seed=1)
+
+
+@pytest.mark.parametrize("name", ["far-index", "annihilator-window"])
+def test_workload_round_calls_only_names_that_exist(name):
+    workload = runner.WORKLOADS[name]
+    out = workload.round(lab, workload.inputs(lab, 1))
+    assert out.attempted > 0
+    assert out.failed == 0 and not out.errors

@@ -408,8 +408,8 @@ def test_representability_evaluates_each_probe_once(op_id):
     counting = dataclasses.replace(op, fitz_y=lambda x: calls.append(x) or op.fitz_y(x))
     graph = counting.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
     probes = ProbeSet.generate(op_id, 3, 16, 60)
-    verdict = represent(counting, graph, probes, seed=3, convexity_pairs=40)
-    assert verdict == represent(op, graph, probes, seed=3, convexity_pairs=40)
+    verdict = represent(counting, graph, probes, seed=3)
+    assert verdict == represent(op, graph, probes, seed=3)
     assert verdict.stats["convexity_pairs"] > 0
     midpoints = verdict.stats["convexity_pairs"] + verdict.stats["skipped"]
     assert len(calls) <= len(graph.points) + len(probes.points) + midpoints

@@ -84,7 +84,7 @@ def test_sparse_canonical_form():
     x = SparseSeq.from_pairs([(3, F(1)), (1, F(2)), (2, F(0))])
     assert x.entries == ((1, F(2)), (3, F(1)))
     assert x.value(2) == 0
-    assert x.support() == (1, 3)
+    assert x.indices == (1, 3)
     assert x.max_index() == 3
 
 

@@ -3,17 +3,19 @@
 ``_from_values`` and ``_from_sparse`` build runs from integer numerators,
 ``_dense`` reads numerators at indices 1..N back and ``first_nonzero``
 finds the first nonzero entry.  Each must agree with the dense trim and
-the dense values of ``dense_reference``.
+the dense values of ``dense_reference``.  ``from_json`` parses one string
+per run and must agree with a parse of every entry.
 """
 
+import timeit
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from gossez_lab.spaces import TailSeq
+from gossez_lab.spaces import TailSeq, parse_rational
 
 F = Fraction
 small = st.integers(-3, 3)
@@ -166,3 +168,58 @@ def test_first_nonzero_is_the_dense_scan(head, tail):
 )
 def test_first_nonzero_examples(y, expected):
     assert y.first_nonzero() == expected == dense_first_nonzero(y)
+
+
+# ------------------------------------------------ from_json
+
+
+def parse_each(doc):
+    """The reading of ``from_json`` before it parsed once per run."""
+    head = tuple(parse_rational(v) for v in doc["head"])
+    return TailSeq(head, tuple(parse_rational(v) for v in doc["tail"]["values"]))
+
+
+def outcome(read, doc):
+    try:
+        return fields(read(doc))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Equal values written differently, and malformed entries.
+texts = st.sampled_from(["1/2", "2/4", "1", "1/1", "0", "0/3", "-3/7", "-6/14", "1/0", "x", "0.5"])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(texts, st.integers(1, 40)), max_size=6),
+    st.lists(texts, min_size=1, max_size=3),
+)
+@example([("1/2", 5_000), ("1/0", 1), ("2/4", 5_000)], ["0"])
+@example([("1/2", 5_000), ("2/4", 5_000), ("1/2", 3)], ["1/2"])
+def test_from_json_equals_a_parse_of_every_entry(runs, values):
+    head = [text for text, length in runs for _ in range(length)]
+    doc = {"head": head, "tail": {"kind": "periodic", "values": values}}
+    assert outcome(TailSeq.from_json, doc) == outcome(parse_each, doc)
+
+
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        ("12", {"kind": "periodic", "values": ["3/1", "4/1"]}),
+        ([], {"kind": "periodic", "values": "34"}),
+        ([], {"kind": "const", "values": "3"}),  # one character: one value
+        ("", {"kind": "const", "values": ["0/1"]}),
+    ],
+)
+def test_from_json_rejects_a_string_for_a_list(head, tail):
+    with pytest.raises(TypeError):
+        TailSeq.from_json({"head": head, "tail": tail})
+
+
+def test_from_json_reads_a_head_of_ten_to_the_five_in_two_runs():
+    head = ["1/3"] * 40_000 + ["-2/7"] * 60_000
+    doc = {"head": head, "tail": {"kind": "const", "values": ["0/1"]}}
+    assert fields(TailSeq.from_json(doc)) == ((40_000, 100_000), (7, -6), (0,), 21)
+    # A generous bound: a parse per entry took several times it.
+    assert min(timeit.repeat(lambda: TailSeq.from_json(doc), number=1, repeat=3)) < 0.1
