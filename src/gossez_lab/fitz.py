@@ -95,6 +95,13 @@ class SampledGraph:
         """c(w) of each point, None where w leaves the model; computed once."""
         return tuple(map(coupling_or_none, self.points))
 
+    def subgraph(self, positions: Iterable[int]) -> SampledGraph:
+        """The points at distinct ``positions``, with their couplings read from this graph."""
+        positions = tuple(positions)
+        sub = SampledGraph(self.system, tuple(self.points[i] for i in positions), self.source)
+        object.__setattr__(sub, "couplings", tuple(self.couplings[i] for i in positions))
+        return sub
+
     def to_json(self) -> dict:
         return {
             "system": self.system.value,

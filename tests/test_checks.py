@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -318,24 +320,22 @@ def test_cli_reports_check_failure_with_exit_one(monkeypatch, capsys, fast_repor
     assert "first failing check: g-basic" in capsys.readouterr().err
 
 
-def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch, cpus):
     import dataclasses
 
     import gossez_lab.checks as checks
     from gossez_lab.sampling import rng_for
 
-    draws = []
-
+    # The draws come back through the stats: a worker's memory is its own.
     def failing(cfg, rng, tally):
-        draws.append(rng.random())
         for k in range(5):
             tally.record("p", k == 0, {"k": k})
-        return (), {"n": 1}, ()
+        return (), {"n": 1, "draw": rng.random()}, ()
 
     def passing(cfg, rng, tally):
-        draws.append(rng.random())
         tally.record("p", True)
-        return ({"w": 1},), {}, ("note",)
+        return ({"w": 1},), {"draw": rng.random()}, ("note",)
 
     g_basic, sds_i = checks.CATALOG[0], checks.CATALOG[5]
     assert sds_i.expected_status == "witness-found"
@@ -344,13 +344,153 @@ def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch):
         dataclasses.replace(sds_i, runner=passing),
     )
     monkeypatch.setattr(checks, "CATALOG", catalog)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
     failed, found = checks.run_checks(checks.CheckConfig(seed=5)).results
-    assert draws == [rng_for(5, "g-basic").random(), rng_for(5, "sds-i").random()]
+    draws = [rng_for(5, "g-basic").random(), rng_for(5, "sds-i").random()]
+    assert [failed.stats["draw"], found.stats["draw"]] == draws
     assert (failed.status, failed.passed) == ("refuted", False)
-    assert failed.stats == {"n": 1, "failures": [{"property": "p", "k": k} for k in (1, 2, 3)]}
+    assert failed.stats == {
+        "n": 1,
+        "draw": draws[0],
+        "failures": [{"property": "p", "k": k} for k in (1, 2, 3)],
+    }
     assert (found.status, found.passed) == ("witness-found", True)
-    assert found.stats == {"failures": []}
+    assert found.stats == {"draw": draws[1], "failures": []}
     assert found.witnesses == ({"w": 1},) and found.notes == ("note",)
+
+
+# ------------------------------------------------------------ worker pool
+
+
+def _pid_runner(cfg, rng, tally):
+    tally.record("p", True)
+    return (), {"pid": os.getpid()}, ()
+
+
+def assert_gone(pids) -> None:
+    """No process has these ids: each worker has exited and been reaped."""
+    import multiprocessing
+
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "cpus, checks_run, fork, threads, in_workers",
+    [
+        (1, 8, True, 1, False),
+        (2, 8, True, 1, True),
+        (64, 8, True, 1, True),
+        (64, 1, True, 1, False),
+        (2, 8, False, 1, False),
+        (2, 8, True, 2, False),
+    ],
+)
+def test_checks_run_in_forked_workers_given_two_cpus_and_two_checks(
+    monkeypatch, cpus, checks_run, fork, threads, in_workers
+):
+    import multiprocessing
+
+    import gossez_lab.checks as checks
+
+    catalog = tuple(dataclasses.replace(spec, runner=_pid_runner) for spec in CATALOG)
+    monkeypatch.setattr(checks, "CATALOG", catalog)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    names = tuple(spec.name for spec in catalog[:checks_run])
+    release = threading.Event()
+    others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
+    for thread in others:
+        thread.start()
+    try:
+        report = checks.run_checks(CheckConfig(checks=names))
+    finally:
+        release.set()
+        for thread in others:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in others)
+    assert [r.name for r in report.results] == list(names)
+    pids = {r.stats["pid"] for r in report.results}
+    if in_workers:
+        assert os.getpid() not in pids and len(pids) <= min(cpus, checks_run)
+        assert_gone(pids)
+    else:
+        assert pids == {os.getpid()}
+
+
+def test_usable_cpus_is_this_process_affinity():
+    import gossez_lab.checks as checks
+
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert checks._usable_cpus() == expected >= 1
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (CheckConfig(seed=0), DEFAULT_REPORT_SHA256),
+        (CheckConfig(seed=0, truncation=128, trials=200), WIDE_WINDOW_REPORT_SHA256),
+    ],
+    ids=["default", "wide-window"],
+)
+def test_pool_and_in_process_reports_are_byte_identical(monkeypatch, config, digest):
+    import gossez_lab.checks as checks
+
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+        reports.append(run_checks(config))
+    in_process, pooled = reports
+    assert hashlib.sha256(emit(pooled, "json")).hexdigest() == digest
+    for fmt in ("json", "csv", "md"):
+        assert emit(pooled, fmt) == emit(in_process, fmt)
+
+
+def test_a_fault_in_a_worker_is_one_internal_error_line(monkeypatch, capsys):
+    import multiprocessing
+
+    import gossez_lab.checks as checks
+
+    def crash(config, rng, tally):
+        raise RuntimeError("kernel exploded")
+
+    broken = dataclasses.replace(checks.CATALOG[3], runner=crash)
+    monkeypatch.setattr(checks, "CATALOG", checks.CATALOG[:3] + (broken,) + checks.CATALOG[4:])
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    argv = ["run", "--checks", f"g-orth,{broken.name},sds-i", "--trials", "4"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: kernel exploded\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_run_checks(monkeypatch):
+    import gossez_lab.checks as checks
+
+    def crash(config, rng, tally):
+        raise RuntimeError(f"pid {os.getpid()}")
+
+    catalog = tuple(dataclasses.replace(spec, runner=_pid_runner) for spec in CATALOG)
+    monkeypatch.setattr(checks, "CATALOG", catalog)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    report = run_checks(CheckConfig(checks=("g-basic", "g-orth", "gstar")))
+    assert_gone({r.stats["pid"] for r in report.results})
+
+    monkeypatch.setattr(checks, "CATALOG", (dataclasses.replace(catalog[0], runner=crash),) + catalog[1:])
+    with pytest.raises(RuntimeError, match=r"pid \d+") as raised:
+        run_checks(CheckConfig(checks=("g-basic", "g-orth", "gstar")))
+    assert_gone({int(str(raised.value).split()[1])})
+
+
+def test_importing_the_lab_leaves_multiprocessing_unimported():
+    probe = "import sys, gossez_lab; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_console_script_entry_point():

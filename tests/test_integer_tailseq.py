@@ -25,13 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from gossez_lab import checks
+from gossez_lab import checks, fitz
 from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.fitz import OP_G_SECOND, OPERATORS, Operator
 from gossez_lab.gossez import _shifted_G, apply_G, solve_G
 from gossez_lab.props import ProbeSet, ni_witness_search
 from gossez_lab.sampling import random_sparse
-from gossez_lab.spaces import ModelMeasure, PairPoint, SparseSeq, TailSeq, as_fraction
+from gossez_lab.spaces import (
+    ModelMeasure,
+    PairPoint,
+    SparseSeq,
+    TailSeq,
+    as_fraction,
+    coupling_value,
+)
 from gossez_lab.verdict import VERIFIED
 
 from strategies import (
@@ -352,6 +359,23 @@ def test_fitz_closed_runs_twice_per_graph_point_in_fds(monkeypatch):
     # lower-bound draws read again, and once in the representability scan.
     assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
     assert set(calls.values()) == {2}
+
+
+def test_fds_couples_each_graph_point_once(monkeypatch):
+    # The lower-bound subsets read their couplings from the check's graph.
+    # What is left is one coupling per graph point, one per divergence
+    # certificate (its one-point graph) and one per probe (its evaluation).
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return coupling_value(w)
+
+    monkeypatch.setattr(fitz, "coupling_value", counting)
+    cfg = checks.CheckConfig(trials=20)
+    status, stats = _run_one(checks._run_fds, cfg)
+    assert status == VERIFIED
+    assert len(calls) == stats["graph_points"] + stats["divergence_points"] + cfg.trials == 270
 
 
 def test_probe_values_mark_points_outside_the_model():
