@@ -380,12 +380,9 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     closed = [g_first.fitz_closed(z) for z in graph.points]
     for z, fv, cv in zip(graph.points, closed, graph.couplings):
         tally.record("indicator-on-graph", fv == 0 == cv, {"z": z})
-    max_value = None
     for z in off_graph_first(rng, 50, 32):
         cert = divergence_certificate(g_first, z, cfg.scale_max)
         tally.record("divergence", cert["value"] > cfg.scale_max, {"z": z, "certificate": cert})
-        if max_value is None or cert["value"] > max_value:
-            max_value = cert["value"]
     combos = min(cfg.trials, 1000)
     for _ in range(combos):
         if rng.random() < 0.5:
@@ -442,7 +439,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     for z in fitz_graph_samples(OP_G_SECOND, cfg.seed + 1, 20):
         sampled = fitz_sampled(z, embedded)
         tally.record("sampled-vanishes-on-closure", sampled == 0, {"z": z})
-    ext = extension_probe(embedded, canonical, cfg.scale_max)
+    ext = extension_probe(embedded, canonical)
     tally.record(
         "extension-witness",
         ext.status == WITNESS_FOUND
@@ -470,7 +467,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     witnesses_checked = 0
     witnesses_on_graph = 0
     for z in probes.points[:100]:
-        verdict = extension_probe(unique_support, z, cfg.scale_max)
+        verdict = extension_probe(unique_support, z)
         if verdict.status == WITNESS_FOUND:
             witnesses_checked += 1
             if g_second.on_fitz_graph(z):
@@ -517,10 +514,10 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     candidates = fitz_graph_samples(OP_NEGG_SECOND, cfg.seed + 1, 50)
     candidates = [z for z in candidates if z.x.infinity_mass != 0]
     for z in candidates:
-        verdict = extension_probe(neg_embedded, z, cfg.scale_max)
+        verdict = extension_probe(neg_embedded, z)
         if verdict.status == REFUTED:
             refuted += 1
-    tally.record("no-representable-extension", refuted == len(candidates))
+    tally.record("no-representable-extension", 0 < refuted == len(candidates))
     representative = representability_check(
         negg_second, neg_embedded, probes, values, seed=cfg.seed
     )
@@ -547,7 +544,6 @@ def _run_dichotomy(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outc
             seed=cfg.seed,
             truncation=min(cfg.truncation, 32),
             probe_count=200,
-            scale_max=cfg.scale_max,
         )
         profiles[op] = verdict.stats
         tally.record(f"profile-{op}", verdict.status == VERIFIED)

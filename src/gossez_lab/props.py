@@ -2,10 +2,9 @@
 
 Maximality is never verified outright, only refuted (a violating pair) or
 supported (a monotone-extension witness off the graph refutes maximality of
-the sampled source).  Extension searches scale the sample points through a
-geometric ladder: on a linear graph every scaled sample is still a graph
-point, and linearity makes monotonicity violations scale-sensitive, so the
-ladder catches what unit-scale probes miss.
+the sampled source).  On a linear graph every scaled sample is still a graph
+point, so an extension probe decides each sample for every real scale at
+once, from the quadratic that the coupling of z - t*w is in t.
 
 The NI search, the representability check and the dichotomy take what they
 know of an operator from its ``fitz.OPERATORS`` entry.  The NI search and
@@ -113,28 +112,33 @@ def is_monotone(graph: SampledGraph) -> PropertyVerdict:
     )
 
 
-def _scale_ladder(scale_max: int) -> list[Fraction]:
-    ladder = []
-    t = Fraction(1)
-    while t <= scale_max:
-        ladder.extend((t, -t))
-        t *= 10
-    return ladder
+def _refuting_scale(a: int, b: int, c: int) -> Fraction | None:
+    """A t with a - t*b + t^2*c < 0 for integers a >= 0, b and c, or None if none exists.
+
+    The quadratic is nonnegative for every real t iff c > 0 and b^2 <= 4ac,
+    or b = c = 0.  Otherwise: the vertex b/(2c) when c > 0; when c <= 0 != b,
+    t = (a+1)/b gives -1 + t^2*c; when b = 0 > c, t = a+1 gives at most
+    a - (a+1)^2, since c <= -1.
+    """
+    if c > 0:
+        return Fraction(b, 2 * c) if b * b > 4 * a * c else None
+    if b:
+        return Fraction(a + 1, b)
+    return Fraction(a + 1) if c else None
 
 
-def extension_probe(
-    graph: SampledGraph, z: PairPoint, scale_max: int = 10**6
-) -> PropertyVerdict:
-    """Probe whether z extends the sampled graph monotonically.
+def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
+    """Decide whether z extends the sampled graph monotonically.
 
-    Checks c(z - t*w) >= 0 for every sample w and every ladder scale t of
-    both signs (plus the zero point, a graph point of every linear source).
-    A violation refutes; survival makes z a monotone-extension witness,
+    On a linear graph every scaled sample t*w is a graph point, and
+    c(z - t*w) = c(z) - t*z.w + t^2*c(w) is a quadratic in t, so each
+    sample is decided for every real t at once (plus the zero point, a
+    graph point of every linear source).  A violation refutes, naming an
+    exact scale and its value; survival makes z a monotone-extension witness,
     flagged in ``stats["already_in_analytic_graph"]`` when the graph's source
     has a membership test.  A flagged witness refutes no maximality, so
     ``dichotomy_crosscheck`` and the ``sds-i`` check count only unflagged ones.
     """
-    ladder = _scale_ladder(scale_max)
     try:
         cz = coupling_value(z)
     except OutsideModelDomain:
@@ -142,7 +146,7 @@ def extension_probe(
         return PropertyVerdict(
             property="extension",
             status=INCONCLUSIVE,
-            stats={"pairs_checked": 0, "skipped": 1, "scale_max": scale_max},
+            stats={"pairs_checked": 0, "skipped": 1},
         )
     if cz < 0:
         # Violation against the origin, a graph point of any linear source.
@@ -150,12 +154,10 @@ def extension_probe(
             property="extension",
             status=REFUTED,
             witnesses=({"w": PairPoint.zero(graph.system), "scale": Fraction(1), "value": cz},),
-            stats={"pairs_checked": 1, "scale_max": scale_max},
+            stats={"pairs_checked": 1},
         )
     checked = 1
     skipped = 0
-    # Every ladder scale is an integer, so t is its own numerator.
-    steps = [(t, t.numerator) for t in ladder]
     cz_num, cz_den = cz.numerator, cz.denominator
     for w, cw in zip(graph.points, graph.couplings):
         if cw is None:
@@ -166,25 +168,23 @@ def extension_probe(
         except OutsideModelDomain:
             skipped += 1
             continue
-        # c(z - t*w) = cz - t*zw + t^2*cw, exact for every scale; its sign is
-        # that of A - t*B + t^2*C, the numerators over one positive denominator.
+        checked += 1
+        # The sign of c(z - t*w) is that of a - t*b + t^2*c, the numerators
+        # of cz, zw and cw over one positive denominator.
         cw_den = cw.denominator
         den = math.lcm(cz_den, zw_den, cw_den)
-        a = cz_num * (den // cz_den)
-        b = zw_num * (den // zw_den)
-        c = cw.numerator * (den // cw_den)
-        for t, p in steps:
-            checked += 1
-            numerator = a - p * b + p * p * c
-            if numerator < 0:
-                value = Fraction(numerator, den)
-                return PropertyVerdict(
-                    property="extension",
-                    status=REFUTED,
-                    witnesses=({"w": w, "scale": t, "value": value},),
-                    stats={"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max},
-                )
-    stats = {"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max}
+        t = _refuting_scale(
+            cz_num * (den // cz_den), zw_num * (den // zw_den), cw.numerator * (den // cw_den)
+        )
+        if t is not None:
+            value = cz - t * Fraction(zw_num, zw_den) + t * t * cw
+            return PropertyVerdict(
+                property="extension",
+                status=REFUTED,
+                witnesses=({"w": w, "scale": t, "value": value},),
+                stats={"pairs_checked": checked, "skipped": skipped},
+            )
+    stats = {"pairs_checked": checked, "skipped": skipped}
     membership = SOURCE_MEMBERSHIP.get(graph.source)
     if membership is not None:
         stats["already_in_analytic_graph"] = membership(z)
@@ -327,7 +327,6 @@ def dichotomy_crosscheck(
     seed: int = 0,
     truncation: int = 32,
     probe_count: int = 200,
-    scale_max: int = 10**6,
 ) -> PropertyVerdict:
     """Aggregate the checker suite for one operator and test its coherence.
 
@@ -376,7 +375,7 @@ def dichotomy_crosscheck(
     extension_found: dict | None = None
     extension_refuted = 0
     for z in candidates:
-        verdict = extension_probe(graph, z, scale_max)
+        verdict = extension_probe(graph, z)
         if verdict.status == REFUTED:
             extension_refuted += 1
         elif verdict.status == WITNESS_FOUND and not verdict.stats["already_in_analytic_graph"]:

@@ -2,8 +2,7 @@
 
 All randomness flows through `random.Random` seeded with a string derived
 from (seed, label), so identical descriptors reproduce identical objects,
-bit for bit.  Magnitude caps keep the exact arithmetic fast and keep scaled
-refutation searches inside the default scale ladder.
+bit for bit.  Magnitude caps keep the exact arithmetic fast.
 
 Draws are ints.  ``_randint`` and ``_draw_fractions`` take ``getrandbits``
 as ``Random.randint`` does, and ``_sample_range`` replays

@@ -137,8 +137,35 @@ def scale_ladder(scale_max):
     return ladder
 
 
+def extension_exact(cz, couplings):
+    """The exact extension decision over every real scale, on Fractions.
+
+    ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w.
+    c(z - t*w) = cz - t*zw + t^2*cw is negative at some real t iff its
+    infimum over t is: cz - zw^2/(4*cw) when cw > 0, -infinity when
+    cw < 0 or when cw = 0 != zw, and cz >= 0 when cw = zw = 0.  Returns
+    (sample index, pairs checked) for the first refuting sample, or
+    (None, pairs checked).  cz itself counts as the first pair checked,
+    and each unskipped sample as one more.
+    """
+    checked = 1
+    for i, pair in enumerate(couplings):
+        if pair is None:
+            continue
+        zw, cw = pair
+        checked += 1
+        if cw > 0:
+            refuted = cz - zw * zw / (4 * cw) < 0
+        else:
+            refuted = cw < 0 or zw != 0
+        if refuted:
+            return i, checked
+    return None, checked
+
+
 def extension_scan(cz, couplings, scale_max):
-    """The ladder scan of an extension probe, on Fractions.
+    """The former ladder scan of an extension probe, on Fractions: a weaker
+    oracle, tried only at t = +-1, +-10, ..., +-scale_max.
 
     ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w.
     Returns (sample index, scale, value, pairs checked) for the first

@@ -198,7 +198,7 @@ def test_criterion_09_maximality_contrast():
     )
     refuted = 0
     for z in off_graph_first(rng, 100, 32):
-        if extension_probe(graph, z, scale_max=10**6).status == REFUTED:
+        if extension_probe(graph, z).status == REFUTED:
             refuted += 1
     assert refuted == 100
     embedded = SampledGraph(
@@ -206,7 +206,7 @@ def test_criterion_09_maximality_contrast():
         tuple(embed_first(p.x) for p in graph.points if isinstance(p.x, SparseSeq)),
         source="Graph G embedded",
     )
-    witness = extension_probe(embedded, CANONICAL, scale_max=10**6)
+    witness = extension_probe(embedded, CANONICAL)
     assert witness.status == WITNESS_FOUND
     profiles = {}
     for op in (OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND):

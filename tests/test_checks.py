@@ -186,8 +186,8 @@ def test_an_extension_witness_on_the_graph_refutes_nothing(monkeypatch):
 
     probe = props.extension_probe
 
-    def on_graph(graph, z, scale_max):
-        verdict = probe(graph, z, scale_max)
+    def on_graph(graph, z):
+        verdict = probe(graph, z)
         if verdict.status != WITNESS_FOUND:
             return verdict
         return dataclasses.replace(
@@ -199,6 +199,31 @@ def test_an_extension_witness_on_the_graph_refutes_nothing(monkeypatch):
     sds_i, dichotomy = run_checks(CheckConfig(checks=("sds-i", "dichotomy"), trials=20)).results
     assert [f["property"] for f in sds_i.stats["failures"]] == ["extension-witness"]
     assert [f["property"] for f in dichotomy.stats["failures"]] == ["profile-G-second"]
+
+
+def test_sds_ii_refutes_no_extension_on_zero_candidates(monkeypatch):
+    # Fitzpatrick graph samples without mass at infinity leave sds-ii no
+    # in-model extension candidate, and "every candidate refuted" must not
+    # hold of none.  The massless points are still on the graph, so nothing
+    # else in the check fails.
+    import gossez_lab.checks as checks
+    from gossez_lab.fitz import OPERATORS
+    from gossez_lab.spaces import ModelMeasure
+
+    samples = checks.fitz_graph_samples
+
+    def massless(op_id, seed, count, truncation=32):
+        op = OPERATORS[op_id]
+        return [
+            op.fitz_point(ModelMeasure.from_atomic(z.x.atomic))
+            for z in samples(op_id, seed, count, truncation)
+        ]
+
+    monkeypatch.setattr(checks, "fitz_graph_samples", massless)
+    (result,) = run_checks(CheckConfig(checks=("sds-ii",), trials=20)).results
+    assert not result.passed
+    assert [f["property"] for f in result.stats["failures"]] == ["no-representable-extension"]
+    assert result.stats["extension_candidates_refuted"] == 0
 
 
 def test_empty_selection_gives_header_only_report():

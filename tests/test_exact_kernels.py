@@ -331,38 +331,60 @@ def ref_cross(x, y):
     return atomic + x.infinity_mass * y.tail[0]
 
 
-def expected_extension(graph: SampledGraph, z: PairPoint, scale_max: int):
-    """(status, witnesses, stats) that extension_probe must return."""
+def ref_extension_terms(graph: SampledGraph, z: PairPoint):
+    """(cz, [(z.w, c(w)) or None per sample]) on the reference; cz is None
+    when z's own coupling leaves the model."""
     cz = ref_cross(z.x, z.y)
-    if cz is None:
-        return INCONCLUSIVE, (), {"pairs_checked": 0, "skipped": 1, "scale_max": scale_max}
-    if cz < 0:
-        witness = {"w": PairPoint.zero(graph.system), "scale": F(1), "value": cz}
-        return REFUTED, (witness,), {"pairs_checked": 1, "scale_max": scale_max}
     couplings = []
     for w in graph.points:
         parts = (ref_cross(z.x, w.y), ref_cross(w.x, z.y), ref_cross(w.x, w.y))
         couplings.append(None if None in parts else (parts[0] + parts[1], parts[2]))
-    index, t, value, checked = ref.extension_scan(cz, couplings, scale_max)
+    return cz, couplings
+
+
+def assert_extension_matches(graph: SampledGraph, z: PairPoint) -> None:
+    """extension_probe against the discriminant oracle: the same status,
+    stats and refuting sample, and a refutation that re-checks exactly."""
+    verdict = extension_probe(graph, z)
+    cz, couplings = ref_extension_terms(graph, z)
+    if cz is None:
+        assert verdict.status == INCONCLUSIVE and verdict.witnesses == ()
+        assert verdict.stats == {"pairs_checked": 0, "skipped": 1}
+        return
+    if cz < 0:
+        witness = {"w": PairPoint.zero(graph.system), "scale": F(1), "value": cz}
+        assert verdict.status == REFUTED and verdict.witnesses == (witness,)
+        assert verdict.stats == {"pairs_checked": 1}
+        return
+    index, checked = ref.extension_exact(cz, couplings)
+    skipped = couplings[:index].count(None)
+    assert verdict.stats == {"pairs_checked": checked, "skipped": skipped}
     if index is not None:
-        skipped = couplings[:index].count(None)
-        witness = {"w": graph.points[index], "scale": t, "value": value}
-        return REFUTED, (witness,), {"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max}
-    skipped = couplings.count(None)
-    stats = {"pairs_checked": checked, "skipped": skipped, "scale_max": scale_max}
-    return (INCONCLUSIVE if skipped else WITNESS_FOUND), ({"point": z, "coupling": cz},), stats
+        assert verdict.status == REFUTED
+        (witness,) = verdict.witnesses
+        assert witness["w"] == graph.points[index]
+        t, value = witness["scale"], witness["value"]
+        assert type(t) is Fraction and type(value) is Fraction
+        zw, cw = couplings[index]
+        assert value == cz - t * zw + t * t * cw < 0
+        assert coupling_value(z - witness["w"].scale(t)) == value
+    else:
+        assert verdict.status == (INCONCLUSIVE if skipped else WITNESS_FOUND)
+        assert verdict.witnesses == ({"point": z, "coupling": cz},)
+        assert type(cz) is Fraction
 
 
-def assert_extension_matches(graph: SampledGraph, z: PairPoint, scale_max: int) -> None:
-    verdict = extension_probe(graph, z, scale_max)
-    status, witnesses, stats = expected_extension(graph, z, scale_max)
-    assert verdict.status == status
-    assert verdict.witnesses == witnesses
-    assert verdict.stats == stats
-    for witness in verdict.witnesses:
-        for key in ("value", "scale", "coupling"):
-            if key in witness:
-                assert type(witness[key]) is Fraction
+def assert_exact_refutes_where_ladder_does(graph: SampledGraph, z: PairPoint) -> None:
+    """A sample that some ladder scale refutes is refuted for every scale_max."""
+    cz, couplings = ref_extension_terms(graph, z)
+    if cz is None or cz < 0:
+        return
+    index, _ = ref.extension_exact(cz, couplings)
+    for scale_max in (1, 10, 10**6):
+        ladder_index = ref.extension_scan(cz, couplings, scale_max)[0]
+        if ladder_index is not None:
+            assert index is not None and index <= ladder_index
+            assert extension_probe(graph, z).status == REFUTED
 
 
 small = st.one_of(rationals(5, 4), wide_rationals())
@@ -375,21 +397,22 @@ second_points = st.builds(
     st.one_of(st.just(F(0)), small),
     tail_seqs(3, small),
 )
-scale_maxes = st.sampled_from([1, 10, 10**6])
 
 
 @settings(deadline=None)
-@given(st.lists(first_points, max_size=5), first_points, scale_maxes)
-def test_extension_probe_matches_fraction_scan_first(points, z, scale_max):
+@given(st.lists(first_points, max_size=5), first_points)
+def test_extension_probe_matches_fraction_scan_first(points, z):
     graph = SampledGraph(DualSystem.FIRST, tuple(points), "custom")
-    assert_extension_matches(graph, z, scale_max)
+    assert_extension_matches(graph, z)
+    assert_exact_refutes_where_ladder_does(graph, z)
 
 
 @settings(deadline=None)
-@given(st.lists(second_points, max_size=5), second_points, scale_maxes)
-def test_extension_probe_matches_fraction_scan_second(points, z, scale_max):
+@given(st.lists(second_points, max_size=5), second_points)
+def test_extension_probe_matches_fraction_scan_second(points, z):
     graph = SampledGraph(DualSystem.SECOND, tuple(points), "custom")
-    assert_extension_matches(graph, z, scale_max)
+    assert_extension_matches(graph, z)
+    assert_exact_refutes_where_ladder_does(graph, z)
 
 
 def test_extension_probe_with_vanishing_cross_and_own_couplings():
@@ -398,29 +421,48 @@ def test_extension_probe_with_vanishing_cross_and_own_couplings():
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.zero())
     w1 = PairPoint.first(SparseSeq.unit(2), TailSeq.zero())
     w2 = PairPoint.first(SparseSeq.zero(), TailSeq.constant(0, [-1]))
-    for scale_max in (1, 10, 10**6):
-        graph = SampledGraph(DualSystem.FIRST, (w1,), "custom")
-        assert extension_probe(graph, z, scale_max).status == WITNESS_FOUND
-        assert_extension_matches(graph, z, scale_max)
-        graph = SampledGraph(DualSystem.FIRST, (w1, w2), "custom")
-        verdict = extension_probe(graph, z, scale_max)
-        assert verdict.status == REFUTED
-        assert verdict.witnesses[0]["scale"] == -1 and verdict.witnesses[0]["value"] == -1
-        assert_extension_matches(graph, z, scale_max)
+    graph = SampledGraph(DualSystem.FIRST, (w1,), "custom")
+    assert extension_probe(graph, z).status == WITNESS_FOUND
+    assert_extension_matches(graph, z)
+    graph = SampledGraph(DualSystem.FIRST, (w1, w2), "custom")
+    verdict = extension_probe(graph, z)
+    assert verdict.status == REFUTED
+    assert verdict.witnesses[0]["scale"] == -1 and verdict.witnesses[0]["value"] == -1
+    assert_extension_matches(graph, z)
 
 
 def test_extension_probe_refutes_only_at_large_scale():
-    # cz = 1, zw = 0, cw = -1/10**11: c(z - t*w) = 1 - t^2/10**11 < 0 from t = 10**6.
+    # cz = 1, zw = 0, cw = -1/10**11: c(z - t*w) = 1 - t^2/10**11 < 0 only
+    # from |t| > 316,227.  A ladder up to 10 misses it; the exact test
+    # refutes with no scale bound.
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [1]))
     w = PairPoint.first(SparseSeq.unit(3), TailSeq.constant(0, [0, 0, F(-1, 10**11)]))
     graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
-    assert extension_probe(graph, z, 10).status == WITNESS_FOUND
-    verdict = extension_probe(graph, z, 10**6)
+    assert ref.extension_scan(F(1), [(F(0), F(-1, 10**11))], 10)[0] is None
+    verdict = extension_probe(graph, z)
     assert verdict.status == REFUTED
-    assert verdict.witnesses[0]["scale"] == 10**6
-    assert verdict.witnesses[0]["value"] == 1 - F(10**12, 10**11)
-    for scale_max in (1, 10, 10**6):
-        assert_extension_matches(graph, z, scale_max)
+    t = verdict.witnesses[0]["scale"]
+    assert t == 10**11 + 1
+    assert verdict.witnesses[0]["value"] == 1 - F(t * t, 10**11)
+    assert_extension_matches(graph, z)
+
+
+def test_extension_probe_on_the_discriminant_boundary_refutes_nothing():
+    # z = (e1, e1), w = (e1 + e2, e1): cz = 1, zw = 2, cw = 1, so
+    # c(z - t*w) = (t - 1)^2 touches 0 at t = 1 and is never negative.
+    z = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [1]))
+    w = PairPoint.first(SparseSeq.unit(1) + SparseSeq.unit(2), TailSeq.constant(0, [1]))
+    assert (coupling_value(w), natural_couple(z, w)) == (1, 2)
+    assert coupling_value(z - w) == 0
+    graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
+    assert extension_probe(graph, z).status == WITNESS_FOUND
+    assert_extension_matches(graph, z)
+    # One more unit of cross coupling crosses the boundary: B^2 > 4AC.
+    w = PairPoint.first(SparseSeq.unit(1) + SparseSeq.unit(2), TailSeq.constant(0, [F(3, 2)]))
+    graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
+    verdict = extension_probe(graph, z)
+    assert verdict.status == REFUTED
+    assert_extension_matches(graph, z)
 
 
 def test_extension_probe_couples_each_graph_point_once(monkeypatch):
@@ -439,6 +481,6 @@ def test_extension_probe_couples_each_graph_point_once(monkeypatch):
     graph = SampledGraph(DualSystem.SECOND, (outside, *points), "custom")
     probes = [PairPoint.second(x, TailSeq.constant(k, [0] * k)) for k, x in enumerate(units)]
     for z in probes:
-        assert_extension_matches(graph, z, 10)
-        assert extension_probe(graph, z, 10).stats["skipped"] == 1
+        assert_extension_matches(graph, z)
+        assert extension_probe(graph, z).stats["skipped"] == 1
     assert calls == list(graph.points)
