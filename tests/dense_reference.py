@@ -168,22 +168,16 @@ def extension_scan(cz, couplings, scale_max):
     oracle, tried only at t = +-1, +-10, ..., +-scale_max.
 
     ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w.
-    Returns (sample index, scale, value, pairs checked) for the first
-    t with c(z - t*w) = cz - t*zw + t^2*cw < 0, or (None, None, None,
-    pairs checked) if every value is nonnegative.  cz itself counts as the
-    first pair checked.
+    Returns the index of the first sample with c(z - t*w) = cz - t*zw +
+    t^2*cw < 0 at some ladder t, or None.
     """
-    checked = 1
     for i, pair in enumerate(couplings):
         if pair is None:
             continue
         zw, cw = pair
-        for t in scale_ladder(scale_max):
-            value = cz - t * zw + t * t * cw
-            checked += 1
-            if value < 0:
-                return i, t, value, checked
-    return None, None, None, checked
+        if any(cz - t * zw + t * t * cw < 0 for t in scale_ladder(scale_max)):
+            return i
+    return None
 
 
 def solve_G(y):

@@ -344,34 +344,36 @@ def ref_extension_terms(graph: SampledGraph, z: PairPoint):
 
 def assert_extension_matches(graph: SampledGraph, z: PairPoint) -> None:
     """extension_probe against the discriminant oracle: the same status,
-    stats and refuting sample, and a refutation that re-checks exactly."""
+    stats and refuting sample, a refutation that re-checks exactly, and
+    Fraction values in every witness."""
     verdict = extension_probe(graph, z)
     cz, couplings = ref_extension_terms(graph, z)
     if cz is None:
         assert verdict.status == INCONCLUSIVE and verdict.witnesses == ()
         assert verdict.stats == {"pairs_checked": 0, "skipped": 1}
-        return
-    if cz < 0:
+    elif cz < 0:
         witness = {"w": PairPoint.zero(graph.system), "scale": F(1), "value": cz}
         assert verdict.status == REFUTED and verdict.witnesses == (witness,)
         assert verdict.stats == {"pairs_checked": 1}
-        return
-    index, checked = ref.extension_exact(cz, couplings)
-    skipped = couplings[:index].count(None)
-    assert verdict.stats == {"pairs_checked": checked, "skipped": skipped}
-    if index is not None:
-        assert verdict.status == REFUTED
-        (witness,) = verdict.witnesses
-        assert witness["w"] == graph.points[index]
-        t, value = witness["scale"], witness["value"]
-        assert type(t) is Fraction and type(value) is Fraction
-        zw, cw = couplings[index]
-        assert value == cz - t * zw + t * t * cw < 0
-        assert coupling_value(z - witness["w"].scale(t)) == value
     else:
-        assert verdict.status == (INCONCLUSIVE if skipped else WITNESS_FOUND)
-        assert verdict.witnesses == ({"point": z, "coupling": cz},)
-        assert type(cz) is Fraction
+        index, checked = ref.extension_exact(cz, couplings)
+        skipped = couplings[:index].count(None)
+        assert verdict.stats == {"pairs_checked": checked, "skipped": skipped}
+        if index is not None:
+            assert verdict.status == REFUTED
+            (witness,) = verdict.witnesses
+            assert witness["w"] == graph.points[index]
+            t, value = witness["scale"], witness["value"]
+            zw, cw = couplings[index]
+            assert value == cz - t * zw + t * t * cw < 0
+            assert coupling_value(z - witness["w"].scale(t)) == value
+        else:
+            assert verdict.status == (INCONCLUSIVE if skipped else WITNESS_FOUND)
+            assert verdict.witnesses == ({"point": z, "coupling": cz},)
+    for witness in verdict.witnesses:
+        for key in ("value", "scale", "coupling"):
+            if key in witness:
+                assert type(witness[key]) is Fraction
 
 
 def assert_exact_refutes_where_ladder_does(graph: SampledGraph, z: PairPoint) -> None:
@@ -381,7 +383,7 @@ def assert_exact_refutes_where_ladder_does(graph: SampledGraph, z: PairPoint) ->
         return
     index, _ = ref.extension_exact(cz, couplings)
     for scale_max in (1, 10, 10**6):
-        ladder_index = ref.extension_scan(cz, couplings, scale_max)[0]
+        ladder_index = ref.extension_scan(cz, couplings, scale_max)
         if ladder_index is not None:
             assert index is not None and index <= ladder_index
             assert extension_probe(graph, z).status == REFUTED
@@ -438,7 +440,7 @@ def test_extension_probe_refutes_only_at_large_scale():
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [1]))
     w = PairPoint.first(SparseSeq.unit(3), TailSeq.constant(0, [0, 0, F(-1, 10**11)]))
     graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
-    assert ref.extension_scan(F(1), [(F(0), F(-1, 10**11))], 10)[0] is None
+    assert ref.extension_scan(F(1), [(F(0), F(-1, 10**11))], 10) is None
     verdict = extension_probe(graph, z)
     assert verdict.status == REFUTED
     t = verdict.witnesses[0]["scale"]

@@ -250,6 +250,7 @@ def test_extension_probe_negative_coupling_refuted_at_origin():
     verdict = extension_probe(g, z)
     assert verdict.status == REFUTED
     assert verdict.witnesses[0]["value"] == -1
+    assert type(verdict.witnesses[0]["value"]) is Fraction
 
 
 def test_extension_probe_undefined_own_coupling_is_inconclusive():
