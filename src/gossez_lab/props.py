@@ -3,8 +3,10 @@
 Maximality is never verified outright, only refuted (a violating pair) or
 supported (a monotone-extension witness off the graph refutes maximality of
 the sampled source).  On a linear graph every scaled sample is still a graph
-point, so an extension probe decides each sample for every real scale at
-once, from the quadratic that the coupling of z - t*w is in t.
+point, so one line test decides c(z - t*w) >= 0 for every real t at once,
+from the quadratic it is in t: an extension probe applies it to the probe
+against each sample, and the monotonicity check to each sample against the
+samples after it, which decides each plane that two samples span.
 
 The NI search, the representability check and the dichotomy take what they
 know of an operator from its ``fitz.OPERATORS`` entry.  The NI search and
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .fitz import (
@@ -51,67 +52,6 @@ __all__ = [
 ]
 
 
-def _difference_terms(
-    z1: PairPoint, t1: tuple[int, int] | None, z2: PairPoint, t2: tuple[int, int] | None
-) -> tuple[int, int]:
-    """c(z1 - z2) as an unreduced (numerator, denominator > 0) pair, from the
-    couplings t1 = c(z1) and t2 = c(z2) as (numerator, denominator) when both exist.
-
-    The coupling is bilinear: c(z1 - z2) = c(z1) + c(z2) - z1.z2.  A term
-    may leave the model where the difference does not (two measures with
-    equal mass at infinity cancel it), so the difference point is built
-    only then.  Raises OutsideModelDomain when c(z1 - z2) itself does.
-    """
-    if t1 is not None and t2 is not None:
-        try:
-            a, d = natural_couple_terms(z1, z2)
-        except OutsideModelDomain:
-            pass
-        else:
-            (p1, q1), (p2, q2) = t1, t2
-            return (p1 * q2 + p2 * q1) * d - a * q1 * q2, q1 * q2 * d
-    value = coupling_value(z1 - z2)
-    return value.numerator, value.denominator
-
-
-def is_monotone(graph: SampledGraph) -> PropertyVerdict:
-    """Check c(z1 - z2) >= 0 over all unordered sample pairs.
-
-    c(z) is computed once per sample point.  The pair values stay integer
-    fractions over positive denominators, so signs and the running minimum
-    are decided on ints.  Verified only if at least one pair was evaluated
-    and none was skipped.
-    """
-    terms = [None if c is None else (c.numerator, c.denominator) for c in graph.couplings]
-    checked = 0
-    skipped = 0
-    min_num, min_den = 0, 0  # no value yet
-    for (z1, t1), (z2, t2) in combinations(zip(graph.points, terms), 2):
-        try:
-            num, den = _difference_terms(z1, t1, z2, t2)
-        except OutsideModelDomain:
-            skipped += 1
-            continue
-        checked += 1
-        if not min_den or num * min_den < min_num * den:
-            min_num, min_den = num, den
-        if num < 0:
-            return PropertyVerdict(
-                property="monotone",
-                status=REFUTED,
-                witnesses=({"z1": z1, "z2": z2, "value": Fraction(num, den)},),
-                stats={"pairs_checked": checked, "skipped": skipped},
-            )
-    stats = {"pairs_checked": checked, "skipped": skipped}
-    if min_den:
-        stats["min_value"] = Fraction(min_num, min_den)
-    return PropertyVerdict(
-        property="monotone",
-        status=VERIFIED if checked and not skipped else INCONCLUSIVE,
-        stats=stats,
-    )
-
-
 def _refuting_scale(a: int, b: int, c: int) -> Fraction | None:
     """A t with a - t*b + t^2*c < 0 for integers a >= 0, b and c, or None if none exists.
 
@@ -127,16 +67,91 @@ def _refuting_scale(a: int, b: int, c: int) -> Fraction | None:
     return Fraction(a + 1) if c else None
 
 
+def _line_scan(
+    z: PairPoint, cz: Fraction, points: Iterable[PairPoint], couplings: Iterable[Fraction | None]
+) -> tuple[dict | None, int, int]:
+    """Decide c(z - t*w) >= 0 for every real t, for each sample w in turn.
+
+    ``cz`` = c(z) >= 0 and ``couplings`` holds c(w) per sample, None outside
+    the model.  c(z - t*w) = c(z) - t*z.w + t^2*c(w) has the sign of
+    a - t*b + t^2*c, the numerators of the three terms over one positive
+    denominator.  Returns (witness, checked, skipped): the first refuting
+    sample's {"w", "scale", "value"}, or None, and the counts of samples
+    decided and of samples whose c(w) or z.w leaves the model.
+    """
+    checked = 0
+    skipped = 0
+    cz_num, cz_den = cz.numerator, cz.denominator
+    for w, cw in zip(points, couplings):
+        if cw is None:
+            skipped += 1
+            continue
+        try:
+            zw_num, zw_den = natural_couple_terms(z, w)
+        except OutsideModelDomain:
+            skipped += 1
+            continue
+        checked += 1
+        cw_den = cw.denominator
+        den = math.lcm(cz_den, zw_den, cw_den)
+        t = _refuting_scale(
+            cz_num * (den // cz_den), zw_num * (den // zw_den), cw.numerator * (den // cw_den)
+        )
+        if t is not None:
+            value = cz - t * Fraction(zw_num, zw_den) + t * t * cw
+            return {"w": w, "scale": t, "value": value}, checked, skipped
+    return None, checked, skipped
+
+
+def is_monotone(graph: SampledGraph) -> PropertyVerdict:
+    """Decide c(s*w_i - t*w_j) >= 0 for all real s, t on each plane two samples
+    of a linear graph span.
+
+    Each sample w_i is checked against the origin (c(w_i) < 0 refutes), then
+    `_line_scan` decides c(w_i - t*w_j) >= 0 for every real t against each
+    later sample w_j; with c(w_i) >= 0 that covers the plane.  A refutation
+    re-checks as c(z - w.scale(t)) == value < 0.  ``pairs_checked`` and
+    ``skipped`` count the sample pairs decided and those where c(w_i),
+    c(w_j) or w_i.w_j leaves the model.  Verified only if at least one pair
+    was decided and none was skipped.
+    """
+    points, couplings = graph.points, graph.couplings
+    checked = 0
+    skipped = 0
+    for i, (z, cz) in enumerate(zip(points, couplings)):
+        if cz is None:
+            skipped += len(points) - i - 1
+            continue
+        if cz < 0:
+            witness = {"w": PairPoint.zero(graph.system), "scale": Fraction(1), "value": cz}
+        else:
+            witness, n, s = _line_scan(z, cz, points[i + 1 :], couplings[i + 1 :])
+            checked += n
+            skipped += s
+        if witness is not None:
+            return PropertyVerdict(
+                property="monotone",
+                status=REFUTED,
+                witnesses=({"z": z, **witness},),
+                stats={"pairs_checked": checked, "skipped": skipped},
+            )
+    return PropertyVerdict(
+        property="monotone",
+        status=VERIFIED if checked and not skipped else INCONCLUSIVE,
+        stats={"pairs_checked": checked, "skipped": skipped},
+    )
+
+
 def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
     """Decide whether z extends the sampled graph monotonically.
 
     On a linear graph every scaled sample t*w is a graph point, and
-    c(z - t*w) = c(z) - t*z.w + t^2*c(w) is a quadratic in t, so each
-    sample is decided for every real t at once (plus the zero point, a
-    graph point of every linear source).  A violation refutes, naming an
-    exact scale and its value; survival makes z a monotone-extension witness,
-    flagged in ``stats["already_in_analytic_graph"]`` when the graph's source
-    has a membership test.  A flagged witness refutes no maximality, so
+    `_line_scan` decides c(z - t*w) >= 0 for every real t at once, for each
+    sample w (plus the zero point, a graph point of every linear source).
+    A violation refutes, naming an exact scale and its value; survival makes
+    z a monotone-extension witness, flagged in
+    ``stats["already_in_analytic_graph"]`` when the graph's source has a
+    membership test.  A flagged witness refutes no maximality, so
     ``dichotomy_crosscheck`` and the ``sds-i`` check count only unflagged ones.
     """
     try:
@@ -156,35 +171,10 @@ def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
             witnesses=({"w": PairPoint.zero(graph.system), "scale": Fraction(1), "value": cz},),
             stats={"pairs_checked": 1},
         )
-    checked = 1
-    skipped = 0
-    cz_num, cz_den = cz.numerator, cz.denominator
-    for w, cw in zip(graph.points, graph.couplings):
-        if cw is None:
-            skipped += 1
-            continue
-        try:
-            zw_num, zw_den = natural_couple_terms(z, w)
-        except OutsideModelDomain:
-            skipped += 1
-            continue
-        checked += 1
-        # The sign of c(z - t*w) is that of a - t*b + t^2*c, the numerators
-        # of cz, zw and cw over one positive denominator.
-        cw_den = cw.denominator
-        den = math.lcm(cz_den, zw_den, cw_den)
-        t = _refuting_scale(
-            cz_num * (den // cz_den), zw_num * (den // zw_den), cw.numerator * (den // cw_den)
-        )
-        if t is not None:
-            value = cz - t * Fraction(zw_num, zw_den) + t * t * cw
-            return PropertyVerdict(
-                property="extension",
-                status=REFUTED,
-                witnesses=({"w": w, "scale": t, "value": value},),
-                stats={"pairs_checked": checked, "skipped": skipped},
-            )
-    stats = {"pairs_checked": checked, "skipped": skipped}
+    witness, checked, skipped = _line_scan(z, cz, graph.points, graph.couplings)
+    stats = {"pairs_checked": 1 + checked, "skipped": skipped}
+    if witness is not None:
+        return PropertyVerdict(property="extension", status=REFUTED, witnesses=(witness,), stats=stats)
     membership = SOURCE_MEMBERSHIP.get(graph.source)
     if membership is not None:
         stats["already_in_analytic_graph"] = membership(z)
@@ -206,7 +196,6 @@ def ni_witness_search(op_id: str, probes: ProbeSet, values: Iterable[tuple]) -> 
     read only as far as the search goes.  Verified only if at least one
     probe was evaluated and none was skipped.
     """
-    seed = probes.descriptor.get("seed")
     checked = 0
     skipped = 0
     for z, (fv, cv) in zip(probes.points, values):
@@ -220,13 +209,11 @@ def ni_witness_search(op_id: str, probes: ProbeSet, values: Iterable[tuple]) -> 
                 status=WITNESS_FOUND,
                 witnesses=({"z": z, "fitz": fv, "coupling": cv, "margin": cv - fv},),
                 stats={"probes_checked": checked, "skipped": skipped},
-                seed=seed,
             )
     return PropertyVerdict(
         property=f"NI({op_id})",
         status=VERIFIED if checked and not skipped else INCONCLUSIVE,
         stats={"probes_checked": checked, "skipped": skipped},
-        seed=seed,
     )
 
 
@@ -264,7 +251,6 @@ def representability_check(
                 status=REFUTED,
                 witnesses=({"z": z, "fn": fv, "coupling": cv},),
                 stats={"graph_points": len(graph.points)},
-                seed=seed,
             )
     below: dict | None = None
     equality_set = 0
@@ -289,13 +275,12 @@ def representability_check(
         (z1, f1), (z2, f2) = rng.sample(finite, 2)
         fm = fn((z1 + z2).scale(Fraction(1, 2)))
         convex_checked += 1
-        if fm != PLUS_INF and fm > (f1 + f2) / 2:
+        if fm > (f1 + f2) / 2:
             return PropertyVerdict(
                 property=f"representability({name})",
                 status=REFUTED,
                 witnesses=({"z1": z1, "z2": z2, "midpoint_value": fm},),
                 stats={"reason": "midpoint convexity violated"},
-                seed=seed,
             )
     stats = {
         "graph_points": len(graph.points),
@@ -311,14 +296,12 @@ def representability_check(
             status=WITNESS_FOUND,
             witnesses=(below,),
             stats=stats,
-            seed=seed,
         )
     evaluated = graph.points or probes.points
     return PropertyVerdict(
         property=f"representability({name})",
         status=VERIFIED if evaluated and not skipped else INCONCLUSIVE,
         stats=stats,
-        seed=seed,
     )
 
 
@@ -408,5 +391,4 @@ def dichotomy_crosscheck(
         status=VERIFIED if consistent else REFUTED,
         witnesses=tuple(witnesses),
         stats=stats,
-        seed=seed,
     )

@@ -229,7 +229,6 @@ class ProbeSet:
     model (measures with mass at infinity only meet convergent sequences).
     """
 
-    system: DualSystem
     points: tuple[PairPoint, ...]
     descriptor: dict = field(default_factory=dict)
 
@@ -239,7 +238,7 @@ class ProbeSet:
         system = operator_for(op_id).system
         rng = rng_for(seed, f"probes:{op_id}:{truncation}:{count}")
         grid = _first_system_grid if system is DualSystem.FIRST else _second_system_grid
-        return ProbeSet(system, tuple(grid(rng, truncation, count)), descriptor)
+        return ProbeSet(tuple(grid(rng, truncation, count)), descriptor)
 
 
 def _first_system_grid(rng: random.Random, truncation: int, count: int) -> list[PairPoint]:

@@ -57,14 +57,13 @@ class PropertyVerdict:
 
     ``witnesses`` is a tuple of dicts holding the exact points and values
     that make the verdict re-checkable; ``stats`` carries counts and
-    extremes.  ``seed`` records the randomness source when one was used.
+    extremes.
     """
 
     property: str
     status: str
     witnesses: tuple = ()
     stats: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:

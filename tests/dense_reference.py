@@ -137,13 +137,20 @@ def scale_ladder(scale_max):
     return ladder
 
 
+def line_refutes(cz, zw, cw):
+    """Whether cz - t*zw + t^2*cw < 0 at some real t, for cz >= 0, by its
+    infimum over t: cz - zw^2/(4*cw) when cw > 0, -infinity when cw < 0 or
+    when cw = 0 != zw, and cz when cw = zw = 0."""
+    if cw > 0:
+        return cz - zw * zw / (4 * cw) < 0
+    return cw < 0 or zw != 0
+
+
 def extension_exact(cz, couplings):
     """The exact extension decision over every real scale, on Fractions.
 
-    ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w.
-    c(z - t*w) = cz - t*zw + t^2*cw is negative at some real t iff its
-    infimum over t is: cz - zw^2/(4*cw) when cw > 0, -infinity when
-    cw < 0 or when cw = 0 != zw, and cz >= 0 when cw = zw = 0.  Returns
+    ``couplings`` holds (z.w, c(w)) per sample w, or None for a skipped w;
+    c(z - t*w) = cz - t*zw + t^2*cw, decided by ``line_refutes``.  Returns
     (sample index, pairs checked) for the first refuting sample, or
     (None, pairs checked).  cz itself counts as the first pair checked,
     and each unskipped sample as one more.
@@ -152,15 +159,40 @@ def extension_exact(cz, couplings):
     for i, pair in enumerate(couplings):
         if pair is None:
             continue
-        zw, cw = pair
         checked += 1
-        if cw > 0:
-            refuted = cz - zw * zw / (4 * cw) < 0
-        else:
-            refuted = cw < 0 or zw != 0
-        if refuted:
+        if line_refutes(cz, *pair):
             return i, checked
     return None, checked
+
+
+def monotone_exact(couplings, cross):
+    """The exact monotonicity decision on each plane two samples span, on Fractions.
+
+    ``couplings[i]`` is c(w_i) and ``cross[i][j]`` (i < j) is w_i.w_j, None
+    outside the model.  c(s*w_i - t*w_j) >= 0 for every real s and t iff
+    c(w_i) >= 0 and c(w_i - t*w_j) >= 0 for every t (``line_refutes``; a
+    negative c(w_j) refutes there).  Samples go in order, each checked
+    against the origin and then against every later sample.  Returns
+    (position, pairs checked, pairs skipped): position (i, None) when
+    c(w_i) < 0, (i, j) for the first refuting pair, or None.  A pair is
+    skipped when c(w_i), c(w_j) or w_i.w_j is None.
+    """
+    checked = skipped = 0
+    n = len(couplings)
+    for i, ci in enumerate(couplings):
+        if ci is None:
+            skipped += n - i - 1
+            continue
+        if ci < 0:
+            return (i, None), checked, skipped
+        for j in range(i + 1, n):
+            if couplings[j] is None or cross[i][j] is None:
+                skipped += 1
+                continue
+            checked += 1
+            if line_refutes(ci, cross[i][j], couplings[j]):
+                return (i, j), checked, skipped
+    return None, checked, skipped
 
 
 def extension_scan(cz, couplings, scale_max):
@@ -485,6 +517,33 @@ def fitz_sampled_fractions(z, graph):
         if best == -math.inf or candidate > best:
             best = candidate
     return best
+
+
+def point_coupling(x, y):
+    """The coupling of an x-part with y by ``couple`` above, None outside
+    the model (mass at infinity against a non-convergent y)."""
+    if isinstance(x, SparseSeq):
+        return couple(dict(x.entries), (y.head, y.tail))
+    atomic = couple(dict(x.atomic.entries), (y.head, y.tail))
+    if x.infinity_mass == 0:
+        return atomic
+    if len(y.tail) != 1:
+        return None
+    return atomic + x.infinity_mass * y.tail[0]
+
+
+def plane_terms(points):
+    """(c(w_i) per point, the matrix of w_i.w_j) by ``point_coupling``, None
+    outside the model: the input of ``monotone_exact``."""
+    couplings = [point_coupling(w.x, w.y) for w in points]
+    cross = []
+    for v in points:
+        row = []
+        for w in points:
+            parts = (point_coupling(v.x, w.y), point_coupling(w.x, v.y))
+            row.append(None if None in parts else parts[0] + parts[1])
+        cross.append(row)
+    return couplings, cross
 
 
 # ------------------------------------------------------------ sampling oracles

@@ -319,25 +319,13 @@ def test_difference_recurrence_rejects_a_corrupted_image(x, data):
 # ---------------------------------------------------- extension probe
 
 
-def ref_cross(x, y):
-    """The coupling of x with y on the reference, None outside the model."""
-    if isinstance(x, SparseSeq):
-        return ref.couple(dense(x), pair(y))
-    atomic = ref.couple(dense(x.atomic), pair(y))
-    if x.infinity_mass == 0:
-        return atomic
-    if len(y.tail) != 1:
-        return None
-    return atomic + x.infinity_mass * y.tail[0]
-
-
 def ref_extension_terms(graph: SampledGraph, z: PairPoint):
     """(cz, [(z.w, c(w)) or None per sample]) on the reference; cz is None
     when z's own coupling leaves the model."""
-    cz = ref_cross(z.x, z.y)
+    cz = ref.point_coupling(z.x, z.y)
     couplings = []
     for w in graph.points:
-        parts = (ref_cross(z.x, w.y), ref_cross(w.x, z.y), ref_cross(w.x, w.y))
+        parts = (ref.point_coupling(z.x, w.y), ref.point_coupling(w.x, z.y), ref.point_coupling(w.x, w.y))
         couplings.append(None if None in parts else (parts[0] + parts[1], parts[2]))
     return cz, couplings
 

@@ -13,7 +13,6 @@ each reader of it must report what the ``Fraction`` kernels reported.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +46,6 @@ from gossez_lab.spaces import (
     SparseSeq,
     SystemMismatchError,
     TailSeq,
-    coupling_value,
     natural_couple,
     natural_couple_terms,
 )
@@ -381,25 +379,32 @@ def test_is_monotone_reports_the_fraction_values(seed):
     points = random_first_points(rng, 5)
     graph = SampledGraph(DualSystem.FIRST, tuple(points))
     verdict = is_monotone(graph)
-    values = [coupling_value(z1 - z2) for z1, z2 in combinations(graph.points, 2)]
-    negative = [v for v in values if v < 0]
-    if negative:
-        assert verdict.status == REFUTED
-        assert verdict.witnesses[0]["value"] == negative[0]
-        assert verdict.stats["pairs_checked"] == values.index(negative[0]) + 1
-    else:
-        assert verdict.status == VERIFIED and verdict.stats["min_value"] == min(values)
+    couplings, cross = ref.plane_terms(graph.points)
+    position, checked, skipped = ref.monotone_exact(couplings, cross)
+    assert verdict.stats == {"pairs_checked": checked, "skipped": skipped}
+    if position is None:
+        assert verdict.status == VERIFIED
+        return
+    i, j = position
+    zw, cw = (0, 0) if j is None else (cross[i][j], couplings[j])
+    witness = verdict.witnesses[0]
+    t, value = witness["scale"], witness["value"]
+    assert verdict.status == REFUTED and witness["z"] == graph.points[i]
+    assert value == couplings[i] - t * zw + t * t * cw < 0
+    assert type(t) is Fraction and type(value) is Fraction
 
 
 def test_is_monotone_minimum_on_a_graph():
+    # G is skew: c vanishes on every plane two graph points span, so its
+    # minimum there is 0 and every pair is decided.
     rng = random.Random(3)
     graph = OPERATORS[OP_G_FIRST].sampled_graph(random_sparse(rng, 16, 4, 20, 20) for _ in range(8))
     verdict = is_monotone(graph)
     assert verdict.status == VERIFIED
-    assert verdict.stats["min_value"] == min(
-        coupling_value(z1 - z2) for z1, z2 in combinations(graph.points, 2)
-    )
-    assert type(verdict.stats["min_value"]) is Fraction
+    assert verdict.stats == {"pairs_checked": 28, "skipped": 0}
+    couplings, cross = ref.plane_terms(graph.points)
+    assert ref.monotone_exact(couplings, cross) == (None, 28, 0)
+    assert set(couplings) == {0} and {v for row in cross for v in row} == {0}
 
 
 @given(seeds)

@@ -381,7 +381,7 @@ def test_fds_couples_each_graph_point_once(monkeypatch):
 def test_probe_values_mark_points_outside_the_model():
     op = OPERATORS[OP_G_SECOND]
     oscillating = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([0, 1]))
-    probes = ProbeSet(op.system, (oscillating, PairPoint.zero(op.system)))
+    probes = ProbeSet((oscillating, PairPoint.zero(op.system)))
     values = tuple(map(op.evaluate, probes.points))
     assert values == ((math.inf, None), (F(0), F(0)))
     verdict = ni_witness_search(OP_G_SECOND, probes, values)

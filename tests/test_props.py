@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 from gossez_lab.fitz import (
     OP_G_FIRST,
     OP_G_SECOND,
@@ -16,7 +17,9 @@ from gossez_lab.fitz import (
     PLUS_INF,
     SOURCE_MEMBERSHIP,
     SampledGraph,
+    orthogonality_report,
 )
+from gossez_lab.gossez import apply_G
 from gossez_lab.props import (
     ProbeSet,
     dichotomy_crosscheck,
@@ -28,6 +31,7 @@ from gossez_lab.sampling import (
     embed_first,
     graph_point_first,
     off_graph_first,
+    random_sparse,
     rng_for,
     unit_graph_points,
 )
@@ -66,26 +70,43 @@ def graph_samples(count=20, seed=7) -> SampledGraph:
 
 
 def test_is_monotone_on_graph_samples():
-    verdict = is_monotone(graph_samples(30))
+    g = graph_samples(30)
+    verdict = is_monotone(g)
     assert verdict.status == VERIFIED
-    assert verdict.stats["min_value"] == 0  # skew graph: all pair couplings vanish
+    n = len(g.points)
+    assert verdict.stats == {"pairs_checked": n * (n - 1) // 2, "skipped": 0}
+    # skew graph: every plane's quadratic vanishes identically
+    couplings, cross = ref.plane_terms(g.points)
+    assert set(couplings) == {0} and {v for row in cross for v in row} == {0}
+    assert_monotone_matches_exact(g)
 
 
 def test_is_monotone_refutes_with_exact_pair():
-    bad = SampledGraph(
-        DualSystem.FIRST,
-        (
-            PairPoint.zero(DualSystem.FIRST),
-            PairPoint.first(SparseSeq.unit(1), -TailSeq.ones()),
-        ),
-        source="custom",
-    )
+    w = PairPoint.first(SparseSeq.unit(1), -TailSeq.ones())
+    bad = SampledGraph(DualSystem.FIRST, (PairPoint.zero(DualSystem.FIRST), w), source="custom")
     verdict = is_monotone(bad)
     assert verdict.status == REFUTED
     witness = verdict.witnesses[0]
-    assert witness["value"] == -1
+    # c(0 - t*w) = -t^2: the scale 1 refutes with value -1
+    assert witness["z"] == PairPoint.zero(DualSystem.FIRST) and witness["w"] == w
+    assert (witness["scale"], witness["value"]) == (1, -1)
     # the witness re-validates in isolation
-    assert coupling_value(witness["z1"] - witness["z2"]) == witness["value"]
+    assert coupling_value(witness["z"] - witness["w"].scale(witness["scale"])) == witness["value"]
+    assert_monotone_matches_exact(bad)
+
+
+def test_is_monotone_refutes_on_a_plane_where_every_pair_difference_is_monotone():
+    # c(w1) = 4, c(w2) = 1, w1.w2 = 9/2: c(w1 - w2) = 1/2, but
+    # c(w1 - t*w2) = 4 - 9t/2 + t^2 is -17/16 at its vertex t = 9/4.
+    w1 = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [4, F(9, 4)]))
+    w2 = PairPoint.first(SparseSeq.unit(2), TailSeq.constant(0, [F(9, 4), 1]))
+    graph = SampledGraph(DualSystem.FIRST, (w1, w2), "custom")
+    assert coupling_value(w1 - w2) == F(1, 2)
+    assert direct_is_monotone(graph) is None
+    verdict = is_monotone(graph)
+    assert verdict.status == REFUTED
+    assert verdict.witnesses == ({"z": w1, "w": w2, "scale": F(9, 4), "value": F(-17, 16)},)
+    assert_monotone_matches_exact(graph)
 
 
 def test_is_monotone_single_point():
@@ -111,35 +132,54 @@ def test_monotonicity_inherited_by_subsets():
         assert is_monotone(sub).status == VERIFIED
 
 
-def direct_is_monotone(graph: SampledGraph) -> tuple:
-    """(status, witnesses, stats) of the monotonicity scan on c(z1 - z2) itself."""
-    checked = skipped = 0
-    minimum = None
+def direct_is_monotone(graph: SampledGraph) -> tuple | None:
+    """The former scan of c(z1 - z2) at s = t = 1: the first sample pair
+    (i, j), i < j, with c(w_i - w_j) < 0, or None."""
     for i, z1 in enumerate(graph.points):
-        for z2 in graph.points[i + 1 :]:
+        for j in range(i + 1, len(graph.points)):
             try:
-                value = coupling_value(z1 - z2)
+                if coupling_value(z1 - graph.points[j]) < 0:
+                    return i, j
             except OutsideModelDomain:
-                skipped += 1
-                continue
-            checked += 1
-            if minimum is None or value < minimum:
-                minimum = value
-            if value < 0:
-                stats = {"pairs_checked": checked, "skipped": skipped}
-                return REFUTED, ({"z1": z1, "z2": z2, "value": value},), stats
-    stats = {"pairs_checked": checked, "skipped": skipped}
-    if minimum is not None:
-        stats["min_value"] = minimum
-    return (VERIFIED if checked and not skipped else INCONCLUSIVE), (), stats
+                pass
+    return None
 
 
-def assert_monotone_matches_direct(graph: SampledGraph) -> None:
+def assert_monotone_matches_exact(graph: SampledGraph) -> None:
+    """is_monotone against the plane oracle: the same status, stats and
+    refuting pair, and a refutation that re-checks exactly in Fractions.
+    Against the weaker direct scan: each of its refutations is a plane
+    refutation at the same pair or an earlier one when the plane test can
+    decide that pair, and never meets a verified verdict."""
     verdict = is_monotone(graph)
-    status, witnesses, stats = direct_is_monotone(graph)
-    assert (verdict.status, verdict.witnesses, verdict.stats) == (status, witnesses, stats)
-    if "min_value" in stats:
-        assert type(verdict.stats["min_value"]) is Fraction
+    couplings, cross = ref.plane_terms(graph.points)
+    position, checked, skipped = ref.monotone_exact(couplings, cross)
+    assert verdict.stats == {"pairs_checked": checked, "skipped": skipped}
+    if position is None:
+        assert verdict.status == (VERIFIED if checked and not skipped else INCONCLUSIVE)
+        assert verdict.witnesses == ()
+    else:
+        i, j = position
+        assert verdict.status == REFUTED
+        (witness,) = verdict.witnesses
+        assert witness["z"] == graph.points[i]
+        if j is None:
+            assert witness["w"] == PairPoint.zero(graph.system) and witness["scale"] == 1
+            zw = cw = 0
+        else:
+            assert witness["w"] == graph.points[j]
+            zw, cw = cross[i][j], couplings[j]
+        t, value = witness["scale"], witness["value"]
+        assert type(t) is Fraction and type(value) is Fraction
+        assert value == couplings[i] - t * zw + t * t * cw < 0
+        assert coupling_value(witness["z"] - witness["w"].scale(t)) == value
+    direct = direct_is_monotone(graph)
+    if direct is not None:
+        assert verdict.status != VERIFIED
+        di, dj = direct
+        if None not in (couplings[di], couplings[dj], cross[di][dj]):
+            i, j = position
+            assert (i, i if j is None else j) <= direct
 
 
 first_points = st.builds(PairPoint.first, sparse_seqs(8, 4), tail_seqs(3))
@@ -154,17 +194,19 @@ second_points = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(first_points, max_size=6))
 def test_bilinear_monotone_scan_equals_the_direct_one_first_system(points):
-    assert_monotone_matches_direct(SampledGraph(DualSystem.FIRST, tuple(points), "custom"))
+    assert_monotone_matches_exact(SampledGraph(DualSystem.FIRST, tuple(points), "custom"))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(second_points, max_size=6))
 def test_bilinear_monotone_scan_equals_the_direct_one_second_system(points):
-    assert_monotone_matches_direct(SampledGraph(DualSystem.SECOND, tuple(points), "custom"))
+    assert_monotone_matches_exact(SampledGraph(DualSystem.SECOND, tuple(points), "custom"))
 
 
 def test_monotone_falls_back_where_a_term_leaves_the_model():
-    # Equal masses cancel in the difference although each y oscillates.
+    # Equal masses cancel in the difference although each y oscillates:
+    # c(z1 - z2) is in the model, but c(z1) is not, so the plane test
+    # decides no pair with z1 and does not fall back to the difference.
     z1 = PairPoint.second(ModelMeasure(seq(0, 1), F(1)), TailSeq.periodic([0, 1]))
     z2 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([1, 0]))
     z3 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(2)), TailSeq.ones())
@@ -173,10 +215,10 @@ def test_monotone_falls_back_where_a_term_leaves_the_model():
         coupling_value(z1)
     assert coupling_value(z1 - z2) == 1
     verdict = is_monotone(graph)
-    # (z1, z2) is evaluated through the difference; (z1, z3) and (z2, z3) are not in the model.
-    assert verdict.stats == {"pairs_checked": 1, "skipped": 2, "min_value": F(1)}
+    # (z1, z2), (z1, z3) and (z2, z3) each meet a coupling outside the model.
+    assert verdict.stats == {"pairs_checked": 0, "skipped": 3}
     assert verdict.status == INCONCLUSIVE
-    assert_monotone_matches_direct(graph)
+    assert_monotone_matches_exact(graph)
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
@@ -188,11 +230,36 @@ def test_bilinear_monotone_scan_on_sampled_graphs(op_id):
         values = {rng.randint(1, 12): F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)}
         xs.append(SparseSeq.from_pairs(values.items()))
     graph = op.sampled_graph(xs)
-    assert_monotone_matches_direct(graph)
+    assert is_monotone(graph).status == VERIFIED
+    assert_monotone_matches_exact(graph)
     if op.system is DualSystem.SECOND:
         # A point with mass at infinity among the atomic graph points.
         with_mass = SampledGraph(op.system, graph.points + (CANONICAL,), "custom")
-        assert_monotone_matches_direct(with_mass)
+        assert_monotone_matches_exact(with_mass)
+
+
+def as_tail(x: SparseSeq) -> TailSeq:
+    return TailSeq.constant(0, [x.value(n) for n in range(1, x.max_index() + 1)])
+
+
+def test_dichotomy_reports_a_non_monotone_graph(monkeypatch):
+    # c(x, Gx - x) = -sum x_n^2: the G-first graph stops being monotone.
+    op = dataclasses.replace(OPERATORS[OP_G_FIRST], graph_y=lambda x: apply_G(x) - as_tail(x))
+    monkeypatch.setitem(OPERATORS, OP_G_FIRST, op)
+    verdict = dichotomy_crosscheck(OP_G_FIRST, seed=0, truncation=8, probe_count=20)
+    assert verdict.stats["monotone"] == REFUTED
+    assert verdict.status == REFUTED
+
+
+def test_monotone_plane_test_is_not_the_orthogonality_test():
+    # c(x, Gx + x) = sum x_n^2 >= 0 on every plane, while w.w = 2 sum x_n^2 != 0.
+    op = dataclasses.replace(OPERATORS[OP_G_FIRST], graph_y=lambda x: apply_G(x) + as_tail(x))
+    rng = random.Random(11)
+    xs = [SparseSeq.unit(k) for k in range(1, 5)] + [random_sparse(rng, 8, 3, 9, 9) for _ in range(6)]
+    graph = op.sampled_graph(xs)
+    assert is_monotone(graph).status == VERIFIED
+    assert orthogonality_report(graph, graph).status == REFUTED
+    assert_monotone_matches_exact(graph)
 
 
 # ---------------------------------------------------------------- extension
@@ -312,7 +379,7 @@ def test_ni_search_finds_canonical_witness_for_G_second():
 def test_ni_margin_is_squared_mass():
     a = F(3, 2)
     z = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure(SparseSeq.zero(), a))
-    probes = ProbeSet(DualSystem.SECOND, (z,), {"seed": 0})
+    probes = ProbeSet((z,), {"seed": 0})
     verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     assert verdict.witnesses[0]["margin"] == a * a
@@ -327,7 +394,7 @@ def test_ni_search_finds_nothing_for_negG_second_and_G_first():
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
 def test_ni_search_on_empty_probes_is_inconclusive(op_id):
-    probes = ProbeSet(OPERATORS[op_id].system, (), {"seed": 0})
+    probes = ProbeSet((), {"seed": 0})
     verdict = ni_search(op_id, probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats == {"probes_checked": 0, "skipped": 0}
@@ -376,7 +443,7 @@ def test_representability_refutes_wrong_function():
 def test_representability_with_nothing_to_evaluate_is_inconclusive(op_id):
     op = OPERATORS[op_id]
     graph = SampledGraph(op.system, (), op.graph_label)
-    no_probes = ProbeSet(op.system, (), {"seed": 0})
+    no_probes = ProbeSet((), {"seed": 0})
     verdict = represent(op, graph, no_probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["graph_points"] == 0 and verdict.stats["probes"] == 0
@@ -392,12 +459,30 @@ def test_representability_skips_graph_points_outside_the_model(op_id):
     op = OPERATORS[op_id]
     outside = PairPoint.second(UNIT_MASS, TailSeq.periodic([1, -1]))
     graph = SampledGraph(DualSystem.SECOND, (op.graph_point(SparseSeq.unit(1)), outside))
-    no_probes = ProbeSet(op.system, (), {"seed": 0})
+    no_probes = ProbeSet((), {"seed": 0})
     verdict = represent(op, graph, no_probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["skipped"] == 1 and verdict.stats["graph_points"] == 2
-    as_probe = represent(op, op.sampled_graph([SparseSeq.unit(1)]), ProbeSet(op.system, (outside,)))
+    as_probe = represent(op, op.sampled_graph([SparseSeq.unit(1)]), ProbeSet((outside,)))
     assert as_probe.status == INCONCLUSIVE and as_probe.stats["skipped"] == 1
+
+
+def test_representability_refutes_an_infinite_midpoint_between_finite_ends():
+    # The indicator of a non-convex set: one-point supports map by G, other
+    # points by G + ones.  The probes at e1 and e2 lie on it (value 0), their
+    # midpoint does not (value +inf > 0).
+    op = OPERATORS[OP_G_FIRST]
+
+    def fitz_y(x):
+        return apply_G(x) if len(x.entries) == 1 else apply_G(x) + TailSeq.ones()
+
+    defective = dataclasses.replace(op, fitz_y=fitz_y)
+    graph = defective.sampled_graph([SparseSeq.unit(1), SparseSeq.unit(2)])
+    verdict = represent(defective, graph, ProbeSet(graph.points))
+    assert verdict.status == REFUTED
+    assert verdict.stats == {"reason": "midpoint convexity violated"}
+    assert verdict.witnesses[0]["midpoint_value"] == PLUS_INF
+    assert {verdict.witnesses[0]["z1"], verdict.witnesses[0]["z2"]} == set(graph.points)
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
