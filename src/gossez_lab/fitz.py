@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Union
 
 from . import linalg
@@ -324,19 +325,26 @@ def annihilator_truncated(
 ) -> TruncatedAnnihilator:
     """Basis of {z : z.w = 0 for all spanning w} on window coordinates.
 
-    Exact rational elimination; the basis vectors are returned as points
-    (x supported in 1..N, y with head 1..N and a constant tail).
+    Exact elimination on integers; the basis vectors are returned as points
+    (x supported in 1..N, y with head 1..N and a constant tail), built from
+    the integer vectors of ``linalg.nullspace`` over their common
+    denominator without a ``Fraction`` per entry.
     """
     spanning = list(spanning)
     if any(w.system is not system for w in spanning):
         raise SystemMismatchError(f"all spanning points must be {system.value}-system points")
     rows = [_annihilator_row(w, n) for w in spanning]
     m = int(system is DualSystem.SECOND)  # the mass coordinate after the x-entries
+    vectors = linalg.nullspace(rows, 2 * n + 1 + m)
+    # The common denominator is the last nonzero entry of every vector.
+    d = next(v for v in reversed(vectors[0]) if v) if vectors else 1
+    window = range(1, n + 1)
     basis = []
-    for vec in linalg.nullspace(rows, 2 * n + 1 + m):
-        atomic = SparseSeq.from_values(vec[:n])
-        x: XPart = ModelMeasure(atomic, vec[n]) if m else atomic
-        y = TailSeq(tuple(vec[n + m : 2 * n + m]), (vec[2 * n + m],))
+    for vec in vectors:
+        head = vec[:n]
+        atomic = SparseSeq._from_ints(tuple(compress(window, head)), tuple(filter(None, head)), d)
+        x: XPart = ModelMeasure(atomic, Fraction(vec[n], d)) if m else atomic
+        y = TailSeq._from_values(vec[n + m : 2 * n + m], (vec[2 * n + m],), d)
         basis.append(PairPoint(system, x, y))
     return TruncatedAnnihilator(system, n, tuple(basis))
 

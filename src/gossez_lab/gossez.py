@@ -162,14 +162,26 @@ def weakstar_approximate(y: TailSeq, tests: list[SparseSeq]) -> SparseSeq:
     if not tests:
         return SparseSeq.zero()
     images = [apply_G(w) for w in tests]
-    rhs = [-couple(w, y) for w in tests]
+    # Constraint i on integers: with -<w_i, y> = p_i / q_i, the numerators
+    # of Gw_i times q_i against p_i * den(Gw_i), divided by their gcd.
+    constraints = []
+    for w, gw in zip(tests, images):
+        b = -couple(w, y)
+        constraints.append((gw, b.denominator, b.numerator * gw.den))
     max_support = max((w.max_index() for w in tests), default=0)
     size = len(tests) + 2
     # Consistency is guaranteed once the support covers the tests' support
     # plus one extra column (any dependent rows then have matching rhs).
     max_size = max(size, max_support + len(tests) + 1)
     while True:
-        rows = [[gw.value(j) for j in range(1, size + 1)] for gw in images]
+        rows, rhs = [], []
+        for gw, q, p in constraints:
+            row = gw._dense(size, q)
+            common = math.gcd(p, *row)  # 0 for a zero test
+            if common > 1:
+                row, p = [v // common for v in row], p // common
+            rows.append(row)
+            rhs.append(p)
         solution = solve_minimal(rows, rhs)
         if solution is not None:
             return SparseSeq.from_pairs((j + 1, v) for j, v in enumerate(solution))

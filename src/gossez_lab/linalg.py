@@ -36,19 +36,33 @@ each row operation above is one big-int operation in C.
   bytes, 16 bits at the least.
 - Bound invariant.  Each row carries a bound b >= max |a_j|, and
   b < 2**(w-1) - 1.  While it holds, balanced digits are unique, so X
-  decodes exactly: adding 2**(w-1) to every slot makes every digit
-  nonnegative, and the slots are read off the bytes of the sum.  While a
-  row's earlier columns are zero, its entry at column j is
-  (X + 2**(w*k-1)) >> (w*k) with k = n-1-j (X itself for k = 0), because
-  everything below that slot is less than half of it.
+  decodes exactly.
+- Signed digits with an XOR offset.  Let O hold 2**(w-1) in every slot.
+  Written as w-bit two's-complement digits, the entries read as one
+  unsigned int U; flipping each slot's top bit adds 2**(w-1) to its digit,
+  so X = (U ^ O) - O.  Backwards, X + O has the plain digits
+  a_j + 2**(w-1), and (X + O) ^ O has the two's-complement ones.  Slots of
+  16, 32 and 64 bits go between a row and its bytes through a signed
+  ``array`` (with ``int.from_bytes``/``to_bytes`` on the whole row), so
+  the codec runs in C; wider slots take one signed ``to_bytes`` or
+  ``from_bytes`` per entry.  The bound of a row is
+  max(max(row), -min(row)).
+- Entry read.  While a row's earlier columns are zero, its entry at
+  column j is (X + 2**(s-1)) >> s with s = w*(n-1-j) (X itself for
+  s = 0), because everything below that slot is less than half of it.  It
+  is read shift-first, as ((X >> (s-1)) + 1) >> 1, the same value, with
+  the add on the small top part instead of the whole row.
 - Exact packed division.  Evaluation at B is Z-linear, so p*X - f*Y packs
   the entrywise combination, whatever its digits.  d divides every entry
   of that combination, so it divides the integer, and the quotient packs
   the entrywise quotients.  Intermediate products may overflow their
   slots; only results must fit.
 - Bounds follow the operations: (|p|*b_a + |f|*b_b) // |d| in the forward
-  pass, (|d|*b_U + sum |U_i[p_l]|*b_l) // |U_ii| in back substitution.  A
-  pivot row's bound is made exact when it is chosen.
+  pass.  A pivot row's bound is made exact when it is chosen, and the row
+  is not touched again in that pass.  Back substitution bounds in two
+  steps: first (|d|*b_U + max_l b_l * sum |U_i[p_l]|) // |U_ii| with the
+  largest bound of the rows R_l done so far, and only when that reaches
+  the cap the per-term (|d|*b_U + sum |U_i[p_l]|*b_l) // |U_ii|.
 - Tightening and widening.  Before an operation whose bound would reach
   the cap 2**(w-1) - 1, its rows are decoded and their bounds made exact.
   If the bound still reaches the cap, w doubles and every row is
@@ -59,7 +73,10 @@ each row operation above is one big-int operation in C.
 
 The reduced row echelon form is the integer rows divided by d.  That form
 is unique, so the bases and solutions equal those of elimination on
-``Fraction`` rows; one ``Fraction`` is built per distinct value returned.
+``Fraction`` rows.  ``solve_minimal`` builds one ``Fraction`` per pivot
+entry of its solution; ``nullspace`` returns integers: the canonical basis
+(free variables 0 or 1) times |d|, so each vector holds |d| at its own free
+column, its last nonzero entry.
 """
 
 from __future__ import annotations
@@ -74,12 +91,16 @@ Entry = Union[int, Fraction]
 Matrix = list[list[Entry]]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-# Unsigned array type codes by item size: slots of 16 to 64 bits are read
-# through the buffer protocol, in native byte order; wider ones byte-wise.
-_CODES = {array(code).itemsize: code for code in "HIQ"}
+# Signed array type codes by item size: slots of 16 to 64 bits are encoded
+# and decoded through the buffer protocol, wider ones one entry at a time.
+_CODES = {array(code).itemsize: code for code in "hiq"}
 _LITTLE = sys.byteorder == "little"
+
+
+def _bound(row: list[int]) -> int:
+    """max |entry| of an int row."""
+    return max(max(row, default=0), -min(row, default=0))
 
 
 class _Slots:
@@ -92,7 +113,7 @@ class _Slots:
         self.cap = self.half - 1
         self.size = width // 8
         self.code = _CODES.get(self.size)
-        # half in every slot: added, it turns balanced digits into plain ones.
+        # half in every slot: XOR flips each slot's top bit.
         self.offset = int.from_bytes((b"\x80" + bytes(self.size - 1)) * ncols, "big")
 
     @staticmethod
@@ -104,36 +125,40 @@ class _Slots:
         return _Slots(width, ncols)
 
     def pack(self, row: list[int]) -> int:
-        half = self.half
         if self.code:
-            digits = array(self.code, [a + half for a in row])
+            raw = array(self.code, row)
             if _LITTLE:
-                digits.reverse()
-            return int.from_bytes(digits, sys.byteorder) - self.offset
-        raw = b"".join((a + half).to_bytes(self.size, "big") for a in row)
-        return int.from_bytes(raw, "big") - self.offset
+                raw.byteswap()
+        else:
+            size = self.size
+            raw = b"".join([a.to_bytes(size, "big", signed=True) for a in row])
+        # Two's-complement slots read as one unsigned int; flipping each top
+        # bit adds half to every slot, and subtracting the offset takes it off
+        # as balanced digits.
+        return (int.from_bytes(raw, "big") ^ self.offset) - self.offset
 
-    def _digits(self, x: int):
-        """The slots of x plus half: column 0 first, but last in a
-        little-endian array."""
-        if self.code:
-            raw = (x + self.offset).to_bytes(self.size * self.ncols, sys.byteorder)
-            return array(self.code, raw)
-        raw = (x + self.offset).to_bytes(self.size * self.ncols, "big")
-        size = self.size
-        return [int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size)]
+    def _raw(self, x: int, order: str) -> bytes:
+        """The slots of x as w-bit two's-complement digits in byte
+        ``order``; big-endian puts column 0 first."""
+        return ((x + self.offset) ^ self.offset).to_bytes(self.size * self.ncols, order)
 
     def unpack(self, x: int) -> list[int]:
-        half = self.half
-        digits = self._digits(x)
-        if self.code and _LITTLE:
-            digits.reverse()
-        return [v - half for v in digits]
+        if self.code:
+            digits = array(self.code, self._raw(x, "big"))
+            if _LITTLE:
+                digits.byteswap()
+            return digits.tolist()
+        raw, size = self._raw(x, "big"), self.size
+        return [
+            int.from_bytes(raw[k : k + size], "big", signed=True) for k in range(0, len(raw), size)
+        ]
 
     def bound(self, x: int) -> int:
         """max |entry| of the packed row x."""
-        digits = self._digits(x)
-        return max(max(digits) - self.half, self.half - min(digits))
+        if self.code:
+            # Native order: the columns come reversed, which a bound ignores.
+            return _bound(array(self.code, self._raw(x, sys.byteorder)).tolist())
+        return _bound(self.unpack(x))
 
 
 def _integer_row(row: list[Entry], ncols: int) -> list[int]:
@@ -159,7 +184,7 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     rows = [_integer_row(row, ncols) for row in matrix]
-    bounds = [max(map(abs, row), default=0) for row in rows]
+    bounds = [_bound(row) for row in rows]
     slots = _Slots.fitting(max(bounds, default=0), ncols)
     packed = [slots.pack(row) for row in rows]
 
@@ -186,9 +211,12 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
         if r == nrows:
             break
         shift = slots.width * (ncols - 1 - col)
-        rounding = (1 << shift) >> 1
-        # Entries at col of the rows from r on; their earlier columns are zero.
-        entries = [(x + rounding) >> shift for x in packed[r:]]
+        # Entries at col of the rows from r on; their earlier columns are
+        # zero.  (x + 2**(shift-1)) >> shift, with the add on the top part.
+        if shift:
+            entries = [((x >> (shift - 1)) + 1) >> 1 for x in packed[r:]]
+        else:
+            entries = packed[r:]
         k = next((k for k, f in enumerate(entries) if f), None)
         if k is None:
             continue
@@ -229,27 +257,35 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
     rank = len(pivots)
     upper = [slots.unpack(x) for x in packed[:rank]]
     result = upper + [[0] * ncols for _ in range(rank, nrows)]
+    abs_d = abs(d)
+    top = 0  # the largest bound of the rows R_l done so far
     for i in range(rank - 1, -1, -1):
         row = upper[i]
         u = row[pivots[i]]
-        terms = [(row[c], l) for l, c in enumerate(pivots[i + 1 :], i + 1) if row[c]]
-        bounds[i] = max(map(abs, row))
-        bound = (abs(d) * bounds[i] + sum(abs(c) * bounds[l] for c, l in terms)) // abs(u)
+        coeffs = [row[c] for c in pivots[i + 1 :]]
+        # bounds[i] is exact: a pivot row's bound is made exact when it is
+        # chosen.  Bound first with the largest bound of the rows below,
+        # then term by term.
+        bound = (abs_d * bounds[i] + top * sum(map(abs, coeffs))) // abs(u)
         if bound >= slots.cap:
-            make_room([(d, i), *terms], abs(u))
+            terms = [(c, l) for l, c in enumerate(coeffs, i + 1) if c]
+            bound = (abs_d * bounds[i] + sum(abs(c) * bounds[l] for c, l in terms)) // abs(u)
+            if bound >= slots.cap:
+                make_room([(d, i), *terms], abs(u))
         x = d * packed[i]
-        for c, l in terms:
+        for l, c in enumerate(coeffs, i + 1):
             if c == 1:
                 x -= packed[l]
             elif c == -1:
                 x += packed[l]
-            else:
+            elif c:
                 x -= c * packed[l]
         if u != 1:
             x //= u
         packed[i] = x
         result[i] = slots.unpack(x)
-        bounds[i] = max(map(abs, result[i]))
+        bounds[i] = _bound(result[i])
+        top = max(top, bounds[i])
     return result, pivots, d
 
 
@@ -274,28 +310,31 @@ def solve_minimal(rows: Matrix, rhs: list[Entry]) -> list[Fraction] | None:
     return solution
 
 
-def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows * x = 0}, one vector per free column."""
+def nullspace(rows: Matrix, ncols: int) -> list[list[int]]:
+    """Basis of {x : rows * x = 0}, one integer vector per free column.
+
+    The vectors are the canonical basis (leftmost pivots; each free
+    variable 1 in its own vector, 0 in the others) times one common
+    denominator d > 0 of its entries, the absolute value of the last
+    pivot.  A vector holds d at its own free column, and that is its last
+    nonzero entry: the reduced rows are zero left of their pivots.
+    """
     if not rows:
-        return [[_ONE if i == j else _ZERO for i in range(ncols)] for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     if len(rows[0]) != ncols:
         raise ValueError(f"rows have {len(rows[0])} entries, expected ncols = {ncols}")
     reduced, pivots, d = _rref(rows)
+    # x_col = -row[free] / d on the pivot columns; times |d| that is
+    # -row[free] for d > 0 and row[free] for d < 0.
+    sign = -1 if d > 0 else 1
     pivot_set = set(pivots)
-    # One Fraction per distinct value; the vectors share them and _ZERO.
-    shared: dict[int, Fraction] = {}
-    basis: list[list[Fraction]] = []
+    basis: list[list[int]] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vector = [_ZERO] * ncols
-        vector[free] = _ONE
+        vector = [0] * ncols
+        vector[free] = abs(d)
         for row, col in zip(reduced, pivots):
-            num = row[free]
-            if num:
-                value = shared.get(num)
-                if value is None:
-                    value = shared[num] = Fraction(-num, d)
-                vector[col] = value
+            vector[col] = sign * row[free]
         basis.append(vector)
     return basis

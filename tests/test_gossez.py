@@ -6,8 +6,10 @@ The oracle for the forward map is the raw double sum over the sign kernel
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_reference as ref
 from dense_reference import alpha
 from gossez_lab.fitz import OP_NEGG_SECOND, OPERATORS
 from gossez_lab.gossez import (
@@ -19,7 +21,7 @@ from gossez_lab.gossez import (
 )
 from gossez_lab.spaces import SparseSeq, TailSeq, couple
 
-from strategies import seq, sparse_seqs
+from strategies import rationals, seq, sparse_seqs, tail_seqs, wide_rationals
 
 F = Fraction
 
@@ -176,6 +178,35 @@ def test_weakstar_handles_dependent_tests():
     x = weakstar_approximate(y, tests)
     for w in tests:
         assert couple(w, apply_G(x)) == couple(w, y)
+
+
+def weakstar_by_fractions(y, tests):
+    """The moment system on ``Fraction`` rows, the entries of each Gw read
+    one by one against -<w, y>, solved by the ``Fraction`` elimination."""
+    images = [apply_G(w) for w in tests]
+    rhs = [-couple(w, y) for w in tests]
+    size = len(tests) + 2
+    while True:
+        rows = [[gw.value(j) for j in range(1, size + 1)] for gw in images]
+        solution = ref.solve_minimal(rows, rhs)
+        if solution is not None:
+            return SparseSeq.from_pairs((j + 1, v) for j, v in enumerate(solution))
+        size += 1
+        assert size <= 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(sparse_seqs(10, 4), sparse_seqs(10, 4, wide_rationals()), st.just(SparseSeq.zero())),
+        max_size=6,
+    ),
+    st.one_of(tail_seqs(6), tail_seqs(6, wide_rationals()), tail_seqs(6, rationals(0))),
+)
+def test_weakstar_matches_the_fraction_rows(tests, y):
+    # Integer rows scaled per constraint and reduced by their gcd: the same
+    # solution as the Fraction rows, zero tests and zero targets included.
+    assert weakstar_approximate(y, tests) == weakstar_by_fractions(y, tests)
 
 
 def test_weakstar_deterministic():

@@ -3,7 +3,9 @@
 The packed integer elimination is checked for exact equality against the
 ``Fraction`` elimination kept in ``dense_reference``, and its integer
 (rows, pivots, d) against the Gauss-Jordan Bareiss elimination and the
-list elimination kept there.
+list elimination kept there.  ``nullspace`` returns integer vectors over a
+common denominator; ``fractions_of`` divides each by its last nonzero
+entry, which is that denominator, to compare with the ``Fraction`` basis.
 """
 
 import math
@@ -11,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
@@ -28,6 +30,29 @@ F = Fraction
 
 def rows_of(*rows):
     return [[F(v) for v in row] for row in rows]
+
+
+def fractions_of(basis):
+    """Each integer vector of ``nullspace`` divided by its last nonzero entry."""
+    assert all(type(v) is int for vector in basis for v in vector)
+    vectors = []
+    for vector in basis:
+        d = next(v for v in reversed(vector) if v)
+        vectors.append([F(v, d) for v in vector])
+    return vectors
+
+
+def assert_integer_contract(rows, ncols, basis):
+    """Integer vectors, one per free column: the last nonzero entry of each
+    is the common d > 0, on its own free column, where the others hold 0."""
+    assert all(type(v) is int for vector in basis for v in vector)
+    pivots = linalg._rref(rows)[1] if rows else []
+    free = [j for j in range(ncols) if j not in pivots]
+    assert [max(j for j, v in enumerate(vector) if v) for vector in basis] == free
+    assert len({vector[j] for vector, j in zip(basis, free)}) <= 1
+    for vector, j in zip(basis, free):
+        assert vector[j] > 0
+        assert [vector[k] for k in free] == [vector[j] * (k == j) for k in free]
 
 
 def test_solve_prefers_leftmost_columns():
@@ -57,7 +82,7 @@ def test_solve_no_equations():
 
 def test_nullspace_dimensions_and_orthogonality():
     rows = rows_of([1, 2, 0, -1], [0, 0, 1, 1])
-    basis = nullspace(rows, 4)
+    basis = fractions_of(nullspace(rows, 4))
     assert len(basis) == 2
     for vec in basis:
         for row in rows:
@@ -65,12 +90,12 @@ def test_nullspace_dimensions_and_orthogonality():
 
 
 def test_nullspace_of_zero_rows_is_full_space():
-    basis = nullspace(rows_of([0, 0, 0]), 3)
+    basis = fractions_of(nullspace(rows_of([0, 0, 0]), 3))
     assert len(basis) == 3
 
 
 def test_nullspace_empty_rows():
-    basis = nullspace([], 2)
+    basis = fractions_of(nullspace([], 2))
     assert basis == [[F(1), F(0)], [F(0), F(1)]]
 
 
@@ -109,8 +134,8 @@ def assert_all_fractions(vectors):
 def test_nullspace_matches_fraction_elimination(rows):
     ncols = len(rows[0]) if rows else 3
     basis = nullspace(rows, ncols)
-    assert basis == ref.nullspace(rows, ncols)
-    assert_all_fractions(basis)
+    assert fractions_of(basis) == ref.nullspace(rows, ncols)
+    assert_integer_contract(rows, ncols, basis)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,8 +203,8 @@ def unit_matrices(draw, max_n: int = 12):
 def test_unit_matrices_nullspace_matches_fraction_elimination(rows):
     ncols = len(rows[0])
     basis = nullspace(rows, ncols)
-    assert basis == ref.nullspace(rows, ncols)
-    assert_all_fractions(basis)
+    assert fractions_of(basis) == ref.nullspace(rows, ncols)
+    assert_integer_contract(rows, ncols, basis)
 
 
 @settings(max_examples=300, deadline=None)
@@ -286,6 +311,67 @@ def test_packed_rows_widen_by_doubling(monkeypatch):
     assert widths[1:] == [2 * w for w in widths[:-1]]
 
 
+@st.composite
+def slot_rows(draw, widths=(16, 32, 64, 128, 256)):
+    """(width, row): entries within the bound invariant, |a| <= cap - 1,
+    the extremes and 0 among them, signs mixed."""
+    width = draw(st.sampled_from(widths))
+    top = linalg._Slots(width, 1).cap - 1
+    entry = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
+    return width, draw(st.lists(entry, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_rows())
+def test_slots_round_trip_and_bound(width_row):
+    width, row = width_row
+    slots = linalg._Slots(width, len(row))
+    assert (slots.code is None) == (width > 64)
+    x = slots.pack(row)
+    assert x == sum(a << (width * (len(row) - 1 - j)) for j, a in enumerate(row))
+    assert slots.unpack(x) == row
+    assert slots.bound(x) == max(map(abs, row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot_rows(widths=(16, 32, 64)))
+def test_slots_byte_path_equals_array_path(width_row):
+    width, row = width_row
+    array_path = linalg._Slots(width, len(row))
+    byte_path = linalg._Slots(width, len(row))
+    byte_path.code = None
+    x = array_path.pack(row)
+    assert byte_path.pack(row) == x
+    assert byte_path.unpack(x) == array_path.unpack(x) == row
+    assert byte_path.bound(x) == array_path.bound(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_matrices())
+def test_nullspace_matches_fraction_elimination_where_slots_widen(rows):
+    ncols = len(rows[0]) if rows else 3
+    basis = nullspace(rows, ncols)
+    assert fractions_of(basis) == ref.nullspace(rows, ncols)
+    assert_integer_contract(rows, ncols, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), unit_matrices(), wide_matrices()))
+def test_nullspace_with_a_negative_last_pivot_matches_fraction_elimination(rows):
+    assume(rows and linalg._rref(rows)[2] < 0)
+    ncols = len(rows[0])
+    basis = nullspace(rows, ncols)
+    assert fractions_of(basis) == ref.nullspace(rows, ncols)
+    assert_integer_contract(rows, ncols, basis)
+
+
+def test_nullspace_scales_by_the_last_pivot_made_positive():
+    # Bareiss pivots 1 and -3: the basis vector (-7, -1, 3) / 3 times 3.
+    rows = [[1, 2, 3], [2, 1, 5]]
+    assert linalg._rref(rows)[2] == -3
+    assert nullspace(rows, 3) == [[-7, -1, 3]]
+
+
 def test_nullspace_rejects_mismatched_ncols():
     with pytest.raises(ValueError):
         nullspace([[1, 2, 3]], 2)
@@ -321,15 +407,15 @@ def test_alternating_unit_pivots_match_fraction_elimination():
     kernel = [[F(-ref.alpha(i, j)) for j in range(n)] for i in range(n)]
     rhs = [F(i % 3 - 1) for i in range(n)]
     augmented = [row + [b] for row, b in zip(kernel, rhs)]
-    assert nullspace(augmented, n + 1) == ref.nullspace(augmented, n + 1)
+    assert fractions_of(nullspace(augmented, n + 1)) == ref.nullspace(augmented, n + 1)
     assert solve_minimal(kernel, rhs) == ref.solve_minimal(kernel, rhs)
 
 
 @given(st.integers(0, 6))
 def test_no_equations_match_fraction_elimination(ncols):
     basis = nullspace([], ncols)
-    assert basis == ref.nullspace([], ncols)
-    assert_all_fractions(basis)
+    assert fractions_of(basis) == ref.nullspace([], ncols)
+    assert_integer_contract([], ncols, basis)
     assert solve_minimal([], []) == ref.solve_minimal([], []) == []
 
 
@@ -353,8 +439,8 @@ def annihilator_system(monkeypatch, system, spanning, n):
     monkeypatch.setattr(linalg, "nullspace", recording)
     annihilator_truncated(spanning, n, system)
     [(rows, ncols, basis)] = seen
-    assert_all_fractions(basis)
-    return rows, ncols, basis
+    assert_integer_contract(rows, ncols, basis)
+    return rows, ncols, fractions_of(basis)
 
 
 def assert_annihilator_matches_fraction_elimination(monkeypatch, system, spanning, n):
