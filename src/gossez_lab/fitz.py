@@ -21,7 +21,13 @@ graph of any row with a sampled value above a threshold.
 Conjugation with respect to the product coupling is implemented for
 indicators of finitely spanned subspaces only: the conjugate of such an
 indicator is the indicator of the annihilator, computed by exact nullspace
-elimination inside a truncation window (``annihilator_truncated``).
+elimination inside a truncation window (``annihilator_truncated``).  The
+window coordinates are ordered y-head 1..N, x 1..N, mass at infinity
+(second system), tail.  A unit spanning set (e_j, y_j), j = 1..N, then
+arrives as an identity block on the y-head, already reduced, and its
+annihilator basis is the graph parametrization: x = e_k with the y-head
+that annihilates every row (for Graph G, (G e_k)_1..N), then the mass
+direction in the second system and the tail direction.
 """
 
 from __future__ import annotations
@@ -283,10 +289,13 @@ def divergence_certificate(op: Operator, z: PairPoint, threshold: int = 10**6) -
 class TruncatedAnnihilator:
     """Basis of the annihilator of a finite spanning set, inside a window.
 
-    Coordinates are the x-entries 1..N (plus the mass at infinity in the
-    second system) and the y-head 1..N plus one constant-tail coordinate.
-    Results are certified only for vectors representable inside this
-    window; ``truncation`` records N.
+    Coordinates, in elimination order: the y-head 1..N, the x-entries
+    1..N, the mass at infinity (second system only) and one constant-tail
+    coordinate.  For a unit spanning set the basis is the graph
+    parametrization, one x entry per vector, then the mass and tail
+    directions (see ``annihilator_truncated``).  Results are certified
+    only for vectors representable inside this window; ``truncation``
+    records N.
     """
 
     system: DualSystem
@@ -295,11 +304,14 @@ class TruncatedAnnihilator:
 
 
 def _annihilator_row(w: PairPoint, n: int) -> list[int]:
-    """Coefficients of z -> z.w on z's window coordinates: x 1..N, in the
-    second system the mass (pairs with lim w.y), y-head 1..N and tail.
+    """Coefficients of z -> z.w on z's window coordinates: y-head 1..N
+    (pairs with w.x), x 1..N (with w.y), in the second system the mass
+    (with lim w.y), and the tail (with w's mass).
 
     Scaled by the lcm of their denominators, which leaves the annihilator
-    alone, and read as integers.
+    alone, and read as integers.  The y-head comes first so that a unit
+    graph point (e_j, y) gives the row (e_j | y_1..y_N | ...): a unit
+    spanning set is an identity block followed by the rest, already reduced.
     """
     second = w.system is DualSystem.SECOND
     v, atomic = w.y, (w.x.atomic if second else w.x)
@@ -317,7 +329,7 @@ def _annihilator_row(w: PairPoint, n: int) -> list[int]:
     x_scale = scale // atomic.den
     for index, num in zip(atomic.indices, atomic.nums):
         y_coeffs[index - 1] = num * x_scale
-    return x_coeffs + y_coeffs + [mass.numerator * (scale // mass.denominator)]
+    return y_coeffs + x_coeffs + [mass.numerator * (scale // mass.denominator)]
 
 
 def annihilator_truncated(
@@ -325,10 +337,18 @@ def annihilator_truncated(
 ) -> TruncatedAnnihilator:
     """Basis of {z : z.w = 0 for all spanning w} on window coordinates.
 
-    Exact elimination on integers; the basis vectors are returned as points
-    (x supported in 1..N, y with head 1..N and a constant tail), built from
-    the integer vectors of ``linalg.nullspace`` over their common
-    denominator without a ``Fraction`` per entry.
+    Exact elimination on integers over the coordinates y-head 1..N, x 1..N,
+    the mass (second system) and the tail, in that order; the basis vectors
+    are returned as points (x supported in 1..N, y with head 1..N and a
+    constant tail), built from the integer vectors of ``linalg.nullspace``
+    over their common denominator without a ``Fraction`` per entry.
+
+    The free columns are the x-entries, the mass and the tail, so for the
+    unit spanning set (e_j, y_j), j = 1..N, the basis is the graph
+    parametrization: for each k the point with x = e_k and y-head
+    -(y_j)_k over j (for G, skew, that is (G e_k)_1..N) and tail 0; in the
+    second system the mass direction, mass 1 and y-head -lim y_j over j;
+    and last the tail direction.  Each of these has at most one x entry.
     """
     spanning = list(spanning)
     if any(w.system is not system for w in spanning):
@@ -341,10 +361,10 @@ def annihilator_truncated(
     window = range(1, n + 1)
     basis = []
     for vec in vectors:
-        head = vec[:n]
-        atomic = SparseSeq._from_ints(tuple(compress(window, head)), tuple(filter(None, head)), d)
-        x: XPart = ModelMeasure(atomic, Fraction(vec[n], d)) if m else atomic
-        y = TailSeq._from_values(vec[n + m : 2 * n + m], (vec[2 * n + m],), d)
+        xs = vec[n : 2 * n]
+        atomic = SparseSeq._from_ints(tuple(compress(window, xs)), tuple(filter(None, xs)), d)
+        x: XPart = ModelMeasure(atomic, Fraction(vec[2 * n], d)) if m else atomic
+        y = TailSeq._from_values(vec[:n], (vec[2 * n + m],), d)
         basis.append(PairPoint(system, x, y))
     return TruncatedAnnihilator(system, n, tuple(basis))
 

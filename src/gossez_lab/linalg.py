@@ -51,7 +51,10 @@ each row operation above is one big-int operation in C.
   column j is (X + 2**(s-1)) >> s with s = w*(n-1-j) (X itself for
   s = 0), because everything below that slot is less than half of it.  It
   is read shift-first, as ((X >> (s-1)) + 1) >> 1, the same value, with
-  the add on the small top part instead of the whole row.
+  the add on the small top part instead of the whole row.  A row with
+  -2**(s-1) <= X < 2**(s-1) has entry 0 there and is not shifted at all;
+  rows that arrive reduced, an identity block first, read every entry
+  below a pivot that way.
 - Exact packed division.  Evaluation at B is Z-linear, so p*X - f*Y packs
   the entrywise combination, whatever its digits.  d divides every entry
   of that combination, so it divides the integer, and the quotient packs
@@ -69,7 +72,9 @@ each row operation above is one big-int operation in C.
   repacked.  No row is ever decoded past its bound, so nothing overflows
   and no second path is needed.
 - Back substitution decodes each U_i once, to read its coefficients, and
-  each R_i once: that makes its bound exact and is the row returned.
+  each R_i once: that makes its bound exact and is the row returned.  When
+  U_ii == d and U_i is 0 at every later pivot, R_i = U_i: the decoded U_i
+  and its exact bound stand, with no recombination and no second decode.
 
 The reduced row echelon form is the integer rows divided by d.  That form
 is unique, so the bases and solutions equal those of elimination on
@@ -212,9 +217,14 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
             break
         shift = slots.width * (ncols - 1 - col)
         # Entries at col of the rows from r on; their earlier columns are
-        # zero.  (x + 2**(shift-1)) >> shift, with the add on the top part.
+        # zero.  (x + 2**(shift-1)) >> shift, with the add on the top part;
+        # a row in [-2**(shift-1), 2**(shift-1)) reads 0 without a shift.
         if shift:
-            entries = [((x >> (shift - 1)) + 1) >> 1 for x in packed[r:]]
+            high = 1 << (shift - 1)
+            low = -high
+            entries = [
+                0 if low <= x < high else ((x >> (shift - 1)) + 1) >> 1 for x in packed[r:]
+            ]
         else:
             entries = packed[r:]
         k = next((k for k, f in enumerate(entries) if f), None)
@@ -263,6 +273,10 @@ def _rref(matrix: Matrix) -> tuple[list[list[int]], list[int], int]:
         row = upper[i]
         u = row[pivots[i]]
         coeffs = [row[c] for c in pivots[i + 1 :]]
+        if u == d and not any(coeffs):
+            # R_i = d*U_i // u = U_i: the unpacked row and its exact bound stand.
+            top = max(top, bounds[i])
+            continue
         # bounds[i] is exact: a pivot row's bound is made exact when it is
         # chosen.  Bound first with the largest bound of the rows below,
         # then term by term.

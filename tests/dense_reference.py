@@ -460,25 +460,29 @@ OPERATOR_ORACLES = {
 
 
 def annihilator_basis(spanning, n, system):
-    """Basis points of the window annihilator, one system per branch."""
+    """Basis points of the window annihilator, one system per branch.
+
+    The coordinates are ordered y-head 1..N, x 1..N, the mass (second
+    system) and the tail, as ``fitz._annihilator_row`` orders them.
+    """
     rows = []
     for w in spanning:
+        x_coeffs = [w.y.value(j) for j in range(1, n + 1)]
         if system is DualSystem.FIRST:
-            x_coeffs = [w.y.value(j) for j in range(1, n + 1)]
-            rows.append(x_coeffs + [w.x.value(j) for j in range(1, n + 1)] + [Fraction(0)])
+            y_coeffs = [w.x.value(j) for j in range(1, n + 1)]
+            rows.append(y_coeffs + x_coeffs + [Fraction(0)])
         else:
-            x_coeffs = [w.y.value(j) for j in range(1, n + 1)] + [w.y.limit()]
-            y_coeffs = [w.x.atomic.value(j) for j in range(1, n + 1)] + [w.x.infinity_mass]
-            rows.append(x_coeffs + y_coeffs)
+            y_coeffs = [w.x.atomic.value(j) for j in range(1, n + 1)]
+            rows.append(y_coeffs + x_coeffs + [w.y.limit(), w.x.infinity_mass])
     ncols = 2 * n + 1 if system is DualSystem.FIRST else 2 * n + 2
     basis = []
     for vec in nullspace(rows, ncols):
-        atomic = SparseSeq.from_pairs((j + 1, vec[j]) for j in range(n))
+        atomic = SparseSeq.from_pairs((j + 1, vec[n + j]) for j in range(n))
+        y = TailSeq(tuple(vec[:n]), (vec[-1],))
         if system is DualSystem.FIRST:
-            basis.append(PairPoint.first(atomic, TailSeq(tuple(vec[n : 2 * n]), (vec[2 * n],))))
+            basis.append(PairPoint.first(atomic, y))
         else:
-            y = TailSeq(tuple(vec[n + 1 : 2 * n + 1]), (vec[2 * n + 1],))
-            basis.append(PairPoint.second(ModelMeasure(atomic, vec[n]), y))
+            basis.append(PairPoint.second(ModelMeasure(atomic, vec[2 * n]), y))
     return basis
 
 

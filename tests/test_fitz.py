@@ -271,6 +271,64 @@ def test_annihilator_second_system_contains_mass_direction():
         assert annihilator_violation(graph_negGstar_point(mu), spanning) is None
 
 
+def window_head(*values, tail=0):
+    return TailSeq(tuple(F(v) for v in values), (F(tail),))
+
+
+def test_unit_graph_annihilators_at_window_4_are_the_graph_parametrization():
+    # The y-head pivots first: (e_k, (G e_k)_1..4, tail 0) for k = 1..4, then
+    # the mass direction (second system only) and the tail direction.
+    graph = [
+        (seq(1), window_head(0, -1, -1, -1)),
+        (seq(0, 1), window_head(1, 0, -1, -1)),
+        (seq(0, 0, 1), window_head(1, 1, 0, -1)),
+        (seq(0, 0, 0, 1), window_head(1, 1, 1, 0)),
+    ]
+    tail = (SparseSeq.zero(), window_head(0, 0, 0, 0, tail=1))
+    first = annihilator_truncated(unit_graph_points(4), 4, DualSystem.FIRST)
+    assert list(first.basis) == [PairPoint.first(x, y) for x, y in [*graph, tail]]
+    spanning = [embed_first(SparseSeq.unit(k)) for k in range(1, 5)]
+    second = annihilator_truncated(spanning, 4, DualSystem.SECOND)
+    assert list(second.basis) == [
+        *(PairPoint.second(ModelMeasure.from_atomic(x), y) for x, y in graph),
+        PairPoint.second(UNIT_MASS, window_head(1, 1, 1, 1)),
+        PairPoint.second(ModelMeasure.from_atomic(tail[0]), tail[1]),
+    ]
+
+
+@given(st.integers(1, 40))
+def test_unit_graph_annihilators_are_the_graph_parametrization(n):
+    window = range(1, n + 1)
+    zeros = (F(0),) * n
+    graph = []
+    for k in window:
+        y = apply_G(SparseSeq.unit(k))
+        graph.append((SparseSeq.unit(k), TailSeq(tuple(y.value(j) for j in window), (F(0),))))
+    first = annihilator_truncated(unit_graph_points(n), n, DualSystem.FIRST)
+    tail = TailSeq(zeros, (F(1),))
+    assert list(first.basis) == [
+        *(PairPoint.first(x, y) for x, y in graph),
+        PairPoint.first(SparseSeq.zero(), tail),
+    ]
+    spanning = [embed_first(SparseSeq.unit(k)) for k in window]
+    second = annihilator_truncated(spanning, n, DualSystem.SECOND)
+    assert list(second.basis) == [
+        *(PairPoint.second(ModelMeasure.from_atomic(x), y) for x, y in graph),
+        PairPoint.second(UNIT_MASS, TailSeq((F(1),) * n, (F(0),))),
+        PairPoint.second(ModelMeasure.from_atomic(SparseSeq.zero()), tail),
+    ]
+
+
+def test_wide_unit_graph_window_has_one_x_entry_per_basis_vector():
+    n = 256
+    spanning = unit_graph_points(n)
+    basis = annihilator_truncated(spanning, n, DualSystem.FIRST).basis
+    assert len(basis) == n + 1
+    for vec in basis:
+        assert len(vec.x.indices) <= 1
+        assert annihilator_violation(vec, spanning) is None
+
+
 @st.composite
 def spanning_sets(draw, system, n=5, max_head=4):
     """A few points with x inside the window; in the second system with

@@ -249,6 +249,65 @@ def test_rref_matches_gauss_jordan_bareiss(rows):
     assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
 
 
+@st.composite
+def reduced_matrices(draw, max_n: int = 8):
+    """Rows [P | A] that arrive reduced, as a unit spanning set's annihilator
+    rows do, in any row order.
+
+    P is the identity, a diagonal of signs with a negative pivot among them,
+    or the identity with one pivot that is not a unit; A holds small
+    integers and rationals, zero columns among them.
+    """
+    n = draw(st.integers(1, max_n))
+    width = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["identity", "negative", "non-unit"]))
+    if kind == "identity":
+        diagonal = [1] * n
+    elif kind == "negative":
+        diagonal = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        diagonal[draw(st.integers(0, n - 1))] = -1
+    else:
+        diagonal = [1] * n
+        diagonal[draw(st.integers(0, n - 1))] = draw(st.sampled_from([2, -3, 7]))
+    values = st.one_of(st.sampled_from([F(0), F(1), F(-1)]), rationals(9, 6))
+    rows = []
+    for i, p in enumerate(diagonal):
+        block = [F(p) if j == i else F(0) for j in range(n)]
+        rows.append(block + draw(st.lists(values, min_size=width, max_size=width)))
+    order = draw(st.permutations(range(n)))
+    return [rows[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_matrices())
+def test_reduced_matrices_match_both_oracles(rows):
+    # Rows that read 0 below a pivot are not decoded, and a row already
+    # reduced is kept as unpacked: (rows, pivots, d) must not change.
+    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
+    ncols = len(rows[0])
+    basis = nullspace(rows, ncols)
+    assert fractions_of(basis) == ref.nullspace(rows, ncols)
+    assert_integer_contract(rows, ncols, basis)
+
+
+def test_reduced_rows_are_unpacked_once(monkeypatch):
+    # [I | A] with A Gossez's sign kernel: every R_i is U_i, so back
+    # substitution neither recombines nor decodes a row again.
+    n = 6
+    rows = [[int(i == j) for j in range(n)] + [ref.alpha(i, j) for j in range(n)] for i in range(n)]
+    unpacked = []
+    unpack = linalg._Slots.unpack
+
+    def counting_unpack(self, x):
+        unpacked.append(x)
+        return unpack(self, x)
+
+    monkeypatch.setattr(linalg._Slots, "unpack", counting_unpack)
+    reduced, pivots, d = linalg._rref(rows)
+    assert (reduced, pivots, d) == (rows, list(range(n)), 1)
+    assert len(unpacked) == n
+
+
 @pytest.mark.parametrize(
     "rows",
     [
