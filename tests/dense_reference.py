@@ -4,9 +4,9 @@ These are the original implementations, one ``Fraction`` operation per
 index, per term or per matrix entry, kept as the oracle for the run-aware
 and integer-numerator kernels and the integer elimination in
 ``gossez_lab``; ``bareiss_gauss_jordan`` is the integer Gauss-Jordan
-elimination whose (rows, pivots, d) the packed forward and back passes of
-``linalg._rref`` must reproduce, and ``list_rref`` the same two passes on
-lists of ints, one operation per entry.  They work on plain tuples and
+elimination whose (rows, pivots, d) the forward and back passes of
+``linalg._rref`` must reproduce, and ``list_rref`` those two passes on
+lists of ints, written apart from the library.  They work on plain tuples and
 lists so that nothing here shares code with the library: a sequence is a
 canonical ``(head, tail)`` pair, a summable sequence a dict
 ``{index: value}`` without zeros, a matrix a list of ``Fraction`` rows.
@@ -305,9 +305,10 @@ def minus_multiple(a, b, h):
 def list_rref(matrix):
     """Forward Bareiss and fraction-free back substitution on lists of ints.
 
-    The list elimination that packed rows replaced in ``linalg._rref``,
-    one Python integer operation per entry; it returns (rows, pivot column
-    per row, d) as ``bareiss_gauss_jordan`` does.
+    Written apart from ``linalg._rref``, which runs the same two passes:
+    unit steps keep the rows below the pivot times one common sign, and
+    back substitution works on the free columns only.  It returns (rows,
+    pivot column per row, d) as ``bareiss_gauss_jordan`` does.
     """
     rows = []
     for row in matrix:

@@ -1,13 +1,17 @@
 """Exact elimination: minimal-support solving and nullspace bases.
 
-The packed integer elimination is checked for exact equality against the
+The integer elimination is checked for exact equality against the
 ``Fraction`` elimination kept in ``dense_reference``, and its integer
 (rows, pivots, d) against the Gauss-Jordan Bareiss elimination and the
-list elimination kept there.  ``nullspace`` returns integer vectors over a
-common denominator; ``fractions_of`` divides each by its last nonzero
-entry, which is that denominator, to compare with the ``Fraction`` basis.
+list elimination kept there, also where the entries grow far beyond
+those of the scaled rows.  None of the three entry points changes the
+rows or right-hand sides it is given.  ``nullspace`` returns integer
+vectors over a common denominator; ``fractions_of`` divides each by its
+last nonzero entry, which is that denominator, to compare with the
+``Fraction`` basis.
 """
 
+import copy
 import math
 from fractions import Fraction
 from operator import mul
@@ -227,10 +231,11 @@ def test_unit_matrices_solve_minimal_matches_fraction_elimination(data):
 
 @st.composite
 def wide_matrices(draw):
-    """Entry growth that packed rows meet by tightening and widening.
+    """Matrices whose entries grow during elimination.
 
     Numerators and denominators up to 2**120, or Hilbert-type rows
-    1/(i + j + shift) whose pivots are not units.
+    1/(i + j + shift) whose pivots are not units and whose minors outgrow
+    the scaled rows.
     """
     if draw(st.booleans()):
         nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 9))
@@ -281,8 +286,8 @@ def reduced_matrices(draw, max_n: int = 8):
 @settings(max_examples=300, deadline=None)
 @given(reduced_matrices())
 def test_reduced_matrices_match_both_oracles(rows):
-    # Rows that read 0 below a pivot are not decoded, and a row already
-    # reduced is kept as unpacked: (rows, pivots, d) must not change.
+    # No row below a pivot changes, and a row already reduced is kept as it
+    # is: (rows, pivots, d) must equal both oracles.
     assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
     ncols = len(rows[0])
     basis = nullspace(rows, ncols)
@@ -290,22 +295,64 @@ def test_reduced_matrices_match_both_oracles(rows):
     assert_integer_contract(rows, ncols, basis)
 
 
-def test_reduced_rows_are_unpacked_once(monkeypatch):
-    # [I | A] with A Gossez's sign kernel: every R_i is U_i, so back
-    # substitution neither recombines nor decodes a row again.
-    n = 6
-    rows = [[int(i == j) for j in range(n)] + [ref.alpha(i, j) for j in range(n)] for i in range(n)]
-    unpacked = []
-    unpack = linalg._Slots.unpack
+@st.composite
+def entry_kinds(draw, matrix):
+    """``matrix`` as drawn, with ``Fraction`` entries; or each row scaled to
+    ints by the lcm of its denominators; or integral entries made ints."""
+    kind = draw(st.sampled_from(["fraction", "int", "mixed"]))
+    if kind == "fraction":
+        return matrix
+    if kind == "int":
+        rows = []
+        for row in matrix:
+            scale = math.lcm(*(v.denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+        return rows
+    return [[int(v) if v.denominator == 1 else v for v in row] for row in matrix]
 
-    def counting_unpack(self, x):
-        unpacked.append(x)
-        return unpack(self, x)
 
-    monkeypatch.setattr(linalg._Slots, "unpack", counting_unpack)
-    reduced, pivots, d = linalg._rref(rows)
-    assert (reduced, pivots, d) == (rows, list(range(n)), 1)
-    assert len(unpacked) == n
+def sign_kernel_block(n):
+    """[I | A] in ints, A Gossez's sign kernel: already reduced, d = 1."""
+    return [[int(i == j) for j in range(n)] + [ref.alpha(i, j) for j in range(n)] for i in range(n)]
+
+
+def assert_inputs_unchanged(rows, rhs):
+    before = copy.deepcopy((rows, rhs))
+    reduced = linalg._rref(rows)[0]
+    assert not any(out is row for out in reduced for row in rows)
+    nullspace(rows, len(rows[0]) if rows else 3)
+    if len(rhs) == len(rows):
+        solve_minimal(rows, rhs)
+    assert (rows, rhs) == before
+    assert all(type(v) is type(w) for row, old in zip(rows, before[0]) for v, w in zip(row, old))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_elimination_leaves_its_inputs_unchanged(data):
+    # The elimination works on rows of its own: int, Fraction and mixed
+    # rows, reduced [P | A] rows and rank-deficient rows come back as given.
+    matrix = data.draw(st.one_of(matrices(), unit_matrices(), reduced_matrices(), wide_matrices()))
+    rows = data.draw(entry_kinds(matrix))
+    rhs = data.draw(st.lists(rationals(9, 6), min_size=len(rows), max_size=len(rows)))
+    assert_inputs_unchanged(rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        sign_kernel_block(6),
+        [[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]],
+        [[2, 2], [-1, -7233], [2, 2]],
+        [[F(1, 2), 1], [1, 2], [F(3), F(-1, 3)]],
+    ],
+    ids=["reduced", "rank-deficient", "growth", "fraction"],
+)
+def test_elimination_leaves_given_rows_unchanged(rows):
+    # One row object listed twice, too: each is scaled into a row of its own.
+    assert_inputs_unchanged(rows, list(range(len(rows))))
+    shared = [rows[0], rows[0], *rows[1:]]
+    assert_inputs_unchanged(shared, [1] * len(shared))
 
 
 @pytest.mark.parametrize(
@@ -320,94 +367,24 @@ def test_reduced_rows_are_unpacked_once(monkeypatch):
         [[0, 0], [0, 0]],
         [[0, 1, 0], [0, 0, 0], [0, 2, 0]],
         [[F(1, 3), 0, F(-2, 5)], [0, 0, 0], [1, 0, 1]],
+        # The second step scales the third row, zero by then, by -14464/2.
+        [[2, 2], [-1, -7233], [2, 2]],
+        # Hilbert minors outgrow the scaled rows.
+        [[F(1, i + j + 1) for j in range(8)] for i in range(8)],
     ],
 )
 def test_rref_edge_shapes_match_both_oracles(rows):
-    # No equations, zero rows and columns, a single row or column; int entries too.
+    # No equations, zero rows and columns, a single row or column, int
+    # entries too, and two matrices whose entries grow.
     fractions = [[F(v) for v in row] for row in rows]
     expected = ref.bareiss_gauss_jordan(fractions)
     assert expected == ref.list_rref(fractions)
     assert linalg._rref(rows) == linalg._rref(fractions) == expected
 
 
-def count_slot_work(monkeypatch):
-    """Record each packing width and count the bounds decoded."""
-    widths, decoded = [], []
-    init, bound = linalg._Slots.__init__, linalg._Slots.bound
-
-    def recording_init(self, width, ncols):
-        widths.append(width)
-        init(self, width, ncols)
-
-    def counting_bound(self, x):
-        decoded.append(x)
-        return bound(self, x)
-
-    monkeypatch.setattr(linalg._Slots, "__init__", recording_init)
-    monkeypatch.setattr(linalg._Slots, "bound", counting_bound)
-    return widths, decoded
-
-
-def test_packed_rows_tighten_without_widening(monkeypatch):
-    # The second step rescales the third row, zero by then, by p/d = -14464/2:
-    # its carried bound 8 would give 57856, over the 16-bit cap, and
-    # decoding the row shows that it fits.
-    rows = [[2, 2], [-1, -7233], [2, 2]]
-    widths, decoded = count_slot_work(monkeypatch)
-    reduced, pivots, d = linalg._rref(rows)
-    assert widths == [16]
-    assert len(decoded) > len(pivots)  # beyond one exact bound per pivot row
-    assert (reduced, pivots, d) == ref.bareiss_gauss_jordan(rows_of(*rows))
-
-
-def test_packed_rows_widen_by_doubling(monkeypatch):
-    # Hilbert minors outgrow the slots the scaled rows start in.
-    n = 8
-    rows = [[F(1, i + j + 1) for j in range(n)] for i in range(n)]
-    widths, _ = count_slot_work(monkeypatch)
-    assert linalg._rref(rows) == ref.bareiss_gauss_jordan(rows) == ref.list_rref(rows)
-    assert len(widths) > 1
-    assert widths[1:] == [2 * w for w in widths[:-1]]
-
-
-@st.composite
-def slot_rows(draw, widths=(16, 32, 64, 128, 256)):
-    """(width, row): entries within the bound invariant, |a| <= cap - 1,
-    the extremes and 0 among them, signs mixed."""
-    width = draw(st.sampled_from(widths))
-    top = linalg._Slots(width, 1).cap - 1
-    entry = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
-    return width, draw(st.lists(entry, min_size=1, max_size=12))
-
-
-@settings(max_examples=300, deadline=None)
-@given(slot_rows())
-def test_slots_round_trip_and_bound(width_row):
-    width, row = width_row
-    slots = linalg._Slots(width, len(row))
-    assert (slots.code is None) == (width > 64)
-    x = slots.pack(row)
-    assert x == sum(a << (width * (len(row) - 1 - j)) for j, a in enumerate(row))
-    assert slots.unpack(x) == row
-    assert slots.bound(x) == max(map(abs, row))
-
-
-@settings(max_examples=200, deadline=None)
-@given(slot_rows(widths=(16, 32, 64)))
-def test_slots_byte_path_equals_array_path(width_row):
-    width, row = width_row
-    array_path = linalg._Slots(width, len(row))
-    byte_path = linalg._Slots(width, len(row))
-    byte_path.code = None
-    x = array_path.pack(row)
-    assert byte_path.pack(row) == x
-    assert byte_path.unpack(x) == array_path.unpack(x) == row
-    assert byte_path.bound(x) == array_path.bound(x)
-
-
 @settings(max_examples=200, deadline=None)
 @given(wide_matrices())
-def test_nullspace_matches_fraction_elimination_where_slots_widen(rows):
+def test_nullspace_matches_fraction_elimination_where_entries_grow(rows):
     ncols = len(rows[0]) if rows else 3
     basis = nullspace(rows, ncols)
     assert fractions_of(basis) == ref.nullspace(rows, ncols)
