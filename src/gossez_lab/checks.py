@@ -38,7 +38,6 @@ from .fitz import (
     OP_NEGG_SECOND,
     OPERATORS,
     PLUS_INF,
-    SampledGraph,
     annihilator_truncated,
     annihilator_violation,
     divergence_certificate,
@@ -260,7 +259,7 @@ def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     samples = OPERATORS[OP_G_FIRST].sampled_graph(
         random_sparse(rng, cfg.truncation, 6, 100, 100) for _ in range(40)
     )
-    orth = orthogonality_report(samples, samples)
+    orth = orthogonality_report(samples.points, samples.points)
     tally.record("self-orthogonality", orth.status == VERIFIED)
     n = min(cfg.truncation, 32)
     spanning = unit_graph_points(n)
@@ -376,8 +375,9 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         [SparseSeq.unit(k) for k in range(1, 13)]
         + [random_sparse(rng, cfg.truncation, 6, 50, 50) for _ in range(188)]
     )
-    # Evaluated once here for the tally and the lower-bound draws.
-    closed = [g_first.fitz_closed(z) for z in graph.points]
+    # Evaluated once, by the graph, for the tally, the lower-bound draws and
+    # the representability check.
+    closed = graph.closed
     for z, fv, cv in zip(graph.points, closed, graph.couplings):
         tally.record("indicator-on-graph", fv == 0 == cv, {"z": z})
     for z in off_graph_first(rng, 50, 32):
@@ -397,11 +397,11 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         tally.record("sampled-below-closed", sampled <= fv, {"z": z})
         if z in sub.points:
             tally.record("sampled-exact-on-graph", sampled == 0 == fv, {"z": z})
-    probes = ProbeSet.generate(OP_G_FIRST, cfg.seed, cfg.truncation, cfg.trials)
+    probes = ProbeSet.generate(g_first, cfg.seed, cfg.truncation, cfg.trials)
     values = tuple(map(g_first.evaluate, probes.points))
-    ni = ni_witness_search(OP_G_FIRST, probes, values)
+    ni = ni_witness_search(probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
-    representative = representability_check(g_first, graph, probes, values, seed=cfg.seed)
+    representative = representability_check(graph, probes, values, seed=cfg.seed)
     tally.record("representability", representative.status == VERIFIED)
     stats = {
         "graph_points": len(graph.points),
@@ -415,8 +415,8 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
 
 def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     g_second = OPERATORS[OP_G_SECOND]
-    probes = ProbeSet.generate(OP_G_SECOND, cfg.seed, cfg.truncation, cfg.trials)
-    ni = ni_witness_search(OP_G_SECOND, probes, map(g_second.evaluate, probes.points))
+    probes = ProbeSet.generate(g_second, cfg.seed, cfg.truncation, cfg.trials)
+    ni = ni_witness_search(probes, map(g_second.evaluate, probes.points))
     canonical = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.ones())
     ni_ok = (
         ni.status == WITNESS_FOUND
@@ -424,7 +424,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and ni.witnesses[0]["margin"] == 1
     )
     tally.record("ni-fails-with-margin", ni_ok)
-    for z in fitz_graph_samples(OP_G_SECOND, cfg.seed, 100):
+    for z in fitz_graph_samples(g_second, cfg.seed, 100):
         a = z.x.infinity_mass
         tally.record("indicator-on-negGstar-graph", g_second.fitz_closed(z) == 0, {"z": z})
         tally.record("coupling-is-mass-squared", coupling_value(z) == a * a, {"z": z})
@@ -436,7 +436,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     )
     embedded = g_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     tally.record("embedded-graph-skew", all(c == 0 for c in embedded.couplings))
-    for z in fitz_graph_samples(OP_G_SECOND, cfg.seed + 1, 20):
+    for z in fitz_graph_samples(g_second, cfg.seed + 1, 20):
         sampled = fitz_sampled(z, embedded)
         tally.record("sampled-vanishes-on-closure", sampled == 0, {"z": z})
     ext = extension_probe(embedded, canonical)
@@ -446,12 +446,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and not ext.stats["already_in_analytic_graph"]
         and coupling_value(canonical) == 1,
     )
-    negGstar_graph = SampledGraph(
-        DualSystem.SECOND,
-        tuple(fitz_graph_samples(OP_G_SECOND, cfg.seed + 2, 40, 32)),
-        source=g_second.fitz_graph,
-    )
-    orth = orthogonality_report(embedded, negGstar_graph)
+    orth = orthogonality_report(embedded.points, fitz_graph_samples(g_second, cfg.seed + 2, 40))
     tally.record("graph-orthogonal-to-negGstar", orth.status == VERIFIED)
     n = min(cfg.truncation, 32)
     spanning = [g_second.graph_point(SparseSeq.unit(k)) for k in range(1, n + 1)]
@@ -491,9 +486,9 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
 
 def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     negg_second = OPERATORS[OP_NEGG_SECOND]
-    probes = ProbeSet.generate(OP_NEGG_SECOND, cfg.seed, cfg.truncation, cfg.trials)
+    probes = ProbeSet.generate(negg_second, cfg.seed, cfg.truncation, cfg.trials)
     values = tuple(map(negg_second.evaluate, probes.points))
-    ni = ni_witness_search(OP_NEGG_SECOND, probes, values)
+    ni = ni_witness_search(probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
     for _ in range(cfg.trials):
         mu = random_measure(rng, 32, 6, 100, 100)
@@ -501,7 +496,7 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
         gstar = apply_Gstar(mu)
         tally.record("coupling-on-negGstar", pair_measure(mu, -gstar) == a * a, {"mu": mu})
         tally.record("coupling-on-Gstar", pair_measure(mu, gstar) == -a * a, {"mu": mu})
-    for z in fitz_graph_samples(OP_NEGG_SECOND, cfg.seed, 50):
+    for z in fitz_graph_samples(negg_second, cfg.seed, 50):
         tally.record("indicator-on-Gstar-graph", negg_second.fitz_closed(z) == 0, {"z": z})
         mirrored = PairPoint.second(z.x, -z.y)
         tally.record(
@@ -511,16 +506,14 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
         )
     neg_embedded = negg_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
     refuted = 0
-    candidates = fitz_graph_samples(OP_NEGG_SECOND, cfg.seed + 1, 50)
+    candidates = fitz_graph_samples(negg_second, cfg.seed + 1, 50)
     candidates = [z for z in candidates if z.x.infinity_mass != 0]
     for z in candidates:
         verdict = extension_probe(neg_embedded, z)
         if verdict.status == REFUTED:
             refuted += 1
     tally.record("no-representable-extension", 0 < refuted == len(candidates))
-    representative = representability_check(
-        negg_second, neg_embedded, probes, values, seed=cfg.seed
-    )
+    representative = representability_check(neg_embedded, probes, values, seed=cfg.seed)
     tally.record("representability-on-model", representative.status == VERIFIED)
     notes = (
         "the unique maximal extension (the closure of the graph) adds only "
@@ -538,15 +531,15 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
 
 def _run_dichotomy(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     profiles = {}
-    for op in (OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND):
+    for op in OPERATORS.values():
         verdict = dichotomy_crosscheck(
             op,
             seed=cfg.seed,
             truncation=min(cfg.truncation, 32),
             probe_count=200,
         )
-        profiles[op] = verdict.stats
-        tally.record(f"profile-{op}", verdict.status == VERIFIED)
+        profiles[op.id] = verdict.stats
+        tally.record(f"profile-{op.id}", verdict.status == VERIFIED)
     return (), {"profiles": profiles}, ()
 
 

@@ -12,7 +12,6 @@ keeping the emitted artifact reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .checks import (
@@ -44,13 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--truncation", type=int, default=64, metavar="N")
     run_parser.add_argument("--trials", type=int, default=1000)
-    run_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="randomness seed; the GOSSEZ_LAB_SEED environment variable, "
-        "when set, overrides this flag",
-    )
+    run_parser.add_argument("--seed", type=int, default=0, help="randomness seed")
     run_parser.add_argument("--scale-max", type=int, default=10**6)
     run_parser.add_argument("--format", choices=("json", "csv", "md"), default="json")
     run_parser.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -71,22 +64,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return _list_catalog()
 
-    seed = args.seed
-    env_seed = os.environ.get("GOSSEZ_LAB_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"usage error: GOSSEZ_LAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
-            return EXIT_USAGE
-
     names = tuple(part.strip() for part in args.checks.split(",") if part.strip())
     try:
         config = CheckConfig(
             checks=names or ("all",),
             truncation=args.truncation,
             trials=args.trials,
-            seed=seed,
+            seed=args.seed,
             scale_max=args.scale_max,
             out_format=args.format,
             out_path=args.out,

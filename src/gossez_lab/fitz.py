@@ -14,6 +14,8 @@ split into two routes that check each other:
 ``Operator`` holds its dual system, two maps (onto its graph and onto the
 graph its closed-form Fitzpatrick function is the indicator of) from which
 its graph points and tests derive, and the verdicts the dichotomy expects.
+The row is the one handle on a profile: a ``SampledGraph`` of its graph
+carries it, with the closed form and coupling of each point computed once.
 ``Operator.evaluate`` is the one evaluation of a point, (closed form,
 coupling); ``divergence_certificate`` backs the +inf off the Fitzpatrick
 graph of any row with a sampled value above a threshold.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
 from .adjoint import apply_Gstar
@@ -81,16 +83,17 @@ class SampledGraph:
     """A finite list of graph points sharing one dual system.
 
     Duplicates (under canonical equality) are dropped at construction.
-    ``source`` is a label; the labels in SOURCE_MEMBERSHIP identify graphs
-    of linear operators whose analytic membership test is available in
-    closed form.
+    ``op`` is the ``OPERATORS`` row whose graph the points sample, or None
+    for any other point set; a row of another system is a ``ValueError``.
     """
 
     system: DualSystem
     points: tuple[PairPoint, ...]
-    source: str = "custom"
+    op: Operator | None = None
 
     def __post_init__(self) -> None:
+        if self.op is not None and self.op.system is not self.system:
+            raise ValueError(f"{self.op.id} samples {self.op.system.value}-system graphs")
         for p in self.points:
             if p.system is not self.system:
                 raise ValueError("all points of a sampled graph must share its system")
@@ -102,26 +105,36 @@ class SampledGraph:
         """c(w) of each point, None where w leaves the model; computed once."""
         return tuple(map(coupling_or_none, self.points))
 
+    @cached_property
+    def closed(self) -> tuple[ExtendedRational, ...]:
+        """The row's closed-form Fitzpatrick value at each point; computed once."""
+        if self.op is None:
+            raise ValueError("a sampled graph without an operator row has no closed form")
+        return tuple(map(self.op.fitz_closed, self.points))
+
     def subgraph(self, positions: Iterable[int]) -> SampledGraph:
         """The points at distinct ``positions``, with their couplings read from this graph."""
         positions = tuple(positions)
-        sub = SampledGraph(self.system, tuple(self.points[i] for i in positions), self.source)
+        sub = SampledGraph(self.system, tuple(self.points[i] for i in positions), self.op)
         object.__setattr__(sub, "couplings", tuple(self.couplings[i] for i in positions))
         return sub
 
     def to_json(self) -> dict:
         return {
             "system": self.system.value,
-            "source": self.source,
+            "op": None if self.op is None else self.op.id,
             "points": [p.to_json() for p in self.points],
         }
 
     @staticmethod
     def from_json(obj: dict) -> SampledGraph:
+        op_id = obj["op"]
+        if op_id is not None and op_id not in OPERATORS:
+            raise ValueError(f"unknown operator id {op_id!r}")
         return SampledGraph(
             DualSystem(obj["system"]),
             tuple(PairPoint.from_json(p) for p in obj["points"]),
-            obj["source"],
+            None if op_id is None else OPERATORS[op_id],
         )
 
 
@@ -150,16 +163,15 @@ class Operator:
     """One operator profile: G or -G in one dual system.
 
     ``graph_y`` maps x in l1 to the y of its graph point (x embedded as an
-    atomic measure in the second system); sampled graphs carry
-    ``graph_label``.  ``fitz_y`` maps an x-part to the y of its point on the
-    graph ``fitz_graph``, of which the closed-form Fitzpatrick function is
-    the indicator.  ``expected`` holds the (NI, representability, extension)
+    atomic measure in the second system); sampled graphs carry the row.
+    ``fitz_y`` maps an x-part to the y of its point on the graph
+    ``fitz_graph``, of which the closed-form Fitzpatrick function is the
+    indicator.  ``expected`` holds the (NI, representability, extension)
     verdicts that the dichotomy predicts for ``profile``.
     """
 
     id: str
     system: DualSystem
-    graph_label: str
     graph_y: Callable[[SparseSeq], TailSeq]
     fitz_graph: str
     fitz_y: Callable[[XPart], TailSeq]
@@ -196,7 +208,7 @@ class Operator:
         return self.fitz_closed(z), coupling_or_none(z)
 
     def sampled_graph(self, xs: Iterable[SparseSeq]) -> SampledGraph:
-        return SampledGraph(self.system, tuple(self.graph_point(x) for x in xs), self.graph_label)
+        return SampledGraph(self.system, tuple(self.graph_point(x) for x in xs), self)
 
 
 # The lambdas look apply_G and apply_Gstar up when called, so rebinding the
@@ -210,7 +222,6 @@ OPERATORS: dict[str, Operator] = {
         Operator(
             id=OP_G_FIRST,
             system=DualSystem.FIRST,
-            graph_label="Graph G",
             graph_y=lambda x: apply_G(x),
             fitz_graph="Graph G",
             fitz_y=lambda x: apply_G(x),
@@ -220,7 +231,6 @@ OPERATORS: dict[str, Operator] = {
         Operator(
             id=OP_G_SECOND,
             system=DualSystem.SECOND,
-            graph_label="Graph G embedded",
             graph_y=lambda x: apply_G(x),
             fitz_graph="Graph negG*",
             fitz_y=lambda mu: -apply_Gstar(mu),
@@ -231,7 +241,6 @@ OPERATORS: dict[str, Operator] = {
         Operator(
             id=OP_NEGG_SECOND,
             system=DualSystem.SECOND,
-            graph_label="Graph negG embedded",
             graph_y=lambda x: -apply_G(x),
             fitz_graph="Graph G*",
             fitz_y=lambda mu: apply_Gstar(mu),
@@ -240,21 +249,6 @@ OPERATORS: dict[str, Operator] = {
         ),
     )
 }
-
-# Analytic membership tests by sampled-graph label.
-SOURCE_MEMBERSHIP: dict[str, Callable[[PairPoint], bool]] = {
-    label: test
-    for op in OPERATORS.values()
-    for label, test in ((op.graph_label, op.on_graph), (op.fitz_graph, op.on_fitz_graph))
-}
-
-
-def operator_for(op_id: str) -> Operator:
-    """The table entry for ``op_id``; ValueError for an unknown id."""
-    if op_id not in OPERATORS:
-        raise ValueError(f"unknown operator id {op_id!r}")
-    return OPERATORS[op_id]
-
 
 def divergence_certificate(op: Operator, z: PairPoint, threshold: int = 10**6) -> dict:
     """Exhibit a sampled Fitzpatrick value of ``op`` above ``threshold`` at a
@@ -378,7 +372,7 @@ def annihilator_violation(z: PairPoint, spanning: Iterable[PairPoint]) -> dict |
     return None
 
 
-def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
+def orthogonality_report(a: Sequence[PairPoint], b: Sequence[PairPoint]) -> PropertyVerdict:
     """Check z.w = 0 for every z in b, w in a.
 
     Pairings outside the model domain are skipped and counted; the first
@@ -387,8 +381,8 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
     """
     zeros = 0
     skipped = 0
-    for z in b.points:
-        for w in a.points:
+    for z in b:
+        for w in a:
             try:
                 num, den = natural_couple_terms(z, w)
             except OutsideModelDomain:
@@ -396,7 +390,6 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
                 continue
             if num:
                 return PropertyVerdict(
-                    property="orthogonality",
                     status=REFUTED,
                     witnesses=({"z": z, "w": w, "value": Fraction(num, den)},),
                     stats={
@@ -408,7 +401,6 @@ def orthogonality_report(a: SampledGraph, b: SampledGraph) -> PropertyVerdict:
             zeros += 1
     status = VERIFIED if zeros and not skipped else INCONCLUSIVE
     return PropertyVerdict(
-        property="orthogonality",
         status=status,
         stats={"pairs_checked": zeros + skipped, "zeros": zeros, "skipped": skipped},
     )

@@ -8,10 +8,12 @@ from the quadratic it is in t: an extension probe applies it to the probe
 against each sample, and the monotonicity check to each sample against the
 samples after it, which decides each plane that two samples span.
 
-The NI search, the representability check and the dichotomy take what they
-know of an operator from its ``fitz.OPERATORS`` entry.  The NI search and
-the representability check read the probe values ``Operator.evaluate``
-gives, passed in by the caller, so one set of values serves both.
+Every function that acts on a profile takes its ``fitz.OPERATORS`` row,
+and a sampled graph carries the row it samples: the extension probe reads
+its membership test there, and the representability check its closed form
+and graph values.  The NI search and the representability check read the
+probe values ``Operator.evaluate`` gives, passed in by the caller, so one
+set of values serves both.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .fitz import (
-    OP_G_FIRST,
-    OP_G_SECOND,
-    PLUS_INF,
-    SOURCE_MEMBERSHIP,
-    Operator,
-    SampledGraph,
-    operator_for,
-)
+from .fitz import OP_G_FIRST, OP_G_SECOND, PLUS_INF, Operator, SampledGraph
 from .sampling import ProbeSet, off_graph_first, random_sparse, rng_for
 from .spaces import (
     ModelMeasure,
@@ -130,13 +124,11 @@ def is_monotone(graph: SampledGraph) -> PropertyVerdict:
             skipped += s
         if witness is not None:
             return PropertyVerdict(
-                property="monotone",
                 status=REFUTED,
                 witnesses=({"z": z, **witness},),
                 stats={"pairs_checked": checked, "skipped": skipped},
             )
     return PropertyVerdict(
-        property="monotone",
         status=VERIFIED if checked and not skipped else INCONCLUSIVE,
         stats={"pairs_checked": checked, "skipped": skipped},
     )
@@ -150,8 +142,8 @@ def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
     sample w (plus the zero point, a graph point of every linear source).
     A violation refutes, naming an exact scale and its value; survival makes
     z a monotone-extension witness, flagged in
-    ``stats["already_in_analytic_graph"]`` when the graph's source has a
-    membership test.  A flagged witness refutes no maximality, so
+    ``stats["already_in_analytic_graph"]`` when the graph carries a row,
+    by the row's ``on_graph``.  A flagged witness refutes no maximality, so
     ``dichotomy_crosscheck`` and the ``sds-i`` check count only unflagged ones.
     """
     try:
@@ -159,14 +151,12 @@ def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
     except OutsideModelDomain:
         # z's own coupling is undefined in the model: nothing is decidable.
         return PropertyVerdict(
-            property="extension",
             status=INCONCLUSIVE,
             stats={"pairs_checked": 0, "skipped": 1},
         )
     if cz < 0:
         # Violation against the origin, a graph point of any linear source.
         return PropertyVerdict(
-            property="extension",
             status=REFUTED,
             witnesses=({"w": PairPoint.zero(graph.system), "scale": Fraction(1), "value": cz},),
             stats={"pairs_checked": 1},
@@ -174,20 +164,18 @@ def extension_probe(graph: SampledGraph, z: PairPoint) -> PropertyVerdict:
     witness, checked, skipped = _line_scan(z, cz, graph.points, graph.couplings)
     stats = {"pairs_checked": 1 + checked, "skipped": skipped}
     if witness is not None:
-        return PropertyVerdict(property="extension", status=REFUTED, witnesses=(witness,), stats=stats)
-    membership = SOURCE_MEMBERSHIP.get(graph.source)
-    if membership is not None:
-        stats["already_in_analytic_graph"] = membership(z)
+        return PropertyVerdict(status=REFUTED, witnesses=(witness,), stats=stats)
+    if graph.op is not None:
+        stats["already_in_analytic_graph"] = graph.op.on_graph(z)
     status = INCONCLUSIVE if skipped else WITNESS_FOUND
     return PropertyVerdict(
-        property="extension",
         status=status,
         witnesses=({"point": z, "coupling": cz},),
         stats=stats,
     )
 
 
-def ni_witness_search(op_id: str, probes: ProbeSet, values: Iterable[tuple]) -> PropertyVerdict:
+def ni_witness_search(probes: ProbeSet, values: Iterable[tuple]) -> PropertyVerdict:
     """Search probes for fitz(z) < c(z), refuting the negative-infimum property.
 
     The closed-form Fitzpatrick value is an indicator here, so a witness is
@@ -205,26 +193,21 @@ def ni_witness_search(op_id: str, probes: ProbeSet, values: Iterable[tuple]) -> 
         checked += 1
         if fv < cv:
             return PropertyVerdict(
-                property=f"NI({op_id})",
                 status=WITNESS_FOUND,
                 witnesses=({"z": z, "fitz": fv, "coupling": cv, "margin": cv - fv},),
                 stats={"probes_checked": checked, "skipped": skipped},
             )
     return PropertyVerdict(
-        property=f"NI({op_id})",
         status=VERIFIED if checked and not skipped else INCONCLUSIVE,
         stats={"probes_checked": checked, "skipped": skipped},
     )
 
 
 def representability_check(
-    op: Operator,
-    graph: SampledGraph,
-    probes: ProbeSet,
-    values: tuple,
-    seed: int = 0,
+    graph: SampledGraph, probes: ProbeSet, values: tuple, seed: int = 0
 ) -> PropertyVerdict:
-    """Check op's closed-form Fitzpatrick function as a candidate representative.
+    """Check the closed-form Fitzpatrick function of ``graph.op`` as a
+    candidate representative.
 
     Three conditions: exact equality fn = c on the graph samples, fn >= c
     on every probe, and midpoint convexity on 100 random probe pairs with
@@ -235,19 +218,17 @@ def representability_check(
     probe whose coupling leaves the model is skipped.  With no graph points
     and no probes nothing is evaluated, and the verdict is inconclusive.
     ``values`` is a sequence, read twice, of the pairs ``Operator.evaluate(z)``
-    along ``probes.points``; the graph couplings are ``graph.couplings``.
+    along ``probes.points``; the graph values are ``graph.closed`` and
+    ``graph.couplings``.
     """
-    fn = op.fitz_closed
-    name = f"indicator({op.fitz_graph})"
+    op = graph.op
     skipped = 0
-    for z, cv in zip(graph.points, graph.couplings):
+    for z, fv, cv in zip(graph.points, graph.closed, graph.couplings):
         if cv is None:
             skipped += 1
             continue
-        fv = fn(z)
         if fv != cv:
             return PropertyVerdict(
-                property=f"representability({name})",
                 status=REFUTED,
                 witnesses=({"z": z, "fn": fv, "coupling": cv},),
                 stats={"graph_points": len(graph.points)},
@@ -265,7 +246,7 @@ def representability_check(
             equality_set += 1
             if op.on_graph(z):
                 equality_on_analytic += 1
-    rng = rng_for(seed, f"convexity:{name}")
+    rng = rng_for(seed, f"convexity:indicator({op.fitz_graph})")
     # A probe enters by its fn value alone, even if its coupling is outside the model.
     finite = [(z, fv) for z, (fv, _) in zip(probes.points, values) if fv != PLUS_INF]
     convex_checked = 0
@@ -273,11 +254,10 @@ def representability_check(
         if len(finite) < 2:
             break
         (z1, f1), (z2, f2) = rng.sample(finite, 2)
-        fm = fn((z1 + z2).scale(Fraction(1, 2)))
+        fm = op.fitz_closed((z1 + z2).scale(Fraction(1, 2)))
         convex_checked += 1
         if fm > (f1 + f2) / 2:
             return PropertyVerdict(
-                property=f"representability({name})",
                 status=REFUTED,
                 witnesses=({"z1": z1, "z2": z2, "midpoint_value": fm},),
                 stats={"reason": "midpoint convexity violated"},
@@ -292,21 +272,19 @@ def representability_check(
     }
     if below is not None:
         return PropertyVerdict(
-            property=f"representability({name})",
             status=WITNESS_FOUND,
             witnesses=(below,),
             stats=stats,
         )
     evaluated = graph.points or probes.points
     return PropertyVerdict(
-        property=f"representability({name})",
         status=VERIFIED if evaluated and not skipped else INCONCLUSIVE,
         stats=stats,
     )
 
 
 def dichotomy_crosscheck(
-    op_id: str,
+    op: Operator,
     seed: int = 0,
     truncation: int = 32,
     probe_count: int = 200,
@@ -327,25 +305,24 @@ def dichotomy_crosscheck(
     The observed (NI, representability, extension) verdicts must equal the
     operator's expected ones; anything else is reported as refuted.
     """
-    op = operator_for(op_id)
     # Unit points must cover the whole truncation window (plus one index for
     # tail-only deviations), or off-graph probes deviating on uncovered
     # indices would survive the refutation scan.
-    rng = rng_for(seed, f"graph:{op_id}:{truncation}:20")
+    rng = rng_for(seed, f"graph:{op.id}:{truncation}:20")
     graph = op.sampled_graph(
         [SparseSeq.unit(k) for k in range(1, truncation + 2)]
         + [random_sparse(rng, truncation, 6, 50, 50) for _ in range(20)]
     )
-    probes = ProbeSet.generate(op_id, seed, truncation, probe_count)
+    probes = ProbeSet.generate(op, seed, truncation, probe_count)
     monotone = is_monotone(graph)
     values = tuple(map(op.evaluate, probes.points))
-    ni = ni_witness_search(op_id, probes, values)
-    representative = representability_check(op, graph, probes, values, seed=seed)
+    ni = ni_witness_search(probes, values)
+    representative = representability_check(graph, probes, values, seed=seed)
 
     notes: list[str] = []
-    if op_id == OP_G_FIRST:
+    if op.id == OP_G_FIRST:
         candidates = off_graph_first(rng_for(seed, "dichotomy-off-graph"), 20, truncation)
-    elif op_id == OP_G_SECOND:
+    elif op.id == OP_G_SECOND:
         unit_mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
         candidates = [PairPoint.second(unit_mass, TailSeq.ones())]
     else:
@@ -387,7 +364,6 @@ def dichotomy_crosscheck(
     if ni.status == WITNESS_FOUND:
         witnesses.extend(ni.witnesses)
     return PropertyVerdict(
-        property=f"dichotomy({op_id})",
         status=VERIFIED if consistent else REFUTED,
         witnesses=tuple(witnesses),
         stats=stats,

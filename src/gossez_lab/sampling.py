@@ -1,8 +1,10 @@
 """Seeded deterministic generators for samples, graphs, and probe grids.
 
 All randomness flows through `random.Random` seeded with a string derived
-from (seed, label), so identical descriptors reproduce identical objects,
-bit for bit.  Magnitude caps keep the exact arithmetic fast.
+from (seed, label), so identical arguments reproduce identical objects,
+bit for bit.  Magnitude caps keep the exact arithmetic fast.  The
+generators that draw for one profile take its ``fitz.OPERATORS`` row and
+label their draws with its id.
 
 Draws are ints.  ``_randint`` and ``_draw_fractions`` take ``getrandbits``
 as ``Random.randint`` does, and ``_sample_range`` replays
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .fitz import OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND, OPERATORS, operator_for
+from .fitz import OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND, OPERATORS, Operator
 from .gossez import apply_G
 from .spaces import DualSystem, ModelMeasure, PairPoint, SparseSeq, TailSeq
 
@@ -224,21 +226,18 @@ def off_graph_first(
 class ProbeSet:
     """A reproducible finite set of pair points.
 
-    ``descriptor`` is the generation recipe; `ProbeSet.generate` rebuilds
-    the identical set from it.  Every generated point is evaluable in the
-    model (measures with mass at infinity only meet convergent sequences).
+    `ProbeSet.generate` rebuilds the identical set from the same arguments.
+    Every generated point is evaluable in the model (measures with mass at
+    infinity only meet convergent sequences).
     """
 
     points: tuple[PairPoint, ...]
-    descriptor: dict = field(default_factory=dict)
 
     @staticmethod
-    def generate(op_id: str, seed: int, truncation: int, count: int) -> ProbeSet:
-        descriptor = {"op": op_id, "seed": seed, "truncation": truncation, "count": count}
-        system = operator_for(op_id).system
-        rng = rng_for(seed, f"probes:{op_id}:{truncation}:{count}")
-        grid = _first_system_grid if system is DualSystem.FIRST else _second_system_grid
-        return ProbeSet(tuple(grid(rng, truncation, count)), descriptor)
+    def generate(op: Operator, seed: int, truncation: int, count: int) -> ProbeSet:
+        rng = rng_for(seed, f"probes:{op.id}:{truncation}:{count}")
+        grid = _first_system_grid if op.system is DualSystem.FIRST else _second_system_grid
+        return ProbeSet(tuple(grid(rng, truncation, count)))
 
 
 def _first_system_grid(rng: random.Random, truncation: int, count: int) -> list[PairPoint]:
@@ -277,10 +276,9 @@ def _second_system_grid(rng: random.Random, truncation: int, count: int) -> list
     return points[:count]
 
 
-def fitz_graph_samples(op_id: str, seed: int, count: int, truncation: int = 32) -> list[PairPoint]:
+def fitz_graph_samples(op: Operator, seed: int, count: int, truncation: int = 32) -> list[PairPoint]:
     """Points (mu, fitz_y(mu)) of the Fitzpatrick graph of G-second or negG-second."""
     # The generator labels fix the samples, and with them the report bytes.
-    label = {OP_G_SECOND: "negGstar", OP_NEGG_SECOND: "Gstar"}[op_id]
+    label = {OP_G_SECOND: "negGstar", OP_NEGG_SECOND: "Gstar"}[op.id]
     rng = rng_for(seed, f"{label}:{truncation}:{count}")
-    op = OPERATORS[op_id]
     return [op.fitz_point(random_measure(rng, truncation, 5, 50, 50)) for _ in range(count)]

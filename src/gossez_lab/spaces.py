@@ -655,7 +655,10 @@ class TailSeq:
 
     @staticmethod
     def from_json(obj: dict) -> TailSeq:
-        head, kind, values = obj["head"], obj["tail"].get("kind"), obj["tail"]["values"]
+        head, tail = obj["head"], obj["tail"]
+        if not isinstance(tail, dict):
+            raise TypeError("tail must be an object with a kind and values")
+        kind, values = tail.get("kind"), tail["values"]
         # A string is iterable too: it would read as one-character rationals.
         if not isinstance(head, list) or not isinstance(values, list):
             raise TypeError("head and tail values must be lists of rational strings")

@@ -60,7 +60,6 @@ class PropertyVerdict:
     extremes.
     """
 
-    property: str
     status: str
     witnesses: tuple = ()
     stats: dict = field(default_factory=dict)

@@ -102,4 +102,4 @@ def random_graph_points(
 
 def ni_search(op_id: str, probes):
     """``ni_witness_search`` over the row's own values, evaluated lazily."""
-    return ni_witness_search(op_id, probes, map(OPERATORS[op_id].evaluate, probes.points))
+    return ni_witness_search(probes, map(OPERATORS[op_id].evaluate, probes.points))

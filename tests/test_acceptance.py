@@ -118,7 +118,7 @@ def test_criterion_05_adjoint_identity():
 def test_criterion_06_fitz_first_duality():
     rng = rng_for(SEED, "acceptance:fds")
     pool = unit_graph_points(12) + random_graph_points(rng, 188, 16, 6, 20, 20)
-    graph = SampledGraph(DualSystem.FIRST, tuple(pool), source="Graph G")
+    graph = SampledGraph(DualSystem.FIRST, tuple(pool), OPERATORS[OP_G_FIRST])
     assert len(graph.points) == 200
     g_first = OPERATORS[OP_G_FIRST]
     for z in graph.points:
@@ -133,7 +133,7 @@ def test_criterion_06_fitz_first_duality():
         else:
             z = off_graph_first(rng, 1, 16)[0]
         subset = tuple(rng.sample(graph.points, rng.randint(1, 6)))
-        sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
+        sub = SampledGraph(DualSystem.FIRST, subset, g_first)
         assert fitz_sampled(z, sub) <= g_first.fitz_closed(z)
     _passed(6, "Fitzpatrick first duality: 0 on 200 graph points, divergence "
                f"past 1e6 on 50 off-graph points, lower bound on {combos} combos")
@@ -144,10 +144,10 @@ def test_criterion_07_self_orthogonality():
     forty = SampledGraph(
         DualSystem.FIRST,
         tuple(random_graph_points(rng, 40, 32, 6, 100, 100)),
-        source="Graph G",
+        OPERATORS[OP_G_FIRST],
     )
     assert len(forty.points) == 40
-    report = orthogonality_report(forty, forty)
+    report = orthogonality_report(forty.points, forty.points)
     assert report.status == VERIFIED
     assert report.stats["zeros"] == 1600
     n = 32
@@ -166,16 +166,16 @@ def test_criterion_07_self_orthogonality():
 
 
 def test_criterion_08_ni_dichotomy():
-    probes = ProbeSet.generate(OP_G_SECOND, SEED, 64, TRIALS)
+    probes = ProbeSet.generate(OPERATORS[OP_G_SECOND], SEED, 64, TRIALS)
     verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["z"] == CANONICAL and witness["margin"] == 1
     assert ni_search(
-        OP_NEGG_SECOND, ProbeSet.generate(OP_NEGG_SECOND, SEED, 64, TRIALS)
+        OP_NEGG_SECOND, ProbeSet.generate(OPERATORS[OP_NEGG_SECOND], SEED, 64, TRIALS)
     ).status == VERIFIED
     assert ni_search(
-        OP_G_FIRST, ProbeSet.generate(OP_G_FIRST, SEED, 64, TRIALS)
+        OP_G_FIRST, ProbeSet.generate(OPERATORS[OP_G_FIRST], SEED, 64, TRIALS)
     ).status == VERIFIED
     rng = rng_for(SEED, "acceptance:mass")
     for _ in range(TRIALS):
@@ -194,7 +194,7 @@ def test_criterion_09_maximality_contrast():
     graph = SampledGraph(
         DualSystem.FIRST,
         tuple(unit_graph_points(33) + random_graph_points(rng, 20, 32, 6, 20, 20)),
-        source="Graph G",
+        OPERATORS[OP_G_FIRST],
     )
     refuted = 0
     for z in off_graph_first(rng, 100, 32):
@@ -204,13 +204,13 @@ def test_criterion_09_maximality_contrast():
     embedded = SampledGraph(
         DualSystem.SECOND,
         tuple(embed_first(p.x) for p in graph.points if isinstance(p.x, SparseSeq)),
-        source="Graph G embedded",
+        OPERATORS[OP_G_SECOND],
     )
     witness = extension_probe(embedded, CANONICAL)
     assert witness.status == WITNESS_FOUND
     profiles = {}
     for op in (OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND):
-        verdict = dichotomy_crosscheck(op, seed=SEED, truncation=32, probe_count=200)
+        verdict = dichotomy_crosscheck(OPERATORS[op], seed=SEED, truncation=32, probe_count=200)
         assert verdict.status == VERIFIED
         profiles[op] = verdict.stats["profile"]
     assert profiles == {

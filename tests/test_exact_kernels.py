@@ -392,7 +392,7 @@ second_points = st.builds(
 @settings(deadline=None)
 @given(st.lists(first_points, max_size=5), first_points)
 def test_extension_probe_matches_fraction_scan_first(points, z):
-    graph = SampledGraph(DualSystem.FIRST, tuple(points), "custom")
+    graph = SampledGraph(DualSystem.FIRST, tuple(points))
     assert_extension_matches(graph, z)
     assert_exact_refutes_where_ladder_does(graph, z)
 
@@ -400,7 +400,7 @@ def test_extension_probe_matches_fraction_scan_first(points, z):
 @settings(deadline=None)
 @given(st.lists(second_points, max_size=5), second_points)
 def test_extension_probe_matches_fraction_scan_second(points, z):
-    graph = SampledGraph(DualSystem.SECOND, tuple(points), "custom")
+    graph = SampledGraph(DualSystem.SECOND, tuple(points))
     assert_extension_matches(graph, z)
     assert_exact_refutes_where_ladder_does(graph, z)
 
@@ -411,10 +411,10 @@ def test_extension_probe_with_vanishing_cross_and_own_couplings():
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.zero())
     w1 = PairPoint.first(SparseSeq.unit(2), TailSeq.zero())
     w2 = PairPoint.first(SparseSeq.zero(), TailSeq.constant(0, [-1]))
-    graph = SampledGraph(DualSystem.FIRST, (w1,), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w1,))
     assert extension_probe(graph, z).status == WITNESS_FOUND
     assert_extension_matches(graph, z)
-    graph = SampledGraph(DualSystem.FIRST, (w1, w2), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w1, w2))
     verdict = extension_probe(graph, z)
     assert verdict.status == REFUTED
     assert verdict.witnesses[0]["scale"] == -1 and verdict.witnesses[0]["value"] == -1
@@ -427,7 +427,7 @@ def test_extension_probe_refutes_only_at_large_scale():
     # refutes with no scale bound.
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [1]))
     w = PairPoint.first(SparseSeq.unit(3), TailSeq.constant(0, [0, 0, F(-1, 10**11)]))
-    graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w,))
     assert ref.extension_scan(F(1), [(F(0), F(-1, 10**11))], 10) is None
     verdict = extension_probe(graph, z)
     assert verdict.status == REFUTED
@@ -444,12 +444,12 @@ def test_extension_probe_on_the_discriminant_boundary_refutes_nothing():
     w = PairPoint.first(SparseSeq.unit(1) + SparseSeq.unit(2), TailSeq.constant(0, [1]))
     assert (coupling_value(w), natural_couple(z, w)) == (1, 2)
     assert coupling_value(z - w) == 0
-    graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w,))
     assert extension_probe(graph, z).status == WITNESS_FOUND
     assert_extension_matches(graph, z)
     # One more unit of cross coupling crosses the boundary: B^2 > 4AC.
     w = PairPoint.first(SparseSeq.unit(1) + SparseSeq.unit(2), TailSeq.constant(0, [F(3, 2)]))
-    graph = SampledGraph(DualSystem.FIRST, (w,), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w,))
     verdict = extension_probe(graph, z)
     assert verdict.status == REFUTED
     assert_extension_matches(graph, z)
@@ -468,7 +468,7 @@ def test_extension_probe_couples_each_graph_point_once(monkeypatch):
     outside = PairPoint.second(ModelMeasure(SparseSeq.unit(1), F(1)), TailSeq.periodic([1, -1]))
     units = [ModelMeasure.from_atomic(SparseSeq.unit(k)) for k in (1, 2, 3)]
     points = [PairPoint.second(x, apply_G(x.atomic)) for x in units]
-    graph = SampledGraph(DualSystem.SECOND, (outside, *points), "custom")
+    graph = SampledGraph(DualSystem.SECOND, (outside, *points))
     probes = [PairPoint.second(x, TailSeq.constant(k, [0] * k)) for k, x in enumerate(units)]
     for z in probes:
         assert_extension_matches(graph, z)

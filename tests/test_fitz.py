@@ -15,7 +15,6 @@ from gossez_lab.fitz import (
     OP_NEGG_SECOND,
     OPERATORS,
     PLUS_INF,
-    SOURCE_MEMBERSHIP,
     SampledGraph,
     annihilator_truncated,
     annihilator_violation,
@@ -66,7 +65,7 @@ graph_Gstar_point = NEGG_SECOND.fitz_point
 
 def first_graph(*xs) -> SampledGraph:
     return SampledGraph(
-        DualSystem.FIRST, tuple(graph_point_first(x) for x in xs), source="Graph G"
+        DualSystem.FIRST, tuple(graph_point_first(x) for x in xs), G_FIRST
     )
 
 
@@ -74,7 +73,7 @@ def first_graph(*xs) -> SampledGraph:
 
 
 def test_fitz_sampled_zero_sample():
-    g = SampledGraph(DualSystem.FIRST, (PairPoint.zero(DualSystem.FIRST),), "custom")
+    g = SampledGraph(DualSystem.FIRST, (PairPoint.zero(DualSystem.FIRST),))
     assert fitz_sampled(PairPoint.first(seq(1), TailSeq.ones()), g) == 0
 
 
@@ -88,13 +87,13 @@ def test_fitz_sampled_scaled_family_max():
     points = tuple(
         graph_point_first(SparseSeq.unit(1).scale(t)) for t in range(1, 11)
     )
-    g = SampledGraph(DualSystem.FIRST, points, source="Graph G")
+    g = SampledGraph(DualSystem.FIRST, points, G_FIRST)
     z = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
     assert fitz_sampled(z, g) == 10
 
 
 def test_fitz_sampled_empty_is_minus_inf():
-    empty = SampledGraph(DualSystem.FIRST, (), source="custom")
+    empty = SampledGraph(DualSystem.FIRST, ())
     assert fitz_sampled(PairPoint.zero(DualSystem.FIRST), empty) == MINUS_INF
 
 
@@ -227,7 +226,7 @@ def test_second_sampled_vanishes_on_embedded_closure(mu):
     embedded = SampledGraph(
         DualSystem.SECOND,
         tuple(embed_first(x) for x in (SparseSeq.unit(1), seq(1, 1), seq(0, 2, -3))),
-        source="Graph G embedded",
+        G_SECOND,
     )
     assert fitz_sampled(z, embedded) == 0 <= G_SECOND.fitz_closed(z)
 
@@ -374,7 +373,7 @@ def test_annihilator_rejects_points_of_the_other_system():
 
 def test_orthogonality_graph_vs_itself():
     g = first_graph(SparseSeq.unit(1), SparseSeq.unit(2), seq(1, -1), seq(F(1, 2), 0, 3))
-    report = orthogonality_report(g, g)
+    report = orthogonality_report(g.points, g.points)
     assert report.status == VERIFIED
     assert report.stats["zeros"] == len(g.points) ** 2
 
@@ -384,20 +383,15 @@ def test_orthogonality_mass_direction_passes():
     embedded = SampledGraph(
         DualSystem.SECOND,
         tuple(embed_first(p.x) for p in g.points),
-        source="Graph G embedded",
+        G_SECOND,
     )
-    b = SampledGraph(DualSystem.SECOND, (CANONICAL,), source="Graph negG*")
-    assert orthogonality_report(embedded, b).status == VERIFIED
+    assert orthogonality_report(embedded.points, (CANONICAL,)).status == VERIFIED
 
 
 def test_orthogonality_violation_is_reported():
     g = first_graph(SparseSeq.unit(1), SparseSeq.unit(2))
-    b = SampledGraph(
-        DualSystem.FIRST,
-        (PairPoint.first(SparseSeq.zero(), TailSeq.ones()),),
-        source="custom",
-    )
-    report = orthogonality_report(g, b)
+    b = (PairPoint.first(SparseSeq.zero(), TailSeq.ones()),)
+    report = orthogonality_report(g.points, b)
     assert report.status == REFUTED
     witness = report.witnesses[0]
     assert witness["value"] == 1
@@ -406,8 +400,8 @@ def test_orthogonality_violation_is_reported():
 def test_orthogonality_on_empty_graphs_is_inconclusive():
     # No pair is evaluated, so nothing is verified.
     g = first_graph(SparseSeq.unit(1))
-    empty = SampledGraph(DualSystem.FIRST, (), source="custom")
-    for a, b in ((empty, empty), (g, empty), (empty, g)):
+    empty = ()
+    for a, b in ((empty, empty), (g.points, empty), (empty, g.points)):
         report = orthogonality_report(a, b)
         assert report.status == INCONCLUSIVE
         assert report.stats["pairs_checked"] == 0
@@ -419,30 +413,13 @@ def test_orthogonality_on_empty_graphs_is_inconclusive():
 def test_operator_table_entries():
     assert list(OPERATORS) == [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND]
     rows = {
-        op.id: (op.system, op.graph_label, op.fitz_graph, op.profile)
+        op.id: (op.system, op.fitz_graph, op.profile)
         for op in OPERATORS.values()
     }
     assert rows == {
-        OP_G_FIRST: (DualSystem.FIRST, "Graph G", "Graph G", "maximal-consistent"),
-        OP_G_SECOND: (
-            DualSystem.SECOND,
-            "Graph G embedded",
-            "Graph negG*",
-            "not-maximal-consistent",
-        ),
-        OP_NEGG_SECOND: (
-            DualSystem.SECOND,
-            "Graph negG embedded",
-            "Graph G*",
-            "NI-but-not-maximal-consistent",
-        ),
-    }
-    assert set(SOURCE_MEMBERSHIP) == {
-        "Graph G",
-        "Graph G embedded",
-        "Graph negG embedded",
-        "Graph negG*",
-        "Graph G*",
+        OP_G_FIRST: (DualSystem.FIRST, "Graph G", "maximal-consistent"),
+        OP_G_SECOND: (DualSystem.SECOND, "Graph negG*", "not-maximal-consistent"),
+        OP_NEGG_SECOND: (DualSystem.SECOND, "Graph G*", "NI-but-not-maximal-consistent"),
     }
 
 
@@ -467,8 +444,8 @@ def test_graph_points_lie_on_their_graphs(x):
         z = op.graph_point(x)
         assert z.system is op.system
         assert op.on_graph(z)
-        assert SOURCE_MEMBERSHIP[op.graph_label](z)
-        assert op.sampled_graph([x, x]).points == (z,)
+        graph = op.sampled_graph([x, x])
+        assert graph.points == (z,) and graph.op is op
     # Embedded graph points lie on the Fitzpatrick graph: Graph(-G*) for G,
     # Graph G* for -G.
     assert G_SECOND.fitz_closed(G_SECOND.graph_point(x)) == 0
@@ -477,21 +454,33 @@ def test_graph_points_lie_on_their_graphs(x):
 
 def test_fitz_graph_samples_lie_on_the_fitzpatrick_graph():
     for op in (G_SECOND, NEGG_SECOND):
-        points = fitz_graph_samples(op.id, 3, 12)
-        assert points == fitz_graph_samples(op.id, 3, 12)
+        points = fitz_graph_samples(op, 3, 12)
+        assert points == fitz_graph_samples(op, 3, 12)
         assert all(op.on_fitz_graph(z) and op.fitz_closed(z) == 0 for z in points)
         assert any(z.x.infinity_mass != 0 for z in points)
     with pytest.raises(KeyError):
-        fitz_graph_samples(OP_G_FIRST, 3, 12)
+        fitz_graph_samples(G_FIRST, 3, 12)
 
 
 def test_sampled_graph_dedup_and_json():
     p = graph_point_first(SparseSeq.unit(1))
-    g = SampledGraph(DualSystem.FIRST, (p, p), source="Graph G")
+    g = SampledGraph(DualSystem.FIRST, (p, p), G_FIRST)
     assert len(g.points) == 1
     doc = g.to_json()
-    assert doc["source"] == "Graph G"
+    assert doc["op"] == OP_G_FIRST
     assert SampledGraph.from_json(doc).points == g.points
+    assert SampledGraph.from_json(doc).op is G_FIRST
+    rowless = SampledGraph(DualSystem.FIRST, (p,))
+    assert rowless.to_json()["op"] is None
+    assert SampledGraph.from_json(rowless.to_json()) == rowless
+
+
+def test_sampled_graph_from_json_rejects_unknown_operator():
+    # The row is read back by its id; an id outside the table is not a row.
+    doc = SampledGraph(DualSystem.FIRST, ()).to_json()
+    for op_id in ("bogus", "Graph G"):
+        with pytest.raises(ValueError):
+            SampledGraph.from_json({**doc, "op": op_id})
 
 
 def test_sampled_graph_dedup_keeps_first_of_equal_objects_in_order():
@@ -503,7 +492,7 @@ def test_sampled_graph_dedup_keeps_first_of_equal_objects_in_order():
     )
     b2 = PairPoint.first(SparseSeq.from_pairs([(1, 1)]), TailSeq.from_json(b.y.to_json()))
     assert a2 == a and a2 is not a and b2 == b and b2 is not b
-    g = SampledGraph(DualSystem.FIRST, (a, b2, a2, b, a), source="Graph G")
+    g = SampledGraph(DualSystem.FIRST, (a, b2, a2, b, a), G_FIRST)
     assert g.points == (a, b2)
     assert g.points[0] is a and g.points[1] is b2
 
@@ -516,13 +505,13 @@ def test_subgraph_reads_each_points_coupling_from_its_graph():
         PairPoint.second(ModelMeasure.from_atomic(SparseSeq.unit(k)), TailSeq.constant(k))
         for k in range(1, 7)
     ]
-    graph = SampledGraph(DualSystem.SECOND, (*points, outside), "custom")
+    graph = SampledGraph(DualSystem.SECOND, (*points, outside), G_SECOND)
     assert len(set(graph.couplings)) == len(graph.points)
     for positions in ([6, 0, 3], [2], [5, 4, 3, 2, 1, 0]):
         sub = graph.subgraph(positions)
         assert sub.points == tuple(graph.points[i] for i in positions)
-        assert (sub.system, sub.source) == (graph.system, graph.source)
-        assert sub.couplings == SampledGraph(sub.system, sub.points, sub.source).couplings
+        assert (sub.system, sub.op) == (graph.system, graph.op)
+        assert sub.couplings == SampledGraph(sub.system, sub.points, sub.op).couplings
 
 
 @given(
@@ -536,14 +525,42 @@ def test_sampled_graph_dedup_matches_quadratic_scan(picks, xs):
     for p in points:
         if p not in unique:
             unique.append(p)
-    kept = SampledGraph(DualSystem.FIRST, points, source="Graph G").points
+    kept = SampledGraph(DualSystem.FIRST, points, G_FIRST).points
     assert kept == tuple(unique)
     assert all(k is u for k, u in zip(kept, unique))
 
 
 def test_sampled_graph_rejects_mixed_systems():
     with pytest.raises(ValueError):
-        SampledGraph(DualSystem.FIRST, (CANONICAL,), source="custom")
+        SampledGraph(DualSystem.FIRST, (CANONICAL,))
+
+
+def test_sampled_graph_rejects_a_row_of_the_other_system():
+    points = (graph_point_first(SparseSeq.unit(1)),)
+    for op in (G_SECOND, NEGG_SECOND):
+        with pytest.raises(ValueError):
+            SampledGraph(DualSystem.FIRST, points, op)
+    with pytest.raises(ValueError):
+        SampledGraph(DualSystem.SECOND, (CANONICAL,), G_FIRST)
+
+
+def test_closed_reads_the_rows_closed_form_once_per_point():
+    # CANONICAL lies on Graph(-G*) but not on Graph G*; the point with the
+    # zero y lies on neither.
+    off = PairPoint.second(UNIT_MASS, TailSeq.zero())
+    for op, expected in ((G_SECOND, (0, PLUS_INF)), (NEGG_SECOND, (PLUS_INF, PLUS_INF))):
+        graph = SampledGraph(DualSystem.SECOND, (CANONICAL, off), op)
+        assert graph.closed == expected
+        assert graph.closed is graph.closed
+        assert graph.subgraph([1]).closed == expected[1:]
+
+
+def test_closed_needs_a_row():
+    # A point set sampled from no row has no closed form to read.
+    graph = SampledGraph(DualSystem.FIRST, (graph_point_first(SparseSeq.unit(1)),))
+    assert graph.op is None
+    with pytest.raises(ValueError):
+        graph.closed
 
 
 # ------------------------------------------- derived methods vs the old table
@@ -589,9 +606,11 @@ def test_derived_methods_match_the_old_table(op_id, data):
     assert op.fitz_point(x_part) == oracle.fitz_point(x_part)
     assert op.on_graph(oracle.graph_point(x))
     assert op.on_fitz_graph(oracle.fitz_point(x_part))
+    graph = op.sampled_graph([x])
     for z in points:
         assert op.on_graph(z) == oracle.on_graph(z), z
         assert op.on_fitz_graph(z) == oracle.on_fitz_graph(z), z
         assert op.fitz_closed(z) == (0 if oracle.on_fitz_graph(z) else PLUS_INF)
-        assert SOURCE_MEMBERSHIP[op.graph_label](z) == oracle.on_graph(z)
-        assert SOURCE_MEMBERSHIP[op.fitz_graph](z) == oracle.on_fitz_graph(z)
+        # The tests a sampled graph of the row reads, through its row.
+        assert graph.op.on_graph(z) == oracle.on_graph(z)
+        assert graph.op.on_fitz_graph(z) == oracle.on_fitz_graph(z)

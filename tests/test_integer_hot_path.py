@@ -418,9 +418,7 @@ def test_pairing_readers_report_natural_couple(seed):
         assert (violation["against"], violation["value"]) == nonzero[0]
     else:
         assert violation is None
-    report = orthogonality_report(
-        SampledGraph(DualSystem.FIRST, tuple(spanning)), SampledGraph(DualSystem.FIRST, (z,))
-    )
+    report = orthogonality_report(spanning, (z,))
     if nonzero:
         assert report.status == REFUTED
         assert report.witnesses[0]["value"] == nonzero[0][1]

@@ -333,7 +333,7 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     assert stats["ni"]["probes_checked"] == len(calls) == 40
 
 
-def test_fitz_closed_runs_twice_per_graph_point_in_fds(monkeypatch):
+def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
     graph_ids: set[int] = set()
     calls: dict[int, int] = {}
     sampled_graph, fitz_closed = Operator.sampled_graph, Operator.fitz_closed
@@ -355,10 +355,10 @@ def test_fitz_closed_runs_twice_per_graph_point_in_fds(monkeypatch):
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
     status, stats = _run_one(checks._run_fds, checks.CheckConfig(trials=40))
     assert status == VERIFIED
-    # Every graph point twice: once in the check's own list, which the
-    # lower-bound draws read again, and once in the representability scan.
+    # Every graph point once: the graph's ``closed`` serves the tally, the
+    # lower-bound draws and the representability scan.
     assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
-    assert set(calls.values()) == {2}
+    assert set(calls.values()) == {1}
 
 
 def test_fds_couples_each_graph_point_once(monkeypatch):
@@ -384,5 +384,5 @@ def test_probe_values_mark_points_outside_the_model():
     probes = ProbeSet((oscillating, PairPoint.zero(op.system)))
     values = tuple(map(op.evaluate, probes.points))
     assert values == ((math.inf, None), (F(0), F(0)))
-    verdict = ni_witness_search(OP_G_SECOND, probes, values)
+    verdict = ni_witness_search(probes, values)
     assert verdict.stats == {"probes_checked": 1, "skipped": 1}

@@ -119,7 +119,7 @@ def test_tracer_reaches_both_maps_of_every_row(tracer, op_id):
 
 
 def test_tracer_counts_through_staticmethods_and_constructors(tracer):
-    ProbeSet.generate(OP_G_SECOND, 0, 4, 5)
+    ProbeSet.generate(OPERATORS[OP_G_SECOND], 0, 4, 5)
     summary = tracer.summary()
     assert summary["sampling.ProbeSet.generate"][0] == 1
     assert tracer.counts["spaces.TailSeq.new.calls"] > 0

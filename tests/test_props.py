@@ -15,7 +15,6 @@ from gossez_lab.fitz import (
     OP_NEGG_SECOND,
     OPERATORS,
     PLUS_INF,
-    SOURCE_MEMBERSHIP,
     SampledGraph,
     orthogonality_report,
 )
@@ -54,16 +53,16 @@ UNIT_MASS = ModelMeasure(SparseSeq.zero(), F(1))
 CANONICAL = PairPoint.second(UNIT_MASS, TailSeq.ones())
 
 
-def represent(op, graph, probes, **kwargs):
-    """``representability_check`` over the row's own probe values."""
-    values = tuple(map(op.evaluate, probes.points))
-    return representability_check(op, graph, probes, values, **kwargs)
+def represent(graph, probes, **kwargs):
+    """``representability_check`` over the graph row's own probe values."""
+    values = tuple(map(graph.op.evaluate, probes.points))
+    return representability_check(graph, probes, values, **kwargs)
 
 
 def graph_samples(count=20, seed=7) -> SampledGraph:
     rng = rng_for(seed, "test-graph")
     points = unit_graph_points(4) + random_graph_points(rng, count, 16, 4, 20, 20)
-    return SampledGraph(DualSystem.FIRST, tuple(points), source="Graph G")
+    return SampledGraph(DualSystem.FIRST, tuple(points), OPERATORS[OP_G_FIRST])
 
 
 # ----------------------------------------------------------------- monotone
@@ -83,7 +82,7 @@ def test_is_monotone_on_graph_samples():
 
 def test_is_monotone_refutes_with_exact_pair():
     w = PairPoint.first(SparseSeq.unit(1), -TailSeq.ones())
-    bad = SampledGraph(DualSystem.FIRST, (PairPoint.zero(DualSystem.FIRST), w), source="custom")
+    bad = SampledGraph(DualSystem.FIRST, (PairPoint.zero(DualSystem.FIRST), w))
     verdict = is_monotone(bad)
     assert verdict.status == REFUTED
     witness = verdict.witnesses[0]
@@ -100,7 +99,7 @@ def test_is_monotone_refutes_on_a_plane_where_every_pair_difference_is_monotone(
     # c(w1 - t*w2) = 4 - 9t/2 + t^2 is -17/16 at its vertex t = 9/4.
     w1 = PairPoint.first(SparseSeq.unit(1), TailSeq.constant(0, [4, F(9, 4)]))
     w2 = PairPoint.first(SparseSeq.unit(2), TailSeq.constant(0, [F(9, 4), 1]))
-    graph = SampledGraph(DualSystem.FIRST, (w1, w2), "custom")
+    graph = SampledGraph(DualSystem.FIRST, (w1, w2))
     assert coupling_value(w1 - w2) == F(1, 2)
     assert direct_is_monotone(graph) is None
     verdict = is_monotone(graph)
@@ -111,14 +110,14 @@ def test_is_monotone_refutes_on_a_plane_where_every_pair_difference_is_monotone(
 
 def test_is_monotone_single_point():
     # One point makes no pair: nothing is evaluated, nothing is verified.
-    g = SampledGraph(DualSystem.FIRST, (graph_point_first(seq(1, 2)),), "Graph G")
+    g = SampledGraph(DualSystem.FIRST, (graph_point_first(seq(1, 2)),), OPERATORS[OP_G_FIRST])
     verdict = is_monotone(g)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["pairs_checked"] == 0
 
 
 def test_is_monotone_empty_graph_is_inconclusive():
-    verdict = is_monotone(SampledGraph(DualSystem.FIRST, (), "Graph G"))
+    verdict = is_monotone(SampledGraph(DualSystem.FIRST, (), OPERATORS[OP_G_FIRST]))
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["pairs_checked"] == 0
 
@@ -128,7 +127,7 @@ def test_monotonicity_inherited_by_subsets():
     rng = random.Random(5)
     for _ in range(5):
         subset = tuple(rng.sample(g.points, rng.randint(2, len(g.points))))
-        sub = SampledGraph(DualSystem.FIRST, subset, source="Graph G")
+        sub = SampledGraph(DualSystem.FIRST, subset, OPERATORS[OP_G_FIRST])
         assert is_monotone(sub).status == VERIFIED
 
 
@@ -194,13 +193,13 @@ second_points = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(first_points, max_size=6))
 def test_bilinear_monotone_scan_equals_the_direct_one_first_system(points):
-    assert_monotone_matches_exact(SampledGraph(DualSystem.FIRST, tuple(points), "custom"))
+    assert_monotone_matches_exact(SampledGraph(DualSystem.FIRST, tuple(points)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(second_points, max_size=6))
 def test_bilinear_monotone_scan_equals_the_direct_one_second_system(points):
-    assert_monotone_matches_exact(SampledGraph(DualSystem.SECOND, tuple(points), "custom"))
+    assert_monotone_matches_exact(SampledGraph(DualSystem.SECOND, tuple(points)))
 
 
 def test_monotone_falls_back_where_a_term_leaves_the_model():
@@ -210,7 +209,7 @@ def test_monotone_falls_back_where_a_term_leaves_the_model():
     z1 = PairPoint.second(ModelMeasure(seq(0, 1), F(1)), TailSeq.periodic([0, 1]))
     z2 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([1, 0]))
     z3 = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(2)), TailSeq.ones())
-    graph = SampledGraph(DualSystem.SECOND, (z1, z2, z3), "custom")
+    graph = SampledGraph(DualSystem.SECOND, (z1, z2, z3))
     with pytest.raises(OutsideModelDomain):
         coupling_value(z1)
     assert coupling_value(z1 - z2) == 1
@@ -234,7 +233,7 @@ def test_bilinear_monotone_scan_on_sampled_graphs(op_id):
     assert_monotone_matches_exact(graph)
     if op.system is DualSystem.SECOND:
         # A point with mass at infinity among the atomic graph points.
-        with_mass = SampledGraph(op.system, graph.points + (CANONICAL,), "custom")
+        with_mass = SampledGraph(op.system, graph.points + (CANONICAL,))
         assert_monotone_matches_exact(with_mass)
 
 
@@ -242,11 +241,10 @@ def as_tail(x: SparseSeq) -> TailSeq:
     return TailSeq.constant(0, [x.value(n) for n in range(1, x.max_index() + 1)])
 
 
-def test_dichotomy_reports_a_non_monotone_graph(monkeypatch):
+def test_dichotomy_reports_a_non_monotone_graph():
     # c(x, Gx - x) = -sum x_n^2: the G-first graph stops being monotone.
     op = dataclasses.replace(OPERATORS[OP_G_FIRST], graph_y=lambda x: apply_G(x) - as_tail(x))
-    monkeypatch.setitem(OPERATORS, OP_G_FIRST, op)
-    verdict = dichotomy_crosscheck(OP_G_FIRST, seed=0, truncation=8, probe_count=20)
+    verdict = dichotomy_crosscheck(op, seed=0, truncation=8, probe_count=20)
     assert verdict.stats["monotone"] == REFUTED
     assert verdict.status == REFUTED
 
@@ -258,7 +256,7 @@ def test_monotone_plane_test_is_not_the_orthogonality_test():
     xs = [SparseSeq.unit(k) for k in range(1, 5)] + [random_sparse(rng, 8, 3, 9, 9) for _ in range(6)]
     graph = op.sampled_graph(xs)
     assert is_monotone(graph).status == VERIFIED
-    assert orthogonality_report(graph, graph).status == REFUTED
+    assert orthogonality_report(graph.points, graph.points).status == REFUTED
     assert_monotone_matches_exact(graph)
 
 
@@ -276,7 +274,7 @@ def test_extension_probe_flags_analytic_graph_point():
 
 def test_extension_probe_refutes_off_graph_first():
     g = SampledGraph(
-        DualSystem.FIRST, tuple(unit_graph_points(8)), source="Graph G"
+        DualSystem.FIRST, tuple(unit_graph_points(8)), OPERATORS[OP_G_FIRST]
     )
     z = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
     verdict = extension_probe(g, z)
@@ -290,7 +288,7 @@ def test_extension_probe_needs_scaled_search():
     # c(z) = 1 while z.w = 1/10: unit-scale pair values stay nonnegative and
     # only the scaled family exposes the violation
     w_base = SparseSeq.unit(2).scale(F(1, 20))
-    g = SampledGraph(DualSystem.FIRST, (graph_point_first(w_base),), "Graph G")
+    g = SampledGraph(DualSystem.FIRST, (graph_point_first(w_base),), OPERATORS[OP_G_FIRST])
     z = PairPoint.first(SparseSeq.unit(1), TailSeq.ones())
     for t in (1, -1):
         assert coupling_value(z - g.points[0].scale(t)) >= 0
@@ -303,7 +301,7 @@ def test_extension_probe_second_system_witness():
     embedded = SampledGraph(
         DualSystem.SECOND,
         tuple(embed_first(x) for x in (SparseSeq.unit(1), seq(1, -2), seq(0, 3))),
-        source="Graph G embedded",
+        OPERATORS[OP_G_SECOND],
     )
     verdict = extension_probe(embedded, CANONICAL)
     assert verdict.status == WITNESS_FOUND
@@ -324,7 +322,7 @@ def test_extension_probe_undefined_own_coupling_is_inconclusive():
     # Mass at infinity against a periodic y: c(z) has no value in the model,
     # so the probe records the skip instead of raising.
     embedded = SampledGraph(
-        DualSystem.SECOND, (embed_first(SparseSeq.unit(1)),), source="Graph G embedded"
+        DualSystem.SECOND, (embed_first(SparseSeq.unit(1)),), OPERATORS[OP_G_SECOND]
     )
     z = PairPoint.second(ModelMeasure(SparseSeq.zero(), F(1)), TailSeq.periodic([1, -1]))
     with pytest.raises(OutsideModelDomain):
@@ -336,11 +334,12 @@ def test_extension_probe_undefined_own_coupling_is_inconclusive():
     assert not verdict.witnesses
 
 
-def test_membership_test_runs_only_for_the_verdict_that_reports_it(monkeypatch):
+def test_membership_test_runs_only_for_the_verdict_that_reports_it():
+    # The graph's row counts the reads of its graph map, which its
+    # membership test makes.
     calls = []
-    test = SOURCE_MEMBERSHIP["Graph G"]
-    monkeypatch.setitem(SOURCE_MEMBERSHIP, "Graph G", lambda z: calls.append(z) or test(z))
-    g = graph_samples(5)
+    op = dataclasses.replace(OPERATORS[OP_G_FIRST], graph_y=lambda x: calls.append(x) or apply_G(x))
+    g = SampledGraph(DualSystem.FIRST, graph_samples(5).points, op)
     refuted_at_origin = PairPoint.first(SparseSeq.unit(1), -TailSeq.ones())
     refuted_in_scan = PairPoint.first(SparseSeq.zero(), TailSeq.ones())
     for z in (refuted_at_origin, refuted_in_scan):
@@ -351,13 +350,13 @@ def test_membership_test_runs_only_for_the_verdict_that_reports_it(monkeypatch):
     verdict = extension_probe(g, fresh)
     assert verdict.status == WITNESS_FOUND
     assert verdict.stats["already_in_analytic_graph"] is True
-    assert calls == [fresh]
+    assert calls == [fresh.x]
 
 
 def test_off_graph_probes_all_refuted():
     rng = rng_for(3, "off")
     g = SampledGraph(
-        DualSystem.FIRST, tuple(unit_graph_points(17)), source="Graph G"
+        DualSystem.FIRST, tuple(unit_graph_points(17)), OPERATORS[OP_G_FIRST]
     )
     for z in off_graph_first(rng, 25, 16):
         assert extension_probe(g, z).status == REFUTED
@@ -367,7 +366,7 @@ def test_off_graph_probes_all_refuted():
 
 
 def test_ni_search_finds_canonical_witness_for_G_second():
-    probes = ProbeSet.generate(OP_G_SECOND, 0, 16, 100)
+    probes = ProbeSet.generate(OPERATORS[OP_G_SECOND], 0, 16, 100)
     verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
@@ -379,22 +378,22 @@ def test_ni_search_finds_canonical_witness_for_G_second():
 def test_ni_margin_is_squared_mass():
     a = F(3, 2)
     z = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure(SparseSeq.zero(), a))
-    probes = ProbeSet((z,), {"seed": 0})
+    probes = ProbeSet((z,))
     verdict = ni_search(OP_G_SECOND, probes)
     assert verdict.status == WITNESS_FOUND
     assert verdict.witnesses[0]["margin"] == a * a
 
 
 def test_ni_search_finds_nothing_for_negG_second_and_G_first():
-    second = ProbeSet.generate(OP_NEGG_SECOND, 0, 16, 200)
+    second = ProbeSet.generate(OPERATORS[OP_NEGG_SECOND], 0, 16, 200)
     assert ni_search(OP_NEGG_SECOND, second).status == VERIFIED
-    first = ProbeSet.generate(OP_G_FIRST, 0, 16, 200)
+    first = ProbeSet.generate(OPERATORS[OP_G_FIRST], 0, 16, 200)
     assert ni_search(OP_G_FIRST, first).status == VERIFIED
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
 def test_ni_search_on_empty_probes_is_inconclusive(op_id):
-    probes = ProbeSet((), {"seed": 0})
+    probes = ProbeSet(())
     verdict = ni_search(op_id, probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats == {"probes_checked": 0, "skipped": 0}
@@ -405,8 +404,8 @@ def test_ni_search_on_empty_probes_is_inconclusive(op_id):
 
 def test_representability_of_first_indicator():
     g = graph_samples(15)
-    probes = ProbeSet.generate(OP_G_FIRST, 1, 16, 150)
-    verdict = represent(OPERATORS[OP_G_FIRST], g, probes, seed=1)
+    probes = ProbeSet.generate(OPERATORS[OP_G_FIRST], 1, 16, 150)
+    verdict = represent(g, probes, seed=1)
     assert verdict.status == VERIFIED
     assert verdict.stats["equality_set"] > 0
 
@@ -415,10 +414,10 @@ def test_representability_of_second_fitzpatrick_reports_below_witness():
     embedded = SampledGraph(
         DualSystem.SECOND,
         tuple(embed_first(x) for x in (SparseSeq.unit(1), seq(2, -1))),
-        source="Graph G embedded",
+        OPERATORS[OP_G_SECOND],
     )
-    probes = ProbeSet.generate(OP_G_SECOND, 0, 16, 100)
-    verdict = represent(OPERATORS[OP_G_SECOND], embedded, probes, seed=0)
+    probes = ProbeSet.generate(OPERATORS[OP_G_SECOND], 0, 16, 100)
+    verdict = represent(embedded, probes, seed=0)
     assert verdict.status == WITNESS_FOUND
     witness = verdict.witnesses[0]
     assert witness["fn"] == 0 and witness["coupling"] > 0
@@ -429,27 +428,26 @@ def test_representability_of_second_fitzpatrick_reports_below_witness():
 def test_representability_refutes_wrong_function():
     # CANONICAL lies on Graph(-G*), not on Graph G*: the closed form of -G
     # is +inf there while the coupling is 1, so equality on the graph fails.
-    g = SampledGraph(DualSystem.SECOND, (CANONICAL,), source="Graph negG*")
-    probes = ProbeSet.generate(OP_NEGG_SECOND, 2, 16, 50)
-    verdict = represent(OPERATORS[OP_NEGG_SECOND], g, probes, seed=2)
+    g = SampledGraph(DualSystem.SECOND, (CANONICAL,), OPERATORS[OP_NEGG_SECOND])
+    probes = ProbeSet.generate(OPERATORS[OP_NEGG_SECOND], 2, 16, 50)
+    verdict = represent(g, probes, seed=2)
     assert verdict.status == REFUTED
     witness = verdict.witnesses[0]
     assert witness["z"] == CANONICAL
     assert witness["fn"] == PLUS_INF and witness["coupling"] == 1
-    assert verdict.property == "representability(indicator(Graph G*))"
 
 
 @pytest.mark.parametrize("op_id", [OP_G_FIRST, OP_G_SECOND, OP_NEGG_SECOND])
 def test_representability_with_nothing_to_evaluate_is_inconclusive(op_id):
     op = OPERATORS[op_id]
-    graph = SampledGraph(op.system, (), op.graph_label)
-    no_probes = ProbeSet((), {"seed": 0})
-    verdict = represent(op, graph, no_probes)
+    graph = SampledGraph(op.system, (), op)
+    no_probes = ProbeSet(())
+    verdict = represent(graph, no_probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["graph_points"] == 0 and verdict.stats["probes"] == 0
     # Graph points alone are evaluated (fn = c on each), so they verify.
     graph = op.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
-    assert represent(op, graph, no_probes).status == VERIFIED
+    assert represent(graph, no_probes).status == VERIFIED
 
 
 @pytest.mark.parametrize("op_id", [OP_G_SECOND, OP_NEGG_SECOND])
@@ -458,12 +456,12 @@ def test_representability_skips_graph_points_outside_the_model(op_id):
     # graph point it is skipped just as it is as a probe, not a crash.
     op = OPERATORS[op_id]
     outside = PairPoint.second(UNIT_MASS, TailSeq.periodic([1, -1]))
-    graph = SampledGraph(DualSystem.SECOND, (op.graph_point(SparseSeq.unit(1)), outside))
-    no_probes = ProbeSet((), {"seed": 0})
-    verdict = represent(op, graph, no_probes)
+    graph = SampledGraph(DualSystem.SECOND, (op.graph_point(SparseSeq.unit(1)), outside), op)
+    no_probes = ProbeSet(())
+    verdict = represent(graph, no_probes)
     assert verdict.status == INCONCLUSIVE
     assert verdict.stats["skipped"] == 1 and verdict.stats["graph_points"] == 2
-    as_probe = represent(op, op.sampled_graph([SparseSeq.unit(1)]), ProbeSet((outside,)))
+    as_probe = represent(op.sampled_graph([SparseSeq.unit(1)]), ProbeSet((outside,)))
     assert as_probe.status == INCONCLUSIVE and as_probe.stats["skipped"] == 1
 
 
@@ -478,7 +476,7 @@ def test_representability_refutes_an_infinite_midpoint_between_finite_ends():
 
     defective = dataclasses.replace(op, fitz_y=fitz_y)
     graph = defective.sampled_graph([SparseSeq.unit(1), SparseSeq.unit(2)])
-    verdict = represent(defective, graph, ProbeSet(graph.points))
+    verdict = represent(graph, ProbeSet(graph.points))
     assert verdict.status == REFUTED
     assert verdict.stats == {"reason": "midpoint convexity violated"}
     assert verdict.witnesses[0]["midpoint_value"] == PLUS_INF
@@ -492,10 +490,11 @@ def test_representability_evaluates_each_probe_once(op_id):
     calls = []
     op = OPERATORS[op_id]
     counting = dataclasses.replace(op, fitz_y=lambda x: calls.append(x) or op.fitz_y(x))
-    graph = counting.sampled_graph([SparseSeq.unit(1), seq(2, -1)])
-    probes = ProbeSet.generate(op_id, 3, 16, 60)
-    verdict = represent(counting, graph, probes, seed=3)
-    assert verdict == represent(op, graph, probes, seed=3)
+    xs = [SparseSeq.unit(1), seq(2, -1)]
+    graph = counting.sampled_graph(xs)
+    probes = ProbeSet.generate(op, 3, 16, 60)
+    verdict = represent(graph, probes, seed=3)
+    assert verdict == represent(op.sampled_graph(xs), probes, seed=3)
     assert verdict.stats["convexity_pairs"] > 0
     midpoints = verdict.stats["convexity_pairs"] + verdict.stats["skipped"]
     assert len(calls) <= len(graph.points) + len(probes.points) + midpoints
@@ -513,34 +512,25 @@ def test_representability_evaluates_each_probe_once(op_id):
     ],
 )
 def test_dichotomy_profiles(op_id, profile):
-    verdict = dichotomy_crosscheck(op_id, seed=0, truncation=16, probe_count=120)
+    verdict = dichotomy_crosscheck(OPERATORS[op_id], seed=0, truncation=16, probe_count=120)
     assert verdict.status == VERIFIED
     assert verdict.stats["profile"] == profile
 
 
-def test_dichotomy_compares_against_the_table(monkeypatch):
+def test_dichotomy_compares_against_the_table():
     # The same observations refute the dichotomy once the operator's
     # expected verdicts say otherwise.
-    op = OPERATORS[OP_G_FIRST]
-    monkeypatch.setitem(
-        OPERATORS, OP_G_FIRST, dataclasses.replace(op, expected=(VERIFIED, VERIFIED, WITNESS_FOUND))
-    )
-    verdict = dichotomy_crosscheck(OP_G_FIRST, seed=0, truncation=8, probe_count=40)
+    op = dataclasses.replace(OPERATORS[OP_G_FIRST], expected=(VERIFIED, VERIFIED, WITNESS_FOUND))
+    verdict = dichotomy_crosscheck(op, seed=0, truncation=8, probe_count=40)
     assert verdict.status == REFUTED
     assert verdict.stats["extension_refuted"] == 20
     assert verdict.stats["extension_witness_found"] is False
 
 
-def test_dichotomy_unknown_operator():
-    with pytest.raises(ValueError):
-        dichotomy_crosscheck("bogus")
-    with pytest.raises(ValueError):
-        ProbeSet.generate("bogus", 0, 16, 10)
-
-
 def test_probe_set_reproducible_from_descriptor():
-    p1 = ProbeSet.generate(OP_G_SECOND, 4, 16, 60)
-    p2 = ProbeSet.generate(
-        p1.descriptor["op"], p1.descriptor["seed"], p1.descriptor["truncation"], p1.descriptor["count"]
-    )
-    assert p1.points == p2.points
+    # generate's arguments are the whole recipe: the same row, seed,
+    # window and count draw the same points, and another seed does not.
+    recipe = (OPERATORS[OP_G_SECOND], 4, 16, 60)
+    p1 = ProbeSet.generate(*recipe)
+    assert p1.points == ProbeSet.generate(*recipe).points
+    assert p1.points != ProbeSet.generate(OPERATORS[OP_G_SECOND], 5, 16, 60).points

@@ -217,6 +217,13 @@ def test_from_json_rejects_a_string_for_a_list(head, tail):
         TailSeq.from_json({"head": head, "tail": tail})
 
 
+@pytest.mark.parametrize("tail", [["1/1"], "1/1", None, 1])
+def test_from_json_rejects_a_tail_that_is_no_object(tail):
+    # A malformed tail is a TypeError, not an AttributeError from reading it.
+    with pytest.raises(TypeError):
+        TailSeq.from_json({"head": [], "tail": tail})
+
+
 def test_from_json_reads_a_head_of_ten_to_the_five_in_two_runs():
     head = ["1/3"] * 40_000 + ["-2/7"] * 60_000
     doc = {"head": head, "tail": {"kind": "const", "values": ["0/1"]}}
