@@ -27,9 +27,9 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .adjoint import apply_Gstar
 from .fitz import (
@@ -45,6 +45,7 @@ from .fitz import (
     orthogonality_report,
 )
 from .gossez import apply_G, range_ratio_family, solve_G, weakstar_approximate
+from .linalg import nullspace
 from .props import (
     ProbeSet,
     dichotomy_crosscheck,
@@ -75,7 +76,7 @@ from .spaces import (
 )
 from .verdict import REFUTED, VERIFIED, WITNESS_FOUND, to_jsonable
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,15 +107,7 @@ class CheckConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
-        return {
-            "checks": list(self.checks),
-            "truncation": self.truncation,
-            "trials": self.trials,
-            "seed": self.seed,
-            "scale_max": self.scale_max,
-            "out_format": self.out_format,
-            "out_path": self.out_path,
-        }
+        return {**asdict(self), "checks": list(self.checks)}
 
 
 @dataclass(frozen=True)
@@ -156,10 +149,7 @@ class ReportDoc:
 
     @property
     def first_failure(self) -> str | None:
-        for r in self.results:
-            if not r.passed:
-                return r.name
-        return None
+        return next((r.name for r in self.results if not r.passed), None)
 
     def to_json(self) -> dict:
         return {
@@ -185,43 +175,71 @@ class _Tally:
                 payload.update(witness)
             self.failures.append(payload)
 
+    def decide(self, prop: str, cases: Iterable[tuple[list | int | str, bool]]) -> None:
+        """Record one window decision over its (basis pair or column, holds)
+        cases; a failure names the first case that breaks it."""
+        broken = next((where for where, ok in cases if not ok), None)
+        broken_at = "basis_pair" if type(broken) is list else "column"
+        self.record(prop, broken is None, {broken_at: broken})
+
 
 # A runner's (witnesses, stats, notes); ``run_checks`` seeds its generator by
 # the check's name and derives the status and "failures" from its tally.
 _Outcome = tuple[tuple, dict, tuple[str, ...]]
 
+# The measures of G*'s window, by position from 1: the unit atoms, then the unit mass.
+_MEASURES = (*range(1, 33), "mass")
 
-def _difference_recurrence(x: SparseSeq, gx: TailSeq) -> bool:
-    """(Gx)_{n+1} - (Gx)_n == -(x_n + x_{n+1}) for n = 1..max_index.
 
-    Compared on integers: the numerators of gx and of x over the lcm of
-    their denominators.
-    """
-    top = x.max_index()
-    den = math.lcm(x.den, gx.den)
-    xf = den // x.den
-    g = gx._dense(top + 1, den // gx.den)  # g[n - 1] is the numerator of (Gx)_n
-    xs = [0] * (top + 2)  # xs[n] is the numerator of x_n
-    for n, v in zip(x.indices, x.nums):
-        xs[n] = v * xf
-    return all(g[n] - g[n - 1] == -(xs[n] + xs[n + 1]) for n in range(1, top + 1))
+def _pairings(y: TailSeq, upto: int) -> list[Fraction | None]:
+    """y against the unit atoms 1..upto and the unit mass at infinity: its
+    values there, then its limit (None when it has none)."""
+    return [*map(y.value, range(1, upto + 1)), y.limit()]
+
+
+def _symmetric_cases(cols: list[list], corner: int = 0) -> Iterable[tuple[list, bool]]:
+    """([i, j], holds) for i <= j counted from 1: whether M + M^T is ``corner``
+    at the last diagonal entry and 0 elsewhere, for M with columns ``cols``."""
+    last = len(cols) - 1
+    return (
+        ([i + 1, j + 1], col[i] + cols[i][j] == (corner if i == j == last else 0))
+        for j, col in enumerate(cols)
+        for i in range(j + 1)
+    )
+
+
+def _g_columns(n: int) -> tuple[list[TailSeq], list[list[int]], int]:
+    """G e_1..G e_n, and their values at 1..n + 1 as numerators over one common denominator."""
+    images = [apply_G(SparseSeq.unit(k)) for k in range(1, n + 1)]
+    den = math.lcm(*(gx.den for gx in images))
+    return images, [gx._dense(n + 1, den // gx.den) for gx in images], den
 
 
 def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
-    width = min(cfg.truncation, 64)
+    # The linear claims are decided on the columns G e_k of the window; they
+    # extend to its span by linearity, which the loop below samples.
+    n = min(cfg.truncation, 64)
+    images, cols, den = _g_columns(n)
+    for prop in ("skew", "anti-symmetry"):
+        tally.decide(prop, _symmetric_cases(cols))
+    indexed = list(enumerate(images, 1))
+    tally.decide("norm-bound", ((k, gx.linf_norm() <= 1) for k, gx in indexed))
+    tally.decide("range-law", ((k, gx.is_convergent() and gx.limit() == -1) for k, gx in indexed))
+    # (G e_k)_{i+1} - (G e_k)_i = -(e_k(i) + e_k(i+1)) for i = 1..n.
+    tally.decide(
+        "difference-recurrence",
+        (
+            ([i, k], col[i] - col[i - 1] == -den * (k in (i, i + 1)))
+            for k, col in enumerate(cols, 1)
+            for i in range(1, n + 1)
+        ),
+    )
     neg_g = OPERATORS[OP_NEGG_SECOND].graph_y
+    tally.decide("negation", ((k, neg_g(SparseSeq.unit(k)) == -gx) for k, gx in indexed))
     for _ in range(cfg.trials):
-        x = random_sparse(rng, width, 8, 1000, 1000)
-        y = random_sparse(rng, width, 8, 1000, 1000)
+        x = random_sparse(rng, n, 8, 1000, 1000)
+        y = random_sparse(rng, n, 8, 1000, 1000)
         gx, gy = apply_G(x), apply_G(y)
-        tally.record("skew", couple(x, gx) == 0, {"x": x})
-        tally.record("anti-symmetry", couple(x, gy) + couple(y, gx) == 0, {"x": x, "y": y})
-        tally.record("norm-bound", gx.linf_norm() <= x.l1_norm(), {"x": x})
-        tally.record(
-            "range-law",
-            gx.is_convergent() and gx.limit() == -x.entry_sum(),
-            {"x": x},
-        )
         cert = solve_G(gx)
         tally.record("injectivity-roundtrip", cert.feasible and cert.preimage == x, {"x": x})
         a = random_rational(rng, 20, 20)
@@ -231,28 +249,15 @@ def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcom
             apply_G(x.scale(a) + y.scale(b)) == gx.scale(a) + gy.scale(b),
             {"x": x, "y": y, "a": a, "b": b},
         )
-        tally.record("difference-recurrence", _difference_recurrence(x, gx), {"x": x})
-        tally.record("negation", neg_g(x) == -gx, {"x": x})
-    e1 = SparseSeq.unit(1)
-    tally.record(
-        "norm-bound-equality-at-e1",
-        apply_G(e1).linf_norm() == Fraction(1) == e1.l1_norm(),
-    )
-    ones_cert = solve_G(TailSeq.ones())
-    e1_cert = solve_G(TailSeq.constant(0, [1]))
-    tally.record(
-        "ones-not-in-range",
-        not ones_cert.feasible and "alternating" in (ones_cert.obstruction or ""),
-    )
-    tally.record(
-        "e1-not-in-range",
-        not e1_cert.feasible and "alternating" in (e1_cert.obstruction or ""),
-    )
-    witnesses: tuple = (
-        {"ones_certificate": ones_cert, "e1_certificate": e1_cert},
-    )
-    stats = {"trials": cfg.trials, "properties": tally.counts}
-    return witnesses, stats, ()
+    sharp = images[0].linf_norm() == 1 == SparseSeq.unit(1).l1_norm()
+    tally.record("norm-bound-equality-at-e1", sharp)
+    certs = {"ones": solve_G(TailSeq.ones()), "e1": solve_G(TailSeq.constant(0, [1]))}
+    for name, cert in certs.items():
+        tally.record(
+            f"{name}-not-in-range", not cert.feasible and "alternating" in (cert.obstruction or "")
+        )
+    stats = {"trials": cfg.trials, "window": n, "properties": tally.counts}
+    return ({f"{name}_certificate": cert for name, cert in certs.items()},), stats, ()
 
 
 def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
@@ -293,21 +298,41 @@ def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     return (), stats, ()
 
 
+def _gstar_images() -> list[TailSeq]:
+    """G* of the ``_MEASURES``."""
+    atoms = [ModelMeasure.from_atomic(SparseSeq.unit(j)) for j in _MEASURES[:-1]]
+    return [apply_Gstar(mu) for mu in atoms + [ModelMeasure(SparseSeq.zero(), 1)]]
+
+
 def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+    # <e_i, G* mu> = <mu, G e_i> for e_1..e_64 against the 33 window measures.
+    images = _gstar_images()
+    stars = [_pairings(y, 64) for y in images]
+    g_pairings = [_pairings(apply_G(SparseSeq.unit(i)), 32) for i in range(1, 65)]
+    tally.decide(
+        "adjoint-identity",
+        (
+            ([i, m], star[i - 1] == g[j])
+            for i, g in enumerate(g_pairings, 1)
+            for j, (m, star) in enumerate(zip(_MEASURES, stars))
+        ),
+    )
+    # Full column rank on indices 1..33 (the limits add a row that is not
+    # needed) makes G* one-to-one on the window measures.  A kernel vector's
+    # last nonzero entry names an image that the earlier ones span.
+    kernel = nullspace([[star[i] for star in stars] for i in range(33)], 33)
+    tally.decide(
+        "model-kernel",
+        ((_MEASURES[max(j for j, v in enumerate(vec) if v)], False) for vec in kernel[:1]),
+    )
     for _ in range(cfg.trials):
         y = random_sparse(rng, 64, 8, 1000, 1000)
         mu = random_measure(rng, 32, 6, 100, 100)
         nu = random_measure(rng, 32, 6, 100, 100)
-        gstar_mu = apply_Gstar(mu)
-        tally.record(
-            "adjoint-identity",
-            couple(y, gstar_mu) == pair_measure(mu, apply_G(y)),
-            {"y": y, "mu": mu},
-        )
         c = random_rational(rng, 20, 20)
         tally.record(
             "linearity",
-            apply_Gstar(mu + nu.scale(c)) == gstar_mu + apply_Gstar(nu).scale(c),
+            apply_Gstar(mu + nu.scale(c)) == apply_Gstar(mu) + apply_Gstar(nu).scale(c),
             {"mu": mu, "nu": nu, "c": c},
         )
         t = random_tail(rng)
@@ -316,40 +341,32 @@ def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
             pair_measure(ModelMeasure.from_atomic(y), t) == couple(y, t),
             {"y": y},
         )
-        tally.record("model-kernel", mu.is_zero() == gstar_mu.is_zero(), {"mu": mu})
-    unit_mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
-    tally.record("unit-mass-image", apply_Gstar(unit_mass) == TailSeq.constant(-1))
-    atom = ModelMeasure.from_atomic(SparseSeq.unit(1))
-    tally.record("atom-image", apply_Gstar(atom) == TailSeq.constant(1, [0]))
+    tally.record("unit-mass-image", images[-1] == TailSeq.constant(-1))
+    tally.record("atom-image", images[0] == TailSeq.constant(1, [0]))
     x = random_sparse(rng, 32, 6, 100, 100)
     embedded = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure.from_atomic(x))
-    tally.record(
-        "embedding-reduction",
-        embedded == PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x)),
-    )
+    reduced = PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x))
+    tally.record("embedding-reduction", embedded == reduced)
     notes = (
         "the adjoint fails injectivity only through measures with no atoms "
         "and no mass at infinity, which are not representable in the model",
     )
-    stats = {"trials": cfg.trials, "properties": tally.counts}
+    stats = {"trials": cfg.trials, "window": 64, "atoms": 32, "properties": tally.counts}
     return (), stats, notes
 
 
 def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
-    ratios = {}
-    for m in (1, 10, 100, 1000):
-        ratio = range_ratio_family(m)
-        ratios[m] = ratio
+    ratios = {m: range_ratio_family(m) for m in (1, 10, 100, 1000)}
+    for m, ratio in ratios.items():
         tally.record("ratio-collapse", ratio == Fraction(1, 2 * m) and ratio <= Fraction(1, m))
     target = TailSeq.periodic([1, -1])
     tally.record("oscillation-value", target.oscillation() == 1)
-    for _ in range(max(cfg.trials // 2, 1)):
-        x = random_sparse(rng, 64, 8, 1000, 1000)
-        tally.record(
-            "distance-to-oscillating-target",
-            (apply_G(x) - target).linf_norm() >= 1,
-            {"x": x},
-        )
+    # Every G e_k of the window converges, so by linearity every G x does,
+    # and a convergent sequence stays target.oscillation() = 1 from target.
+    tally.decide(
+        "distance-to-oscillating-target",
+        ((k, apply_G(SparseSeq.unit(k)).is_convergent()) for k in range(1, 65)),
+    )
     ones = TailSeq.ones()
     tests = [random_sparse(rng, 16, 4, 20, 20) for _ in range(5)]
     x = weakstar_approximate(ones, tests)
@@ -362,10 +379,7 @@ def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         "certified indirectly by the vanishing lower bound of the norm "
         "ratio along the alternating family (open mapping argument)",
     )
-    stats = {
-        "ratios": {str(m): r for m, r in ratios.items()},
-        "oscillation_trials": max(cfg.trials // 2, 1),
-    }
+    stats = {"ratios": {str(m): r for m, r in ratios.items()}, "window": 64}
     return ({"matched_tests": tests, "x": x},), stats, notes
 
 
@@ -415,7 +429,8 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
 
 def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     g_second = OPERATORS[OP_G_SECOND]
-    probes = ProbeSet.generate(g_second, cfg.seed, cfg.truncation, cfg.trials)
+    # The NI search stops at its first probe and the uniqueness scan reads 100.
+    probes = ProbeSet.generate(g_second, cfg.seed, cfg.truncation, min(cfg.trials, 100))
     ni = ni_witness_search(probes, map(g_second.evaluate, probes.points))
     canonical = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.ones())
     ni_ok = (
@@ -490,12 +505,12 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     values = tuple(map(negg_second.evaluate, probes.points))
     ni = ni_witness_search(probes, values)
     tally.record("ni-holds", ni.status == VERIFIED)
-    for _ in range(cfg.trials):
-        mu = random_measure(rng, 32, 6, 100, 100)
-        a = mu.infinity_mass
-        gstar = apply_Gstar(mu)
-        tally.record("coupling-on-negGstar", pair_measure(mu, -gstar) == a * a, {"mu": mu})
-        tally.record("coupling-on-Gstar", pair_measure(mu, gstar) == -a * a, {"mu": mu})
+    # B(mu, nu) = <mu, +-G* nu> on the 33 window measures: <mu, +-G* mu> =
+    # +-a^2 on their span iff B + B^T = +-2 (mass x mass).
+    stars = _gstar_images()
+    for prop, sign in (("coupling-on-negGstar", -1), ("coupling-on-Gstar", 1)):
+        cases = _symmetric_cases([_pairings(y.scale(sign), 32) for y in stars], -2 * sign)
+        tally.decide(prop, (([_MEASURES[i - 1], _MEASURES[j - 1]], ok) for (i, j), ok in cases))
     for z in fitz_graph_samples(negg_second, cfg.seed, 50):
         tally.record("indicator-on-Gstar-graph", negg_second.fitz_closed(z) == 0, {"z": z})
         mirrored = PairPoint.second(z.x, -z.y)
@@ -505,13 +520,8 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
             {"z": z},
         )
     neg_embedded = negg_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
-    refuted = 0
-    candidates = fitz_graph_samples(negg_second, cfg.seed + 1, 50)
-    candidates = [z for z in candidates if z.x.infinity_mass != 0]
-    for z in candidates:
-        verdict = extension_probe(neg_embedded, z)
-        if verdict.status == REFUTED:
-            refuted += 1
+    candidates = [z for z in fitz_graph_samples(negg_second, cfg.seed + 1, 50) if z.x.infinity_mass]
+    refuted = sum(extension_probe(neg_embedded, z).status == REFUTED for z in candidates)
     tally.record("no-representable-extension", 0 < refuted == len(candidates))
     representative = representability_check(neg_embedded, probes, values, seed=cfg.seed)
     tally.record("representability-on-model", representative.status == VERIFIED)
@@ -522,7 +532,7 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     )
     stats = {
         "ni": ni.stats,
-        "coupling_trials": cfg.trials,
+        "coupling_window": 32,
         "extension_candidates_refuted": refuted,
         "representability": representative.stats,
     }

@@ -35,16 +35,6 @@ from .spaces import (
 )
 from .verdict import INCONCLUSIVE, REFUTED, VERIFIED, WITNESS_FOUND, PropertyVerdict
 
-__all__ = [
-    "ProbeSet",
-    "PropertyVerdict",
-    "is_monotone",
-    "extension_probe",
-    "ni_witness_search",
-    "representability_check",
-    "dichotomy_crosscheck",
-]
-
 
 def _refuting_scale(a: int, b: int, c: int) -> Fraction | None:
     """A t with a - t*b + t^2*c < 0 for integers a >= 0, b and c, or None if none exists.

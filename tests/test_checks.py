@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -69,12 +70,20 @@ def test_json_emission_is_canonical_and_round_trips(fast_report):
     payload = emit(fast_report, "json")
     doc = json.loads(payload)
     assert doc["all_passed"] is True
-    assert doc["version"] == "0.1.0"
+    assert doc["version"] == "0.2.0"
     assert doc["config"]["trials"] == 20
     assert [c["name"] for c in doc["checks"]] == list(MANIFEST)
     # no timing anywhere: the report must be reproducible byte for byte
     assert b"wallclock" not in payload
     assert payload == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True).encode() + b"\n"
+
+
+def test_artifact_version_is_the_package_version():
+    # Read by regex: Python 3.10 has no tomllib.
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as handle:
+        match = re.search(r'^version = "([^"]+)"$', handle.read(), re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == ARTIFACT_VERSION
 
 
 def test_reports_are_byte_identical_across_runs(fast_report):
@@ -104,12 +113,12 @@ def test_csv_and_md_emission(fast_report):
 # sha256 of the default reports.  Performance work must leave these bytes
 # alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
 # digests in the same commit.
-DEFAULT_REPORT_SHA256 = "35745b386277216f481104406609a4e3163ca14f3149b5fb31bd073b9b8c67db"
+DEFAULT_REPORT_SHA256 = "5f8879f2c36cf3df16b452c38fc5cb835d83191012572da4d15416526454f484"
 PINNED_REPORT_SHA256 = {
     (0, "json"): DEFAULT_REPORT_SHA256,
-    (0, "md"): "dd1d232953518ecb1d8b90c2ce088af3cecc4d33e3a111d5274f8a69d903bb0a",
-    (0, "csv"): "2e5c73e90654f86fa460b85c24da78fb3839cf7bbcea618a96b45190f57c32dc",
-    (1, "json"): "7d69a32110b3a8631f092fe1a95adcebfe31c5bb6ce642d442973d63aeba61b5",
+    (0, "md"): "d9d93ab69b85834433ec1f300238447c8ff65684678d05a5f664c95dd8b285ba",
+    (0, "csv"): "a034c9a93a3da375e3fa65a40bda4c0dc236cdd1de700d107e169b3597d1cc30",
+    (1, "json"): "22ba98b3e9ded936266ef12c16e1a82e57f7620943ce6130691384acb6832aec",
 }
 
 
@@ -143,7 +152,7 @@ def test_seed_one_report_bytes_are_pinned():
 
 # A non-default window and trial count: the default pins never reach the
 # code paths that only a window of 128 takes.
-WIDE_WINDOW_REPORT_SHA256 = "9bc30e7c3a1a8f0f38d9647c3cb448b69a10c8884207584adf96ed62933d82b7"
+WIDE_WINDOW_REPORT_SHA256 = "55714080722c00f92da4f3afa36c2c725c190e838799bf2ea6132f3e45eb1bb4"
 
 
 def test_wide_window_report_bytes_are_pinned():

@@ -1,12 +1,11 @@
 """Integer-numerator and run-aware kernels against the Fraction reference.
 
 ``couple``, ``apply_G``/``apply_Gstar``, ``TailSeq.linf_norm``,
-``TailSeq.__eq__``, ``extension_probe`` and the ``g-basic`` difference
-recurrence must give exactly the values of the one-Fraction-operation-
-per-value oracles in ``dense_reference``, and every rational value they
-return must be a ``Fraction``.  Wide rationals
-(numerators to 10**15, denominators to 10**12, often pairwise coprime)
-drive the common-denominator paths.
+``TailSeq.__eq__`` and ``extension_probe`` must give exactly the values
+of the one-Fraction-operation-per-value oracles in ``dense_reference``,
+and every rational value they return must be a ``Fraction``.  Wide
+rationals (numerators to 10**15, denominators to 10**12, often pairwise
+coprime) drive the common-denominator paths.
 """
 
 import math
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 import dense_reference as ref
 from gossez_lab import fitz
 from gossez_lab.adjoint import apply_Gstar
-from gossez_lab.checks import _difference_recurrence
 from gossez_lab.fitz import SampledGraph
 from gossez_lab.gossez import apply_G
 from gossez_lab.props import extension_probe
@@ -280,40 +278,6 @@ def test_far_images_equal_across_routes(x):
     again = apply_G(SparseSeq.from_pairs((n, F(v.numerator, v.denominator)) for n, v in x.entries))
     assert gx == again and hash(gx) == hash(again)
     assert apply_Gstar(ModelMeasure(x, F(0))) == -gx
-
-
-# ------------------------------------------- difference recurrence
-
-
-def fraction_recurrence(x: SparseSeq, y: TailSeq) -> bool:
-    """y_{n+1} - y_n == -(x_n + x_{n+1}) for n = 1..max_index, one Fraction
-    operation per term on the dense reference."""
-    xs, seq = dense(x), pair(y)
-    return all(
-        ref.value(seq, n + 1) - ref.value(seq, n) == -(xs.get(n, F(0)) + xs.get(n + 1, F(0)))
-        for n in range(1, x.max_index() + 1)
-    )
-
-
-@given(st.one_of(near_x, far_sparse_seqs(top=200, values=st.one_of(rationals(), wide_rationals()))))
-def test_difference_recurrence_holds_on_images(x):
-    gx = apply_G(x)
-    assert _difference_recurrence(x, gx) is True
-    assert fraction_recurrence(x, gx)
-
-
-@given(near_x, st.one_of(any_y, run_tail_seqs(wide_rationals())))
-def test_difference_recurrence_matches_fraction_check(x, y):
-    assert _difference_recurrence(x, y) == fraction_recurrence(x, y)
-
-
-@given(near_x.filter(lambda x: not x.is_zero()), st.data())
-def test_difference_recurrence_rejects_a_corrupted_image(x, data):
-    k = data.draw(st.integers(1, x.max_index() + 1))
-    c = data.draw(st.one_of(rationals(), wide_rationals()).filter(bool))
-    corrupted = apply_G(x) + TailSeq.constant(0, [0] * (k - 1) + [c])
-    assert not fraction_recurrence(x, corrupted)
-    assert _difference_recurrence(x, corrupted) is False
 
 
 # ---------------------------------------------------- extension probe

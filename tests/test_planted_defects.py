@@ -1,0 +1,114 @@
+"""Planted single-pair defects: each window decision must fail, naming the pair.
+
+Each defect rebinds one kernel in ``gossez_lab.checks`` so that it is wrong
+at one basis vector of a window, and runs one check on one CPU, in this
+process.  The decision that reads that vector must fail and name it in
+the check's failures; the same check without the defect passes.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import gossez_lab.checks as checks
+from gossez_lab.adjoint import apply_Gstar
+from gossez_lab.gossez import _shifted_G, apply_G
+from gossez_lab.spaces import ModelMeasure, SparseSeq, TailSeq
+
+
+def perturbed_entry(x):
+    """(G e_5)_3 is 1; this G reads 0 there."""
+    gx = apply_G(x)
+    return gx - TailSeq.constant(0, [0, 0, 1]) if x == SparseSeq.unit(5) else gx
+
+
+def oscillating_column(x):
+    """G e_7 with an oscillating tail added: the column has no limit."""
+    gx = apply_G(x)
+    return gx + TailSeq.periodic([0, 1]) if x == SparseSeq.unit(7) else gx
+
+
+def flipped_mass(mu):
+    """+(mass at infinity) * ones - G(atoms): the mass term's sign flipped."""
+    return _shifted_G(mu.atomic, -1, mu.infinity_mass)
+
+
+def atom_to_zero(mu):
+    """G* that maps the unit atom at 9 to zero."""
+    return TailSeq.zero() if mu == ModelMeasure.from_atomic(SparseSeq.unit(9)) else apply_Gstar(mu)
+
+
+# (defect, the kernel it replaces, check, a failure the check must report)
+DEFECTS = [
+    (perturbed_entry, "apply_G", "g-basic", {"property": "skew", "basis_pair": [3, 5]}),
+    (
+        perturbed_entry,
+        "apply_G",
+        "g-basic",
+        {"property": "difference-recurrence", "basis_pair": [2, 5]},
+    ),
+    (
+        oscillating_column,
+        "apply_G",
+        "range",
+        {"property": "distance-to-oscillating-target", "column": 7},
+    ),
+    (
+        flipped_mass,
+        "apply_Gstar",
+        "gstar",
+        {"property": "adjoint-identity", "basis_pair": [1, "mass"]},
+    ),
+    (
+        flipped_mass,
+        "apply_Gstar",
+        "sds-ii",
+        {"property": "coupling-on-negGstar", "basis_pair": [1, "mass"]},
+    ),
+    (
+        flipped_mass,
+        "apply_Gstar",
+        "sds-ii",
+        {"property": "coupling-on-Gstar", "basis_pair": [1, "mass"]},
+    ),
+    (atom_to_zero, "apply_Gstar", "gstar", {"property": "model-kernel", "column": 9}),
+]
+
+
+def run_one(name):
+    (result,) = checks.run_checks(checks.CheckConfig(checks=(name,))).results
+    return result
+
+
+@pytest.mark.parametrize(
+    "defect, kernel, name, failure",
+    DEFECTS,
+    ids=[f"{d.__name__}-{n}-{f['property']}" for d, _, n, f in DEFECTS],
+)
+def test_a_planted_defect_fails_its_window_decision(monkeypatch, defect, kernel, name, failure):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(checks, kernel, defect)
+    result = run_one(name)
+    assert not result.passed
+    assert failure in result.stats["failures"]
+
+
+@pytest.mark.parametrize("name", sorted({name for _, _, name, _ in DEFECTS}))
+def test_the_unpatched_check_passes(monkeypatch, name):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    result = run_one(name)
+    assert result.passed
+    assert result.stats["failures"] == []
+
+
+def test_the_defects_are_wrong_only_where_planted():
+    # Each defect differs from its kernel at the one planted vector.
+    for k in range(1, 10):
+        e = SparseSeq.unit(k)
+        mu = ModelMeasure.from_atomic(e)
+        assert (perturbed_entry(e) == apply_G(e)) == (k != 5)
+        assert (oscillating_column(e) == apply_G(e)) == (k != 7)
+        assert (atom_to_zero(mu) == apply_Gstar(mu)) == (k != 9)
+        assert flipped_mass(mu) == apply_Gstar(mu)
+    mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
+    assert flipped_mass(mass) == -apply_Gstar(mass)
