@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from .checks import (
     CATALOG,
@@ -28,8 +29,15 @@ from .checks import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, for ``main`` to report in one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gossez-lab",
         description="Verification laboratory for Gossez's skew operator: "
         "exact checks of its monotonicity, duality and range properties.",
@@ -60,12 +68,11 @@ def _list_catalog() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _list_catalog()
-
-    names = tuple(part.strip() for part in args.checks.split(",") if part.strip())
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "list":
+            return _list_catalog()
+        names = tuple(part.strip() for part in args.checks.split(",") if part.strip())
         config = CheckConfig(
             checks=names or ("all",),
             truncation=args.truncation,

@@ -70,7 +70,7 @@ def test_json_emission_is_canonical_and_round_trips(fast_report):
     payload = emit(fast_report, "json")
     doc = json.loads(payload)
     assert doc["all_passed"] is True
-    assert doc["version"] == "0.2.0"
+    assert doc["version"] == "0.3.0"
     assert doc["config"]["trials"] == 20
     assert [c["name"] for c in doc["checks"]] == list(MANIFEST)
     # no timing anywhere: the report must be reproducible byte for byte
@@ -113,12 +113,12 @@ def test_csv_and_md_emission(fast_report):
 # sha256 of the default reports.  Performance work must leave these bytes
 # alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
 # digests in the same commit.
-DEFAULT_REPORT_SHA256 = "5f8879f2c36cf3df16b452c38fc5cb835d83191012572da4d15416526454f484"
+DEFAULT_REPORT_SHA256 = "65efbe3cb6900580031e0a4fede83a1256d06de0f931f4619967d3beb5888f7d"
 PINNED_REPORT_SHA256 = {
     (0, "json"): DEFAULT_REPORT_SHA256,
-    (0, "md"): "d9d93ab69b85834433ec1f300238447c8ff65684678d05a5f664c95dd8b285ba",
-    (0, "csv"): "a034c9a93a3da375e3fa65a40bda4c0dc236cdd1de700d107e169b3597d1cc30",
-    (1, "json"): "22ba98b3e9ded936266ef12c16e1a82e57f7620943ce6130691384acb6832aec",
+    (0, "md"): "33566fa005dac03ef9af96b3f45734f5b4e9ca72095871c3bd23ddfb5c50c2e6",
+    (0, "csv"): "19bf1d4dd247631f31131900baf325de678a53d2a05bea510237cca7e9632d8d",
+    (1, "json"): "0f6936129817797f33363c7b84a18fa97d2896b801d0798129a1329a225ccf44",
 }
 
 
@@ -152,7 +152,7 @@ def test_seed_one_report_bytes_are_pinned():
 
 # A non-default window and trial count: the default pins never reach the
 # code paths that only a window of 128 takes.
-WIDE_WINDOW_REPORT_SHA256 = "55714080722c00f92da4f3afa36c2c725c190e838799bf2ea6132f3e45eb1bb4"
+WIDE_WINDOW_REPORT_SHA256 = "ff83b6c549c4917b01b828fcd5fae6596d4b332d230a513c17d3720edc2dc7bd"
 
 
 def test_wide_window_report_bytes_are_pinned():
@@ -162,6 +162,26 @@ def test_wide_window_report_bytes_are_pinned():
         f"json report at seed 0, truncation 128, 200 trials (ARTIFACT_VERSION "
         f"{ARTIFACT_VERSION}) changed: sha256 {digest}"
     )
+
+
+def test_ci_pins_the_digests_pinned_here():
+    # The CI workflow re-checks five of these digests through the CLI; a
+    # re-pin must change both files.
+    path = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tier1.yml")
+    with open(path) as handle:
+        workflow = handle.read()
+
+    def ci_digest(pattern):
+        (digest,) = re.findall(pattern, workflow, re.MULTILINE)
+        return digest
+
+    assert ci_digest(r"^ *check 0 json ([0-9a-f]{64})$") == PINNED_REPORT_SHA256[0, "json"]
+    assert ci_digest(r"^ *check 1 json ([0-9a-f]{64})$") == PINNED_REPORT_SHA256[1, "json"]
+    assert ci_digest(r"^ *check 0 csv ([0-9a-f]{64})$") == PINNED_REPORT_SHA256[0, "csv"]
+    wide = ci_digest(r"^ *check 0 json ([0-9a-f]{64}) --truncation 128 --trials 200$")
+    assert wide == WIDE_WINDOW_REPORT_SHA256
+    one_cpu = ci_digest(r'^ *test "\$digest" = ([0-9a-f]{64})$')
+    assert one_cpu == DEFAULT_REPORT_SHA256
 
 
 def test_single_check_run():
@@ -325,10 +345,22 @@ def test_cli_invalid_config_is_one_line_usage_error(flag, value, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_cli_usage_error_on_bad_flag():
+def test_cli_usage_error_on_bad_flag(capsys):
+    # argparse's own errors: a bad choice, a value of the wrong type, an
+    # unknown flag and a missing subcommand.  Each is one line, no usage block.
+    for argv in (["run", "--format", "yaml"], ["run", "--truncation", "abc"], ["run", "-x"], []):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["run", "--format", "yaml"])
-    assert err.value.code == 2
+        main(["run", "--help"])
+    assert err.value.code == 0
+    assert "--truncation" in capsys.readouterr().out
 
 
 def test_cli_reports_check_failure_with_exit_one(monkeypatch, capsys, fast_report):

@@ -48,6 +48,18 @@ DEFECTS = [
         {"property": "difference-recurrence", "basis_pair": [2, 5]},
     ),
     (
+        perturbed_entry,
+        "apply_G",
+        "g-orth",
+        {"property": "self-orthogonality", "basis_pair": [3, 5]},
+    ),
+    (
+        perturbed_entry,
+        "apply_G",
+        "sds-i",
+        {"property": "embedded-graph-skew", "basis_pair": [3, 5]},
+    ),
+    (
         oscillating_column,
         "apply_G",
         "range",
@@ -70,6 +82,18 @@ DEFECTS = [
         "apply_Gstar",
         "sds-ii",
         {"property": "coupling-on-Gstar", "basis_pair": [1, "mass"]},
+    ),
+    (
+        flipped_mass,
+        "apply_Gstar",
+        "sds-i",
+        {"property": "coupling-is-mass-squared", "basis_pair": [1, "mass"]},
+    ),
+    (
+        flipped_mass,
+        "apply_Gstar",
+        "sds-i",
+        {"property": "graph-orthogonal-to-negGstar", "basis_pair": [1, "mass"]},
     ),
     (atom_to_zero, "apply_Gstar", "gstar", {"property": "model-kernel", "column": 9}),
 ]
