@@ -112,13 +112,6 @@ class SampledGraph:
             raise ValueError("a sampled graph without an operator row has no closed form")
         return tuple(map(self.op.fitz_closed, self.points))
 
-    def subgraph(self, positions: Iterable[int]) -> SampledGraph:
-        """The points at distinct ``positions``, with their couplings read from this graph."""
-        positions = tuple(positions)
-        sub = SampledGraph(self.system, tuple(self.points[i] for i in positions), self.op)
-        object.__setattr__(sub, "couplings", tuple(self.couplings[i] for i in positions))
-        return sub
-
     def to_json(self) -> dict:
         return {
             "system": self.system.value,

@@ -70,7 +70,7 @@ def test_json_emission_is_canonical_and_round_trips(fast_report):
     payload = emit(fast_report, "json")
     doc = json.loads(payload)
     assert doc["all_passed"] is True
-    assert doc["version"] == "0.3.0"
+    assert doc["version"] == "0.4.0"
     assert doc["config"]["trials"] == 20
     assert [c["name"] for c in doc["checks"]] == list(MANIFEST)
     # no timing anywhere: the report must be reproducible byte for byte
@@ -113,12 +113,12 @@ def test_csv_and_md_emission(fast_report):
 # sha256 of the default reports.  Performance work must leave these bytes
 # alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
 # digests in the same commit.
-DEFAULT_REPORT_SHA256 = "65efbe3cb6900580031e0a4fede83a1256d06de0f931f4619967d3beb5888f7d"
+DEFAULT_REPORT_SHA256 = "1f76f001f3f910bc26bcaaab9f82ba07f49baf6e7edb9bebe774e94c889f1c38"
 PINNED_REPORT_SHA256 = {
     (0, "json"): DEFAULT_REPORT_SHA256,
-    (0, "md"): "33566fa005dac03ef9af96b3f45734f5b4e9ca72095871c3bd23ddfb5c50c2e6",
-    (0, "csv"): "19bf1d4dd247631f31131900baf325de678a53d2a05bea510237cca7e9632d8d",
-    (1, "json"): "0f6936129817797f33363c7b84a18fa97d2896b801d0798129a1329a225ccf44",
+    (0, "md"): "d2ad48aead4b387f94aadc9ca9be65e13c6ed4a0bd95de080ce7be810a44b58c",
+    (0, "csv"): "8601b024ab44c4e1055a07f4bc62ed374e59d5a44cedd457cba89b070cdb3086",
+    (1, "json"): "62fe7b0f4c40223c9a384c0e151df91a8d4f91ee043f3305daa2ce63c54f7b56",
 }
 
 
@@ -152,7 +152,7 @@ def test_seed_one_report_bytes_are_pinned():
 
 # A non-default window and trial count: the default pins never reach the
 # code paths that only a window of 128 takes.
-WIDE_WINDOW_REPORT_SHA256 = "ff83b6c549c4917b01b828fcd5fae6596d4b332d230a513c17d3720edc2dc7bd"
+WIDE_WINDOW_REPORT_SHA256 = "227e15c96096cb18172973e1b34f0feb3308bc46ad26a827aa8224f77f61b224"
 
 
 def test_wide_window_report_bytes_are_pinned():

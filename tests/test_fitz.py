@@ -497,23 +497,6 @@ def test_sampled_graph_dedup_keeps_first_of_equal_objects_in_order():
     assert g.points[0] is a and g.points[1] is b2
 
 
-def test_subgraph_reads_each_points_coupling_from_its_graph():
-    # The points couple to 1..6 and one leaves the model, so a coupling
-    # read at the wrong position shows.
-    outside = PairPoint.second(ModelMeasure(SparseSeq.unit(1), F(1)), TailSeq.periodic([1, -1]))
-    points = [
-        PairPoint.second(ModelMeasure.from_atomic(SparseSeq.unit(k)), TailSeq.constant(k))
-        for k in range(1, 7)
-    ]
-    graph = SampledGraph(DualSystem.SECOND, (*points, outside), G_SECOND)
-    assert len(set(graph.couplings)) == len(graph.points)
-    for positions in ([6, 0, 3], [2], [5, 4, 3, 2, 1, 0]):
-        sub = graph.subgraph(positions)
-        assert sub.points == tuple(graph.points[i] for i in positions)
-        assert (sub.system, sub.op) == (graph.system, graph.op)
-        assert sub.couplings == SampledGraph(sub.system, sub.points, sub.op).couplings
-
-
 @given(
     st.lists(st.integers(0, 4), max_size=12),
     st.lists(sparse_seqs(max_index=4, max_size=2), min_size=5, max_size=5),
@@ -552,7 +535,6 @@ def test_closed_reads_the_rows_closed_form_once_per_point():
         graph = SampledGraph(DualSystem.SECOND, (CANONICAL, off), op)
         assert graph.closed == expected
         assert graph.closed is graph.closed
-        assert graph.subgraph([1]).closed == expected[1:]
 
 
 def test_closed_needs_a_row():

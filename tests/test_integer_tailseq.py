@@ -9,8 +9,8 @@ and hashes whatever route built them, and the ``Fraction`` views
 equal the dense reference.  The SparseSeq paths that skip
 validation must give what the validated constructor gives, and ``fds``
 and ``sds-ii`` must evaluate the closed-form Fitzpatrick value once per
-probe (and ``fds`` twice per graph point: once for its own tally and
-lower-bound draws, once in the representability graph scan).
+probe (and ``fds`` once per graph point, in the representability graph
+scan).
 """
 
 import copy
@@ -355,16 +355,15 @@ def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
     status, stats = _run_one(checks._run_fds, checks.CheckConfig(trials=40))
     assert status == VERIFIED
-    # Every graph point once: the graph's ``closed`` serves the tally, the
-    # lower-bound draws and the representability scan.
+    # Every graph point once: the graph's ``closed`` serves the
+    # representability scan.
     assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
     assert set(calls.values()) == {1}
 
 
 def test_fds_couples_each_graph_point_once(monkeypatch):
-    # The lower-bound subsets read their couplings from the check's graph.
-    # What is left is one coupling per graph point, one per divergence
-    # certificate (its one-point graph) and one per probe (its evaluation).
+    # One coupling per graph point, one per divergence certificate (its
+    # one-point graph) and one per probe (its evaluation).
     calls = []
 
     def counting(w):

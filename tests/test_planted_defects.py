@@ -56,6 +56,12 @@ DEFECTS = [
     (
         perturbed_entry,
         "apply_G",
+        "fds",
+        {"property": "vanishes-on-graph", "basis_pair": [3, 5]},
+    ),
+    (
+        perturbed_entry,
+        "apply_G",
         "sds-i",
         {"property": "embedded-graph-skew", "basis_pair": [3, 5]},
     ),

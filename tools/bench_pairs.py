@@ -17,7 +17,9 @@ seed and the Python version.  The file is rewritten after every run, so an
 interrupted session keeps what it measured, and a summary per workload,
 seed and metric closes it: quartiles of each side, the parent's
 interquartile range and the pairs the change wins (all the
-end-to-end metrics are better lower).
+end-to-end metrics are better lower).  The exit code is 1, with one
+stderr line per run naming its workload and seed, if any run exited
+non-zero, gave no result, was incorrect or had a failed operation.
 """
 
 from __future__ import annotations
@@ -86,6 +88,26 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, median, q3]
 
 
+def run_ok(run: dict) -> bool:
+    """Whether a run exited 0 with a correct output and no failed operation."""
+    result = run["result"]
+    return run["exit"] == 0 and bool(result) and result["correct"] and result["failed"] == 0
+
+
+def exit_code(runs: list[dict]) -> int:
+    """1 if any run is not ``run_ok``, each such run named on stderr by its
+    workload, seed, pair and side; 0 otherwise."""
+    bad = [r for r in runs if not run_ok(r)]
+    for r in bad:
+        outcome = r["result"] and f"correct {r['result']['correct']}, failed {r['result']['failed']}"
+        print(
+            f"incorrect or failed run: {r['workload']} seed {r['seed']} pair {r['pair']} "
+            f"{r['side']}: exit {r['exit']}, {outcome or 'no result'}",
+            file=sys.stderr,
+        )
+    return 1 if bad else 0
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per workload, seed and metric: quartiles per side, the parent's
     interquartile range and the pairs whose change value is lower."""
@@ -93,10 +115,7 @@ def summarize(runs: list[dict]) -> dict:
     groups = dict.fromkeys((r["workload"], r["seed"]) for r in runs)
     for workload, seed in groups:
         group = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
-        ok = all(
-            r["exit"] == 0 and r["result"] and r["result"]["correct"] and r["result"]["failed"] == 0
-            for r in group
-        )
+        ok = all(map(run_ok, group))
         values: dict[tuple[int, str], dict] = {
             (r["pair"], r["side"]): r["result"]["metrics"] for r in group if r["result"]
         }
@@ -181,7 +200,7 @@ def main(argv=None) -> int:
     for name, row in document["summary"].items():
         change = row["change_vs_parent_median_pct"]
         print(f"{name}: {change:+.1f}% wins {row['change_wins']} (parent IQR {row['parent_iqr']})")
-    return 0
+    return exit_code(document["runs"])
 
 
 if __name__ == "__main__":
