@@ -70,7 +70,7 @@ def test_json_emission_is_canonical_and_round_trips(fast_report):
     payload = emit(fast_report, "json")
     doc = json.loads(payload)
     assert doc["all_passed"] is True
-    assert doc["version"] == "0.4.0"
+    assert doc["version"] == "0.5.0"
     assert doc["config"]["trials"] == 20
     assert [c["name"] for c in doc["checks"]] == list(MANIFEST)
     # no timing anywhere: the report must be reproducible byte for byte
@@ -113,12 +113,12 @@ def test_csv_and_md_emission(fast_report):
 # sha256 of the default reports.  Performance work must leave these bytes
 # alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
 # digests in the same commit.
-DEFAULT_REPORT_SHA256 = "1f76f001f3f910bc26bcaaab9f82ba07f49baf6e7edb9bebe774e94c889f1c38"
+DEFAULT_REPORT_SHA256 = "d11ad7dc445e0f5e406e1a25566dac3d5ae8c52c2c97831a9ba68e6c11162fce"
 PINNED_REPORT_SHA256 = {
     (0, "json"): DEFAULT_REPORT_SHA256,
-    (0, "md"): "d2ad48aead4b387f94aadc9ca9be65e13c6ed4a0bd95de080ce7be810a44b58c",
-    (0, "csv"): "8601b024ab44c4e1055a07f4bc62ed374e59d5a44cedd457cba89b070cdb3086",
-    (1, "json"): "62fe7b0f4c40223c9a384c0e151df91a8d4f91ee043f3305daa2ce63c54f7b56",
+    (0, "md"): "336f6dd06738cca7eb7143a5eabc876ef1c85006e645fe751cb5d95b7be5898f",
+    (0, "csv"): "f34251807731e0776f9a8679fd3a1755c44e9e1cc458f3b2d94f5ae61b5aa487",
+    (1, "json"): "98e57bd7d21eb5bf0696294682b27e9a8f787d359301f6004e328c18832f6d80",
 }
 
 
@@ -152,7 +152,7 @@ def test_seed_one_report_bytes_are_pinned():
 
 # A non-default window and trial count: the default pins never reach the
 # code paths that only a window of 128 takes.
-WIDE_WINDOW_REPORT_SHA256 = "227e15c96096cb18172973e1b34f0feb3308bc46ad26a827aa8224f77f61b224"
+WIDE_WINDOW_REPORT_SHA256 = "ee6e58c1cdb3ef7c17d564982be52f002f64a5868c83f387f56c55e0e5f0c391"
 
 
 def test_wide_window_report_bytes_are_pinned():
@@ -164,8 +164,22 @@ def test_wide_window_report_bytes_are_pinned():
     )
 
 
+# A window below the fixed ones (32 and 64): the decisions that follow
+# --truncation (fds's skew columns, sds-ii's coupling form) read 8 here.
+SMALL_WINDOW_REPORT_SHA256 = "d1e06698922e812ecf9112220b4b0aff88c5b42bfa75dff78996bd01b2ab36c9"
+
+
+def test_small_window_report_bytes_are_pinned():
+    report = run_checks(CheckConfig(seed=0, truncation=8, trials=50))
+    digest = hashlib.sha256(emit(report, "json")).hexdigest()
+    assert digest == SMALL_WINDOW_REPORT_SHA256, (
+        f"json report at seed 0, truncation 8, 50 trials (ARTIFACT_VERSION "
+        f"{ARTIFACT_VERSION}) changed: sha256 {digest}"
+    )
+
+
 def test_ci_pins_the_digests_pinned_here():
-    # The CI workflow re-checks five of these digests through the CLI; a
+    # The CI workflow re-checks six of these digests through the CLI; a
     # re-pin must change both files.
     path = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tier1.yml")
     with open(path) as handle:
@@ -180,6 +194,8 @@ def test_ci_pins_the_digests_pinned_here():
     assert ci_digest(r"^ *check 0 csv ([0-9a-f]{64})$") == PINNED_REPORT_SHA256[0, "csv"]
     wide = ci_digest(r"^ *check 0 json ([0-9a-f]{64}) --truncation 128 --trials 200$")
     assert wide == WIDE_WINDOW_REPORT_SHA256
+    small = ci_digest(r"^ *check 0 json ([0-9a-f]{64}) --truncation 8 --trials 50$")
+    assert small == SMALL_WINDOW_REPORT_SHA256
     one_cpu = ci_digest(r'^ *test "\$digest" = ([0-9a-f]{64})$')
     assert one_cpu == DEFAULT_REPORT_SHA256
 

@@ -7,10 +7,9 @@ minimal period, trimmed head), equal sequences must have equal fields
 and hashes whatever route built them, and the ``Fraction`` views
 (``run_values`` and ``tail`` cached on first read, ``head`` derived) must
 equal the dense reference.  The SparseSeq paths that skip
-validation must give what the validated constructor gives, and ``fds``
-and ``sds-ii`` must evaluate the closed-form Fitzpatrick value once per
-probe (and ``fds`` once per graph point, in the representability graph
-scan).
+validation must give what the validated constructor gives, and
+``dichotomy`` must evaluate the closed-form Fitzpatrick value once per
+probe, while ``fds`` and ``sds-ii`` generate and scan no probes.
 """
 
 import copy
@@ -25,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from gossez_lab import checks, fitz
+from gossez_lab import checks, props
 from gossez_lab.adjoint import apply_Gstar
 from gossez_lab.fitz import OP_G_SECOND, OPERATORS, Operator
 from gossez_lab.gossez import _shifted_G, apply_G, solve_G
@@ -37,7 +36,6 @@ from gossez_lab.spaces import (
     SparseSeq,
     TailSeq,
     as_fraction,
-    coupling_value,
 )
 from gossez_lab.verdict import VERIFIED
 
@@ -307,8 +305,9 @@ def _run_one(runner, cfg):
     return result.status, result.stats
 
 
-@pytest.mark.parametrize("run", [checks._run_fds, checks._run_sds_ii])
-def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
+def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch):
+    # dichotomy evaluates its three profiles' probe sets once each, and the
+    # NI search and the representability check read those values.
     probe_ids: set[int] = set()
     calls: dict[int, int] = {}
     generate, fitz_closed = ProbeSet.generate, Operator.fitz_closed
@@ -327,54 +326,37 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     kept: list = []
     monkeypatch.setattr(ProbeSet, "generate", staticmethod(recording_generate))
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
-    status, stats = _run_one(run, checks.CheckConfig(trials=40))
-    assert len(kept) == 1 and status == VERIFIED
-    assert calls and max(calls.values()) == 1
-    assert stats["ni"]["probes_checked"] == len(calls) == 40
-
-
-def test_fitz_closed_runs_once_per_graph_point_in_fds(monkeypatch):
-    graph_ids: set[int] = set()
-    calls: dict[int, int] = {}
-    sampled_graph, fitz_closed = Operator.sampled_graph, Operator.fitz_closed
-
-    def recording_sampled_graph(self, xs):
-        graph = sampled_graph(self, xs)
-        if not kept:  # the check's graph; divergence certificates build more
-            graph_ids.update(id(z) for z in graph.points)
-        kept.append(graph)  # alive to the end, so no id is reused
-        return graph
-
-    def counting_fitz_closed(self, z):
-        if id(z) in graph_ids:
-            calls[id(z)] = calls.get(id(z), 0) + 1
-        return fitz_closed(self, z)
-
-    kept: list = []
-    monkeypatch.setattr(Operator, "sampled_graph", recording_sampled_graph)
-    monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
-    status, stats = _run_one(checks._run_fds, checks.CheckConfig(trials=40))
-    assert status == VERIFIED
-    # Every graph point once: the graph's ``closed`` serves the
-    # representability scan.
-    assert len(calls) == len(kept[0].points) == stats["graph_points"] == 200
+    status, _ = _run_one(checks._run_dichotomy, checks.CheckConfig(trials=40))
+    assert len(kept) == 3 and status == VERIFIED
     assert set(calls.values()) == {1}
+    assert len(calls) == sum(len(probes.points) for probes in kept) == 600
 
 
-def test_fds_couples_each_graph_point_once(monkeypatch):
-    # One coupling per graph point, one per divergence certificate (its
-    # one-point graph) and one per probe (its evaluation).
-    calls = []
+def test_fds_and_sds_ii_scan_no_probes(monkeypatch):
+    # fds and sds-ii decide NI and representability on their windows;
+    # dichotomy generates and scans one probe set per profile.
+    calls: dict[str, int] = {}
 
-    def counting(w):
-        calls.append(w)
-        return coupling_value(w)
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(fitz, "coupling_value", counting)
-    cfg = checks.CheckConfig(trials=20)
-    status, stats = _run_one(checks._run_fds, cfg)
-    assert status == VERIFIED
-    assert len(calls) == stats["graph_points"] + stats["divergence_points"] + cfg.trials == 270
+        return count
+
+    scans = ("generate", "ni_witness_search", "representability_check")
+    monkeypatch.setattr(ProbeSet, "generate", staticmethod(counting("generate", ProbeSet.generate)))
+    for name in scans[1:]:
+        original = getattr(props, name)
+        for module in (checks, props):  # every binding the runners can reach
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    runners = ((checks._run_fds, 0), (checks._run_sds_ii, 0), (checks._run_dichotomy, 3))
+    for runner, expected in runners:
+        calls.clear()
+        status, _ = _run_one(runner, checks.CheckConfig(trials=40))
+        assert status == VERIFIED
+        assert [calls.get(name, 0) for name in scans] == [expected] * 3
 
 
 def test_probe_values_mark_points_outside_the_model():

@@ -1,9 +1,10 @@
 """The columns the window decisions read, against the dense reference.
 
 ``g-basic`` decides its linear claims on the integer columns of G e_1..G e_N;
-``gstar`` and ``sds-ii`` decide theirs on the images under G* of the unit
-atoms at 1..32 and the unit mass at infinity, paired with the unit atoms of
-a window and the mass.  Each must equal the one-Fraction-operation-per-value
+``gstar`` and ``sds-i`` decide theirs on the images under G* of the unit
+atoms at 1..32 and the unit mass at infinity, and ``sds-ii`` on those of the
+unit atoms at 1..N and the mass, paired with the unit atoms of a window and
+the mass.  Each must equal the one-Fraction-operation-per-value
 oracles of ``dense_reference`` (``apply_G``, ``apply_Gstar``, ``couple``).
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dense_reference as ref
-from gossez_lab.checks import _MEASURES, _g_columns, _gstar_images, _pairings
+from gossez_lab.checks import _MEASURES, _coupling_cases, _g_columns, _gstar_images, _pairings
 
 WINDOWS = [1, 2, 32, 64]
 
@@ -26,6 +27,13 @@ def ref_pairings(y, n):
     head, tail = y
     assert len(tail) == 1  # every image here converges
     return [ref.couple(unit(i), y) for i in range(1, n + 1)] + [tail[0]]
+
+
+def ref_gstar(m):
+    """The reference G* of the unit atom at m, or of the unit mass for "mass"."""
+    if m == "mass":
+        return ref.apply_Gstar({}, Fraction(1))
+    return ref.apply_Gstar(unit(m), Fraction(0))
 
 
 @pytest.mark.parametrize("n", WINDOWS)
@@ -44,12 +52,27 @@ def test_g_columns_match_the_dense_reference(n):
 
 @pytest.mark.parametrize("n", WINDOWS)
 def test_gstar_images_match_the_dense_reference(n):
-    images = _gstar_images()
-    assert len(images) == len(_MEASURES) == 33
-    for m, y in zip(_MEASURES, images):
-        if m == "mass":
-            expected = ref.apply_Gstar({}, Fraction(1))
-        else:
-            expected = ref.apply_Gstar(unit(m), Fraction(0))
-        assert (y.head, y.tail) == expected
-        assert _pairings(y, n) == ref_pairings(expected, n)
+    assert len(_MEASURES) == 33
+    window = (*range(1, n + 1), "mass")
+    for images, measures in ((_gstar_images(), _MEASURES), (_gstar_images(n), window)):
+        assert len(images) == len(measures)
+        for m, y in zip(measures, images):
+            expected = ref_gstar(m)
+            assert (y.head, y.tail) == expected
+            assert _pairings(y, n) == ref_pairings(expected, n)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", WINDOWS)
+def test_coupling_cases_follow_the_dense_reference_form(n, sign):
+    # B + B^T of B(mu, nu) = <mu, sign G* nu> on the atoms 1..n and the mass,
+    # from the reference pairings: -2 sign at (mass, mass), 0 elsewhere.
+    window = (*range(1, n + 1), "mass")
+    form = [ref_pairings(ref_gstar(m), n) for m in window]  # form[j][i] = <m_i, G* m_j>
+    expected = [
+        ([window[i], window[j]], sign * (form[j][i] + form[i][j]) == (-2 * sign) * (i == j == n))
+        for j in range(n + 1)
+        for i in range(j + 1)
+    ]
+    assert all(ok for _, ok in expected)
+    assert list(_coupling_cases(_gstar_images(n), sign)) == expected
