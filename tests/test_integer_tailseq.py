@@ -305,9 +305,11 @@ def _run_one(runner, cfg):
     return result.status, result.stats
 
 
-def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch):
+@pytest.mark.parametrize("run", [checks._run_fds, checks._run_sds_ii, checks._run_dichotomy])
+def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch, run):
     # dichotomy evaluates its three profiles' probe sets once each, and the
-    # NI search and the representability check read those values.
+    # NI search and the representability check read those values; fds and
+    # sds-ii decide on their windows and generate no probe set at all.
     probe_ids: set[int] = set()
     calls: dict[int, int] = {}
     generate, fitz_closed = ProbeSet.generate, Operator.fitz_closed
@@ -326,10 +328,11 @@ def test_fitz_closed_runs_once_per_probe_in_the_check(monkeypatch):
     kept: list = []
     monkeypatch.setattr(ProbeSet, "generate", staticmethod(recording_generate))
     monkeypatch.setattr(Operator, "fitz_closed", counting_fitz_closed)
-    status, _ = _run_one(checks._run_dichotomy, checks.CheckConfig(trials=40))
-    assert len(kept) == 3 and status == VERIFIED
-    assert set(calls.values()) == {1}
-    assert len(calls) == sum(len(probes.points) for probes in kept) == 600
+    probe_sets = 3 if run is checks._run_dichotomy else 0
+    status, _ = _run_one(run, checks.CheckConfig(trials=40))
+    assert len(kept) == probe_sets and status == VERIFIED
+    assert set(calls.values()) <= {1}
+    assert len(calls) == sum(len(probes.points) for probes in kept) == 200 * probe_sets
 
 
 def test_fds_and_sds_ii_scan_no_probes(monkeypatch):
