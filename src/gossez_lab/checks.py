@@ -68,7 +68,7 @@ from .spaces import (
 )
 from .verdict import REFUTED, VERIFIED, WITNESS_FOUND, to_jsonable
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -179,14 +179,9 @@ class _Tally:
 # the check's name and derives the status and "failures" from its tally.
 _Outcome = tuple[tuple, dict, tuple[str, ...]]
 
-# The measures of G*'s window, by position from 1: the unit atoms, then the unit mass.
-_MEASURES = (*range(1, 33), "mass")
-
-
-def _pairings(y: TailSeq, upto: int) -> list[Fraction | None]:
-    """y against the unit atoms 1..upto and the unit mass at infinity: its
-    values there, then its limit (None when it has none)."""
-    return [*map(y.value, range(1, upto + 1)), y.limit()]
+# Work that is cubic in the window, or a quadratic scan, reads at most this
+# many of its columns: the annihilators, gstar's model kernel and dichotomy.
+SCAN_CAP = 32
 
 
 def _symmetric_cases(cols: list[list], corner: int = 0) -> Iterable[tuple[list, bool]]:
@@ -207,41 +202,52 @@ def _g_columns(n: int) -> tuple[list[TailSeq], list[list[int]], int]:
     return images, [gx._dense(n + 1, den // gx.den) for gx in images], den
 
 
-def _gstar_images(atoms: int = 32) -> list[TailSeq]:
-    """G* of the unit atoms at 1..atoms, then of the unit mass: of the
-    ``_MEASURES`` by default."""
-    units = [ModelMeasure.from_atomic(SparseSeq.unit(j)) for j in range(1, atoms + 1)]
+def _gstar_images(n: int) -> list[TailSeq]:
+    """G* of the unit atoms at 1..n, then of the unit mass."""
+    units = [ModelMeasure.from_atomic(SparseSeq.unit(j)) for j in range(1, n + 1)]
     return [apply_Gstar(mu) for mu in units + [ModelMeasure(SparseSeq.zero(), 1)]]
 
 
+def _pairing_columns(images: list[TailSeq], n: int) -> tuple[list[list], int]:
+    """Each image's values at 1..n, then its limit (None without one): its pairings with
+    the unit atoms and the unit mass, as numerators over the common denominator returned."""
+    den = math.lcm(*(y.den for y in images))
+    return [
+        [*y._dense(n, den // y.den), y.tail_nums[0] * (den // y.den) if y.is_convergent() else None]
+        for y in images
+    ], den
+
+
 def _adjoint_cases(g_images: list[TailSeq], stars: list[TailSeq]) -> Iterable[tuple[list, bool]]:
-    """([i, m], <e_i, G* m> == <m, G e_i>) for the columns G e_i, i from 1, against
-    the window measures m with images ``stars``: in the second system, whether
-    the graph point of e_i is orthogonal to (m, -G* m)."""
+    """([i, m], <e_i, G* m> == <m, G e_i>) for the columns G e_1..G e_N against
+    the unit atoms at 1..N and the unit mass m, with images ``stars``
+    (``_gstar_images(N)``): in the second system, whether the graph point of
+    e_i is orthogonal to (m, -G* m)."""
+    n = len(g_images)
+    cols = _pairing_columns(g_images + stars, n)[0]
+    measures = (*range(1, n + 1), "mass")
     return (
-        ([i, m], star.value(i) == g)
-        for i, gx in enumerate(g_images, 1)
-        for m, star, g in zip(_MEASURES, stars, _pairings(gx, 32))
+        ([i, m], star[i - 1] == g[j])
+        for i, g in enumerate(cols[:n], 1)
+        for j, (m, star) in enumerate(zip(measures, cols[n:]))
     )
 
 
 def _coupling_cases(stars: list[TailSeq], sign: int) -> Iterable[tuple[list, bool]]:
     """The form B(mu, nu) = <mu, sign G* nu> on the unit atoms at 1..N and the
     unit mass, with images ``stars`` (``_gstar_images(N)``): c(mu, sign G* mu)
-    = -sign a^2 on their span iff B + B^T = -2 sign (mass x mass).  B is read
-    as integers over one common denominator, the limits last."""
+    = -sign a^2 on their span iff B + B^T = -2 sign (mass x mass)."""
     n = len(stars) - 1
-    den = math.lcm(*(y.den for y in stars))
-    cols = [[*y._dense(n, sign * den // y.den), sign * den * y.limit()] for y in stars]
+    cols, den = _pairing_columns(stars, n)
     measures = (*range(1, n + 1), "mass")
-    cases = _symmetric_cases(cols, -2 * sign * den)
+    cases = _symmetric_cases([[sign * v for v in col] for col in cols], -2 * sign * den)
     return (([measures[i - 1], measures[j - 1]], ok) for (i, j), ok in cases)
 
 
 def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # The linear claims are decided on the columns G e_k of the window; they
     # extend to its span by linearity, which the loop below samples.
-    n = min(cfg.truncation, 64)
+    n = cfg.truncation
     images, cols, den = _g_columns(n)
     tally.decide("skew", _symmetric_cases(cols))
     indexed = list(enumerate(images, 1))
@@ -285,38 +291,38 @@ def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcom
 def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # The graph points (e_i, G e_i) and (e_j, G e_j) couple to (M + M^T)_ij, so
     # the graph of the window is self-orthogonal iff G's columns are skew.
-    window = min(cfg.truncation, 64)
-    tally.decide("self-orthogonality", _symmetric_cases(_g_columns(window)[1]))
-    n = min(cfg.truncation, 32)
+    tally.decide("self-orthogonality", _symmetric_cases(_g_columns(cfg.truncation)[1]))
+    n = min(cfg.truncation, SCAN_CAP)
     spanning = unit_graph_points(n)
     basis = annihilator_truncated(spanning, n, DualSystem.FIRST)
     tally.record("annihilator-basis-dimension", len(basis.basis) == n + 1)
     for vec in basis.basis:
         tally.record("basis-annihilates", annihilator_violation(vec, spanning) is None)
-    mismatch = annihilator_violation(
-        PairPoint.first(SparseSeq.zero(), TailSeq.ones()), spanning
-    )
+    mismatch = annihilator_violation(PairPoint.first(SparseSeq.zero(), TailSeq.ones()), spanning)
     tally.record("ones-direction-not-orthogonal", mismatch is not None)
-    stats = {"window": window, "annihilator_window": n, "basis_size": len(basis.basis)}
+    stats = {"window": cfg.truncation, "scan_window": n, "basis_size": len(basis.basis)}
     return (), stats, ()
 
 
 def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
-    # <e_i, G* mu> = <mu, G e_i> for e_1..e_64 against the 33 window measures.
-    images = _gstar_images()
-    tally.decide("adjoint-identity", _adjoint_cases(_g_columns(64)[0], images))
-    # Full column rank on indices 1..33 (the limits add a row that is not
-    # needed) makes G* one-to-one on the window measures.  A kernel vector's
-    # last nonzero entry names an image that the earlier ones span.
-    kernel = nullspace([[y.value(i) for y in images] for i in range(1, 34)], 33)
+    # <e_i, G* mu> = <mu, G e_i> for e_1..e_N against the unit atoms at 1..N and the mass.
+    n = cfg.truncation
+    images = _gstar_images(n)
+    tally.decide("adjoint-identity", _adjoint_cases(_g_columns(n)[0], images))
+    # Full column rank on indices 1..s + 1 (the limits add a row that is not
+    # needed) makes G* one-to-one on the unit atoms at 1..s and the mass.  A
+    # kernel vector's last nonzero entry names an image that the earlier ones span.
+    s = min(n, SCAN_CAP)
+    scanned, measures = images[:s] + images[-1:], (*range(1, s + 1), "mass")
+    kernel = nullspace([[y.value(i) for y in scanned] for i in range(1, s + 2)], s + 1)
     tally.decide(
         "model-kernel",
-        ((_MEASURES[max(j for j, v in enumerate(vec) if v)], False) for vec in kernel[:1]),
+        ((measures[max(j for j, v in enumerate(vec) if v)], False) for vec in kernel[:1]),
     )
     for _ in range(cfg.trials):
-        y = random_sparse(rng, 64, 8, 1000, 1000)
-        mu = random_measure(rng, 32, 6, 100, 100)
-        nu = random_measure(rng, 32, 6, 100, 100)
+        y = random_sparse(rng, n, 8, 1000, 1000)
+        mu = random_measure(rng, n, 6, 100, 100)
+        nu = random_measure(rng, n, 6, 100, 100)
         c = random_rational(rng, 20, 20)
         tally.record(
             "linearity",
@@ -331,7 +337,7 @@ def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         tally.record("restriction-consistency", same, {"y": y, "t": t})
     tally.record("unit-mass-image", images[-1] == TailSeq.constant(-1))
     tally.record("atom-image", images[0] == TailSeq.constant(1, [0]))
-    x = random_sparse(rng, 32, 6, 100, 100)
+    x = random_sparse(rng, n, 6, 100, 100)
     embedded = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure.from_atomic(x))
     reduced = PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x))
     tally.record("embedding-reduction", embedded == reduced)
@@ -339,7 +345,7 @@ def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         "the adjoint fails injectivity only through measures with no atoms "
         "and no mass at infinity, which are not representable in the model",
     )
-    stats = {"trials": cfg.trials, "window": 64, "atoms": 32, "properties": tally.counts}
+    stats = {"trials": cfg.trials, "window": n, "scan_window": s, "properties": tally.counts}
     return (), stats, notes
 
 
@@ -353,7 +359,7 @@ def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # and a convergent sequence stays target.oscillation() = 1 from target.
     tally.decide(
         "distance-to-oscillating-target",
-        ((k, apply_G(SparseSeq.unit(k)).is_convergent()) for k in range(1, 65)),
+        ((k, apply_G(SparseSeq.unit(k)).is_convergent()) for k in range(1, cfg.truncation + 1)),
     )
     ones = TailSeq.ones()
     tests = [random_sparse(rng, 16, 4, 20, 20) for _ in range(5)]
@@ -367,7 +373,7 @@ def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         "certified indirectly by the vanishing lower bound of the norm "
         "ratio along the alternating family (open mapping argument)",
     )
-    stats = {"ratios": {str(m): r for m, r in ratios.items()}, "window": 64}
+    stats = {"ratios": {str(m): r for m, r in ratios.items()}, "window": cfg.truncation}
     return ({"matched_tests": tests, "x": x},), stats, notes
 
 
@@ -380,7 +386,7 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # linear graph it is convex: it represents G.
     g_first = OPERATORS[OP_G_FIRST]
     tally.decide("vanishes-on-graph", _symmetric_cases(_g_columns(cfg.truncation)[1]))
-    for z in off_graph_first(rng, 50, 32):
+    for z in off_graph_first(rng, 50, cfg.truncation):
         cert = divergence_certificate(g_first, z, cfg.scale_max)
         tally.record("divergence", cert["value"] > cfg.scale_max, {"z": z, "certificate": cert})
     return (), {"window": cfg.truncation, "divergence_points": 50}, ()
@@ -398,10 +404,11 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and ni.witnesses[0]["margin"] == 1
     )
     tally.record("ni-fails-with-margin", ni_ok)
-    # Decided on e_1..e_32 and the 33 window measures: Graph(-G*) couples to
-    # a^2, Graph G is skew, and the adjoint identity makes the two orthogonal.
-    images, cols, _ = _g_columns(32)
-    stars = _gstar_images()
+    # Decided on e_1..e_N, the unit atoms at 1..N and the mass: Graph(-G*)
+    # couples to a^2, Graph G is skew, and the adjoint identity makes the two orthogonal.
+    n = cfg.truncation
+    images, cols, _ = _g_columns(n)
+    stars = _gstar_images(n)
     tally.decide("coupling-is-mass-squared", _coupling_cases(stars, -1))
     off = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.zero())
     tally.record(
@@ -409,7 +416,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         g_second.fitz_closed(off) == PLUS_INF
         and divergence_certificate(g_second, off, cfg.scale_max)["value"] > cfg.scale_max,
     )
-    embedded = g_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
+    embedded = g_second.sampled_graph(random_sparse(rng, n, 5, 50, 50) for _ in range(30))
     tally.decide("embedded-graph-skew", _symmetric_cases(cols))
     ext = extension_probe(embedded, canonical)
     tally.record(
@@ -419,13 +426,11 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and coupling_value(canonical) == 1,
     )
     tally.decide("graph-orthogonal-to-negGstar", _adjoint_cases(images, stars))
-    n = min(cfg.truncation, 32)
-    spanning = [g_second.graph_point(SparseSeq.unit(k)) for k in range(1, n + 1)]
-    basis = annihilator_truncated(spanning, n, DualSystem.SECOND)
-    tally.record("annihilator-basis-dimension", len(basis.basis) == n + 2)
-    unique_support = g_second.sampled_graph(
-        SparseSeq.unit(k) for k in range(1, cfg.truncation + 2)
-    )
+    s = min(n, SCAN_CAP)
+    spanning = [g_second.graph_point(SparseSeq.unit(k)) for k in range(1, s + 1)]
+    basis = annihilator_truncated(spanning, s, DualSystem.SECOND)
+    tally.record("annihilator-basis-dimension", len(basis.basis) == s + 2)
+    unique_support = g_second.sampled_graph(SparseSeq.unit(k) for k in range(1, n + 2))
     witnesses_checked = 0
     witnesses_on_graph = 0
     for z in probes.points[:100]:
@@ -444,7 +449,8 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     )
     stats = {
         "ni": ni.stats,
-        "window": 32,
+        "window": n,
+        "scan_window": s,
         "extension_witnesses_checked": witnesses_checked,
         "extension_witnesses_on_negGstar": witnesses_on_graph,
         "annihilator_basis": len(basis.basis),
@@ -456,42 +462,33 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     negg_second = OPERATORS[OP_NEGG_SECOND]
     # On the span of the window's unit atoms and mass, c = -a^2 <= 0 on Graph G*,
     # where the closed form is 0, and the closed form is +inf off it: -G is NI.
-    stars = _gstar_images(cfg.truncation)
-    for prop, sign in (("coupling-on-negGstar", -1), ("coupling-on-Gstar", 1)):
-        tally.decide(prop, _coupling_cases(stars, sign))
-    neg_embedded = negg_second.sampled_graph(random_sparse(rng, 32, 5, 50, 50) for _ in range(30))
-    candidates = [z for z in fitz_graph_samples(negg_second, cfg.seed + 1, 50) if z.x.infinity_mass]
+    n = cfg.truncation
+    tally.decide("coupling-on-Gstar", _coupling_cases(_gstar_images(n), 1))
+    neg_embedded = negg_second.sampled_graph(random_sparse(rng, n, 5, 50, 50) for _ in range(30))
+    samples = fitz_graph_samples(negg_second, cfg.seed + 1, 50, n)
+    candidates = [z for z in samples if z.x.infinity_mass]
     refuted = sum(extension_probe(neg_embedded, z).status == REFUTED for z in candidates)
     tally.record("no-representable-extension", 0 < refuted == len(candidates))
     # The closed form is 0 at (x, -Gx), on Graph G*, and c(x, -Gx) = -<x, Gx>
-    # is 0 for x in 1..32, the window ``neg_embedded`` draws from, iff G's
+    # is 0 for x in 1..N, the window ``neg_embedded`` draws from, iff G's
     # columns are skew there.
-    tally.decide("representability-on-model", _symmetric_cases(_g_columns(32)[1]))
+    tally.decide("representability-on-model", _symmetric_cases(_g_columns(n)[1]))
     notes = (
         "the unique maximal extension (the closure of the graph) adds only "
         "points outside the measure model; non-maximality is asserted "
         "analytically while every in-model candidate is refuted exactly",
     )
-    stats = {
-        "coupling_window": cfg.truncation,
-        "window": 32,
-        "extension_candidates_refuted": refuted,
-    }
-    return (), stats, notes
+    return (), {"window": n, "extension_candidates_refuted": refuted}, notes
 
 
 def _run_dichotomy(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+    n = min(cfg.truncation, SCAN_CAP)
     profiles = {}
     for op in OPERATORS.values():
-        verdict = dichotomy_crosscheck(
-            op,
-            seed=cfg.seed,
-            truncation=min(cfg.truncation, 32),
-            probe_count=200,
-        )
+        verdict = dichotomy_crosscheck(op, seed=cfg.seed, truncation=n, probe_count=200)
         profiles[op.id] = verdict.stats
         tally.record(f"profile-{op.id}", verdict.status == VERIFIED)
-    return (), {"profiles": profiles}, ()
+    return (), {"profiles": profiles, "window": cfg.truncation, "scan_window": n}, ()
 
 
 @dataclass(frozen=True)
@@ -567,7 +564,7 @@ CATALOG: tuple[CheckSpec, ...] = (
         "Second dual system: -G is NI but not maximal",
         "The Fitzpatrick function of -G is the indicator of Graph G*, which "
         "dominates the coupling (c = -a^2 there, decided on the unit atoms "
-        "of the window and the mass: -G is NI) and equals it on Graph(-G) "
+        "at 1..N and the mass: -G is NI) and equals it on Graph(-G) "
         "(c = 0 by skew columns: representable); no extension witness is "
         "representable in the model, matching a closure that only adds "
         "unrepresentable points",

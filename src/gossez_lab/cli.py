@@ -22,6 +22,7 @@ from .checks import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    SCAN_CAP,
     CheckConfig,
     UnknownCheckError,
     emit,
@@ -49,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated check names, or 'all' (see `gossez-lab list`)",
     )
-    run_parser.add_argument("--truncation", type=int, default=64, metavar="N")
+    window = "the window: every decision and random draw reads indices 1..N; the annihilators, "
+    window += f"gstar's model kernel and dichotomy read min(N, {SCAN_CAP})"
+    run_parser.add_argument("--truncation", type=int, default=64, metavar="N", help=window)
     run_parser.add_argument("--trials", type=int, default=1000)
     run_parser.add_argument("--seed", type=int, default=0, help="randomness seed")
     run_parser.add_argument("--scale-max", type=int, default=10**6)

@@ -70,7 +70,7 @@ def test_json_emission_is_canonical_and_round_trips(fast_report):
     payload = emit(fast_report, "json")
     doc = json.loads(payload)
     assert doc["all_passed"] is True
-    assert doc["version"] == "0.5.0"
+    assert doc["version"] == "0.6.0"
     assert doc["config"]["trials"] == 20
     assert [c["name"] for c in doc["checks"]] == list(MANIFEST)
     # no timing anywhere: the report must be reproducible byte for byte
@@ -113,12 +113,12 @@ def test_csv_and_md_emission(fast_report):
 # sha256 of the default reports.  Performance work must leave these bytes
 # alone; a deliberate report change bumps ARTIFACT_VERSION and updates the
 # digests in the same commit.
-DEFAULT_REPORT_SHA256 = "d11ad7dc445e0f5e406e1a25566dac3d5ae8c52c2c97831a9ba68e6c11162fce"
+DEFAULT_REPORT_SHA256 = "7e63db1edb033a091978a6b1a85d0e67605dc2f02cf2dbd0b3b71945fc6ee265"
 PINNED_REPORT_SHA256 = {
     (0, "json"): DEFAULT_REPORT_SHA256,
-    (0, "md"): "336f6dd06738cca7eb7143a5eabc876ef1c85006e645fe751cb5d95b7be5898f",
-    (0, "csv"): "f34251807731e0776f9a8679fd3a1755c44e9e1cc458f3b2d94f5ae61b5aa487",
-    (1, "json"): "98e57bd7d21eb5bf0696294682b27e9a8f787d359301f6004e328c18832f6d80",
+    (0, "md"): "3e6a245832be5fd81b971393d255d8bfcb60560807e006f5af0485b7da7331e7",
+    (0, "csv"): "15af025bb5ab79a5b64ece5a013abe7de36144242458f2f07b0b6499bf1acdc8",
+    (1, "json"): "813101dc1a978d13228f9750b3e22363f9a3ead0e8ea278d182f6a11a93a4050",
 }
 
 
@@ -152,7 +152,7 @@ def test_seed_one_report_bytes_are_pinned():
 
 # A non-default window and trial count: the default pins never reach the
 # code paths that only a window of 128 takes.
-WIDE_WINDOW_REPORT_SHA256 = "ee6e58c1cdb3ef7c17d564982be52f002f64a5868c83f387f56c55e0e5f0c391"
+WIDE_WINDOW_REPORT_SHA256 = "b1236fa6d015480aa977c4fdd1348478289170c901191a71ff5325370149871c"
 
 
 def test_wide_window_report_bytes_are_pinned():
@@ -164,9 +164,9 @@ def test_wide_window_report_bytes_are_pinned():
     )
 
 
-# A window below the fixed ones (32 and 64): the decisions that follow
-# --truncation (fds's skew columns, sds-ii's coupling form) read 8 here.
-SMALL_WINDOW_REPORT_SHA256 = "d1e06698922e812ecf9112220b4b0aff88c5b42bfa75dff78996bd01b2ab36c9"
+# A window below the scan cap (32): every decision and draw, and the
+# annihilators, gstar's model kernel and dichotomy too, read 8 here.
+SMALL_WINDOW_REPORT_SHA256 = "18a5cac8ded6b6dda81c330e102656b298307c77c9c49109a8c40ca73c635f04"
 
 
 def test_small_window_report_bytes_are_pinned():

@@ -30,6 +30,12 @@ def perturbed_entry(x):
     return gx - TailSeq.constant(0, [0, 0, 1]) if x == SparseSeq.unit(5) else gx
 
 
+def far_perturbed_entry(x):
+    """(G e_40)_3 is 1, past the 32 columns of a fixed window; this G reads 0 there."""
+    gx = apply_G(x)
+    return gx - TailSeq.constant(0, [0, 0, 1]) if x == SparseSeq.unit(40) else gx
+
+
 def oscillating_column(x):
     """G e_7 with an oscillating tail added: the column has no limit."""
     gx = apply_G(x)
@@ -84,6 +90,31 @@ DEFECTS = [
         "sds-ii",
         {"property": "representability-on-model", "basis_pair": [3, 5]},
     ),
+    # Every window is --truncation (64 here): it reaches the column and atom at 40.
+    (
+        far_perturbed_entry,
+        "apply_G",
+        "sds-i",
+        {"property": "embedded-graph-skew", "basis_pair": [3, 40]},
+    ),
+    (
+        far_perturbed_entry,
+        "apply_G",
+        "sds-ii",
+        {"property": "representability-on-model", "basis_pair": [3, 40]},
+    ),
+    (
+        far_atom_to_zero,
+        "apply_Gstar",
+        "gstar",
+        {"property": "adjoint-identity", "basis_pair": [1, 40]},
+    ),
+    (
+        far_atom_to_zero,
+        "apply_Gstar",
+        "sds-i",
+        {"property": "graph-orthogonal-to-negGstar", "basis_pair": [1, 40]},
+    ),
     (
         oscillating_column,
         "apply_G",
@@ -100,15 +131,8 @@ DEFECTS = [
         flipped_mass,
         "apply_Gstar",
         "sds-ii",
-        {"property": "coupling-on-negGstar", "basis_pair": [1, "mass"]},
-    ),
-    (
-        flipped_mass,
-        "apply_Gstar",
-        "sds-ii",
         {"property": "coupling-on-Gstar", "basis_pair": [1, "mass"]},
     ),
-    # The coupling window is --truncation (64 here): it reaches the atom at 40.
     (
         far_atom_to_zero,
         "apply_Gstar",
@@ -222,11 +246,14 @@ def test_the_defects_are_wrong_only_where_planted():
         e = SparseSeq.unit(k)
         mu = ModelMeasure.from_atomic(e)
         assert (perturbed_entry(e) == apply_G(e)) == (k != 5)
+        assert far_perturbed_entry(e) == apply_G(e)
         assert (oscillating_column(e) == apply_G(e)) == (k != 7)
         assert (atom_to_zero(mu) == apply_Gstar(mu)) == (k != 9)
         assert far_atom_to_zero(mu) == apply_Gstar(mu)
         assert flipped_mass(mu) == apply_Gstar(mu)
     far = ModelMeasure.from_atomic(SparseSeq.unit(40))
     assert far_atom_to_zero(far) == TailSeq.zero() != apply_Gstar(far)
+    e40 = SparseSeq.unit(40)
+    assert far_perturbed_entry(e40) - apply_G(e40) == -TailSeq.constant(0, [0, 0, 1])
     mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
     assert flipped_mass(mass) == -apply_Gstar(mass)
