@@ -7,15 +7,15 @@ report never contains timing, so identical configurations produce
 bit-identical bytes in every format (per-check wallclock goes to the
 console, a side channel outside the artifact).
 
-Each check draws from its own generator and reads no other check's
-result, so ``run_checks`` runs the selected checks in up to one forked
-worker per usable CPU, at most one per check.  They run in the calling
-process when that leaves fewer than two, when fork is not available, or
-while other threads are alive there.  ``_run_spec`` runs one check on either
-path, and the results come back in catalog order, so the report bytes do
-not depend on the CPU count.  A check's wallclock is its own time, taken
-where it ran.  A profiler or tracer attached to the calling process sees
-only that process; pin it to one CPU or select one check to see a check.
+Each check draws from its own generator and shares with the others only
+the deterministic facts of one window (``_Window``), computed on first read
+and never kept across reports, so no result depends on which checks are
+selected.  ``run_checks`` runs them in up to one forked worker per usable
+CPU, at most one per check and each with a fresh window, or else in this
+process on one window: with fewer than two workers, without fork, or while
+other threads are alive here.  Results come back in catalog order, so the
+report bytes do not depend on the CPU count.  A check's wallclock is its own
+and includes the facts it read first; pin a profiler to one CPU to see it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import io
 import json
 import math
 import os
-import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from random import Random
 from typing import Callable, Iterable
 
 from .adjoint import apply_Gstar
@@ -184,28 +185,14 @@ _Outcome = tuple[tuple, dict, tuple[str, ...]]
 SCAN_CAP = 32
 
 
-def _symmetric_cases(cols: list[list], corner: int = 0) -> Iterable[tuple[list, bool]]:
-    """([i, j], holds) for i <= j counted from 1: whether M + M^T is ``corner``
-    at the last diagonal entry and 0 elsewhere, for M with columns ``cols``."""
-    last = len(cols) - 1
+def _symmetric_cases(cols: list[list]) -> Iterable[tuple[list, bool]]:
+    """([i, j], holds) for i <= j counted from 1: whether (M + M^T)_ij is 0, for M
+    with columns ``cols``; an entry None (a pairing without a limit) breaks it."""
     return (
-        ([i + 1, j + 1], col[i] + cols[i][j] == (corner if i == j == last else 0))
+        ([i + 1, j + 1], col[i] is not None is not cols[i][j] and col[i] + cols[i][j] == 0)
         for j, col in enumerate(cols)
         for i in range(j + 1)
     )
-
-
-def _g_columns(n: int) -> tuple[list[TailSeq], list[list[int]], int]:
-    """G e_1..G e_n, and their values at 1..n + 1 as numerators over one common denominator."""
-    images = [apply_G(SparseSeq.unit(k)) for k in range(1, n + 1)]
-    den = math.lcm(*(gx.den for gx in images))
-    return images, [gx._dense(n + 1, den // gx.den) for gx in images], den
-
-
-def _gstar_images(n: int) -> list[TailSeq]:
-    """G* of the unit atoms at 1..n, then of the unit mass."""
-    units = [ModelMeasure.from_atomic(SparseSeq.unit(j)) for j in range(1, n + 1)]
-    return [apply_Gstar(mu) for mu in units + [ModelMeasure(SparseSeq.zero(), 1)]]
 
 
 def _pairing_columns(images: list[TailSeq], n: int) -> tuple[list[list], int]:
@@ -221,7 +208,7 @@ def _pairing_columns(images: list[TailSeq], n: int) -> tuple[list[list], int]:
 def _adjoint_cases(g_images: list[TailSeq], stars: list[TailSeq]) -> Iterable[tuple[list, bool]]:
     """([i, m], <e_i, G* m> == <m, G e_i>) for the columns G e_1..G e_N against
     the unit atoms at 1..N and the unit mass m, with images ``stars``
-    (``_gstar_images(N)``): in the second system, whether the graph point of
+    (``_Window.stars``): in the second system, whether the graph point of
     e_i is orthogonal to (m, -G* m)."""
     n = len(g_images)
     cols = _pairing_columns(g_images + stars, n)[0]
@@ -233,23 +220,53 @@ def _adjoint_cases(g_images: list[TailSeq], stars: list[TailSeq]) -> Iterable[tu
     )
 
 
-def _coupling_cases(stars: list[TailSeq], sign: int) -> Iterable[tuple[list, bool]]:
-    """The form B(mu, nu) = <mu, sign G* nu> on the unit atoms at 1..N and the
-    unit mass, with images ``stars`` (``_gstar_images(N)``): c(mu, sign G* mu)
-    = -sign a^2 on their span iff B + B^T = -2 sign (mass x mass)."""
+def _coupling_cases(stars: list[TailSeq]) -> Iterable[tuple[list, bool]]:
+    """The form B(mu, nu) = <mu, G* nu> on the unit atoms at 1..N and the unit
+    mass, with images ``stars`` (``_Window.stars``): c(mu, +-G* mu) = -+a^2 on their
+    span iff B + B^T = -2 (mass x mass), iff B + (mass x mass) is skew, for either sign."""
     n = len(stars) - 1
     cols, den = _pairing_columns(stars, n)
+    cols[n][n] = None if cols[n][n] is None else cols[n][n] + den  # B + (mass x mass)
     measures = (*range(1, n + 1), "mass")
-    cases = _symmetric_cases([[sign * v for v in col] for col in cols], -2 * sign * den)
+    cases = _symmetric_cases(cols)
     return (([measures[i - 1], measures[j - 1]], ok) for (i, j), ok in cases)
 
 
-def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _fact(cases: Callable[[_Window], Iterable[tuple[list, bool]]]) -> cached_property:
+    """A window fact, decided on first read: [its first broken case], or [] if it holds."""
+    return cached_property(lambda window: next(([c] for c in cases(window) if not c[1]), []))
+
+
+class _Window:
+    """One report's window, N = ``--truncation``: G e_1..G e_N with their values at
+    1..N + 1 over one common denominator (``g_columns``), G* of the unit atoms at
+    1..N and of the unit mass (``stars``), and the three bilinear facts on them."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    @cached_property
+    def g_columns(self) -> tuple[list[TailSeq], list[list[int]], int]:
+        images = [apply_G(SparseSeq.unit(k)) for k in range(1, self.n + 1)]
+        den = math.lcm(*(gx.den for gx in images))
+        return images, [gx._dense(self.n + 1, den // gx.den) for gx in images], den
+
+    @cached_property
+    def stars(self) -> list[TailSeq]:
+        units = [ModelMeasure.from_atomic(SparseSeq.unit(j)) for j in range(1, self.n + 1)]
+        return [apply_Gstar(mu) for mu in units + [ModelMeasure(SparseSeq.zero(), 1)]]
+
+    skew = _fact(lambda window: _symmetric_cases(window.g_columns[1]))
+    adjoint = _fact(lambda window: _adjoint_cases(window.g_columns[0], window.stars))
+    coupling = _fact(lambda window: _coupling_cases(window.stars))
+
+
+def _run_g_basic(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     # The linear claims are decided on the columns G e_k of the window; they
     # extend to its span by linearity, which the loop below samples.
     n = cfg.truncation
-    images, cols, den = _g_columns(n)
-    tally.decide("skew", _symmetric_cases(cols))
+    images, cols, den = window.g_columns
+    tally.decide("skew", window.skew)
     indexed = list(enumerate(images, 1))
     tally.decide("norm-bound", ((k, gx.linf_norm() <= 1) for k, gx in indexed))
     tally.decide("range-law", ((k, gx.is_convergent() and gx.limit() == -1) for k, gx in indexed))
@@ -288,10 +305,10 @@ def _run_g_basic(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcom
     return ({f"{name}_certificate": cert for name, cert in certs.items()},), stats, ()
 
 
-def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_g_orth(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     # The graph points (e_i, G e_i) and (e_j, G e_j) couple to (M + M^T)_ij, so
     # the graph of the window is self-orthogonal iff G's columns are skew.
-    tally.decide("self-orthogonality", _symmetric_cases(_g_columns(cfg.truncation)[1]))
+    tally.decide("self-orthogonality", window.skew)
     n = min(cfg.truncation, SCAN_CAP)
     spanning = unit_graph_points(n)
     basis = annihilator_truncated(spanning, n, DualSystem.FIRST)
@@ -304,16 +321,15 @@ def _run_g_orth(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     return (), stats, ()
 
 
-def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_gstar(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     # <e_i, G* mu> = <mu, G e_i> for e_1..e_N against the unit atoms at 1..N and the mass.
     n = cfg.truncation
-    images = _gstar_images(n)
-    tally.decide("adjoint-identity", _adjoint_cases(_g_columns(n)[0], images))
+    tally.decide("adjoint-identity", window.adjoint)
     # Full column rank on indices 1..s + 1 (the limits add a row that is not
     # needed) makes G* one-to-one on the unit atoms at 1..s and the mass.  A
     # kernel vector's last nonzero entry names an image that the earlier ones span.
     s = min(n, SCAN_CAP)
-    scanned, measures = images[:s] + images[-1:], (*range(1, s + 1), "mass")
+    scanned, measures = window.stars[:s] + window.stars[-1:], (*range(1, s + 1), "mass")
     kernel = nullspace([[y.value(i) for y in scanned] for i in range(1, s + 2)], s + 1)
     tally.decide(
         "model-kernel",
@@ -335,8 +351,8 @@ def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         except OutsideModelDomain:  # a measure without mass pairs with every tail
             same = False
         tally.record("restriction-consistency", same, {"y": y, "t": t})
-    tally.record("unit-mass-image", images[-1] == TailSeq.constant(-1))
-    tally.record("atom-image", images[0] == TailSeq.constant(1, [0]))
+    tally.record("unit-mass-image", window.stars[-1] == TailSeq.constant(-1))
+    tally.record("atom-image", window.stars[0] == TailSeq.constant(1, [0]))
     x = random_sparse(rng, n, 6, 100, 100)
     embedded = OPERATORS[OP_G_SECOND].fitz_point(ModelMeasure.from_atomic(x))
     reduced = PairPoint.second(ModelMeasure.from_atomic(x), apply_G(x))
@@ -349,7 +365,7 @@ def _run_gstar(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     return (), stats, notes
 
 
-def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_range(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     ratios = {m: range_ratio_family(m) for m in (1, 10, 100, 1000)}
     for m, ratio in ratios.items():
         tally.record("ratio-collapse", ratio == Fraction(1, 2 * m) and ratio <= Fraction(1, m))
@@ -359,7 +375,7 @@ def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # and a convergent sequence stays target.oscillation() = 1 from target.
     tally.decide(
         "distance-to-oscillating-target",
-        ((k, apply_G(SparseSeq.unit(k)).is_convergent()) for k in range(1, cfg.truncation + 1)),
+        ((k, gx.is_convergent()) for k, gx in enumerate(window.g_columns[0], 1)),
     )
     ones = TailSeq.ones()
     tests = [random_sparse(rng, 16, 4, 20, 20) for _ in range(5)]
@@ -377,7 +393,7 @@ def _run_range(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     return ({"matched_tests": tests, "x": x},), stats, notes
 
 
-def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_fds(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     # Graph points (x, Gx) and (x', Gx') couple to x (M + M^T) x' and c is half
     # that on the diagonal, so skew columns G e_1..G e_N make every term
     # z.w - c(w) over x drawn from the window 0: the sup on the graph is 0 = c.
@@ -385,14 +401,14 @@ def _run_fds(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # (NI) and equals it exactly on the graph, and as the indicator of a
     # linear graph it is convex: it represents G.
     g_first = OPERATORS[OP_G_FIRST]
-    tally.decide("vanishes-on-graph", _symmetric_cases(_g_columns(cfg.truncation)[1]))
+    tally.decide("vanishes-on-graph", window.skew)
     for z in off_graph_first(rng, 50, cfg.truncation):
         cert = divergence_certificate(g_first, z, cfg.scale_max)
         tally.record("divergence", cert["value"] > cfg.scale_max, {"z": z, "certificate": cert})
     return (), {"window": cfg.truncation, "divergence_points": 50}, ()
 
 
-def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_sds_i(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     g_second = OPERATORS[OP_G_SECOND]
     # The NI search stops at its first probe and the uniqueness scan reads 100.
     probes = ProbeSet.generate(g_second, cfg.seed, cfg.truncation, min(cfg.trials, 100))
@@ -407,9 +423,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     # Decided on e_1..e_N, the unit atoms at 1..N and the mass: Graph(-G*)
     # couples to a^2, Graph G is skew, and the adjoint identity makes the two orthogonal.
     n = cfg.truncation
-    images, cols, _ = _g_columns(n)
-    stars = _gstar_images(n)
-    tally.decide("coupling-is-mass-squared", _coupling_cases(stars, -1))
+    tally.decide("coupling-is-mass-squared", window.coupling)
     off = PairPoint.second(ModelMeasure(SparseSeq.zero(), Fraction(1)), TailSeq.zero())
     tally.record(
         "indicator-off-graph",
@@ -417,7 +431,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and divergence_certificate(g_second, off, cfg.scale_max)["value"] > cfg.scale_max,
     )
     embedded = g_second.sampled_graph(random_sparse(rng, n, 5, 50, 50) for _ in range(30))
-    tally.decide("embedded-graph-skew", _symmetric_cases(cols))
+    tally.decide("embedded-graph-skew", window.skew)
     ext = extension_probe(embedded, canonical)
     tally.record(
         "extension-witness",
@@ -425,7 +439,7 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
         and not ext.stats["already_in_analytic_graph"]
         and coupling_value(canonical) == 1,
     )
-    tally.decide("graph-orthogonal-to-negGstar", _adjoint_cases(images, stars))
+    tally.decide("graph-orthogonal-to-negGstar", window.adjoint)
     s = min(n, SCAN_CAP)
     spanning = [g_second.graph_point(SparseSeq.unit(k)) for k in range(1, s + 1)]
     basis = annihilator_truncated(spanning, s, DualSystem.SECOND)
@@ -458,12 +472,12 @@ def _run_sds_i(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
     return tuple(ni.witnesses), stats, notes
 
 
-def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_sds_ii(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     negg_second = OPERATORS[OP_NEGG_SECOND]
     # On the span of the window's unit atoms and mass, c = -a^2 <= 0 on Graph G*,
     # where the closed form is 0, and the closed form is +inf off it: -G is NI.
     n = cfg.truncation
-    tally.decide("coupling-on-Gstar", _coupling_cases(_gstar_images(n), 1))
+    tally.decide("coupling-on-Gstar", window.coupling)
     neg_embedded = negg_second.sampled_graph(random_sparse(rng, n, 5, 50, 50) for _ in range(30))
     samples = fitz_graph_samples(negg_second, cfg.seed + 1, 50, n)
     candidates = [z for z in samples if z.x.infinity_mass]
@@ -472,7 +486,7 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     # The closed form is 0 at (x, -Gx), on Graph G*, and c(x, -Gx) = -<x, Gx>
     # is 0 for x in 1..N, the window ``neg_embedded`` draws from, iff G's
     # columns are skew there.
-    tally.decide("representability-on-model", _symmetric_cases(_g_columns(n)[1]))
+    tally.decide("representability-on-model", window.skew)
     notes = (
         "the unique maximal extension (the closure of the graph) adds only "
         "points outside the measure model; non-maximality is asserted "
@@ -481,7 +495,7 @@ def _run_sds_ii(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome
     return (), {"window": n, "extension_candidates_refuted": refuted}, notes
 
 
-def _run_dichotomy(cfg: CheckConfig, rng: random.Random, tally: _Tally) -> _Outcome:
+def _run_dichotomy(cfg: CheckConfig, rng: Random, tally: _Tally, window: _Window) -> _Outcome:
     n = min(cfg.truncation, SCAN_CAP)
     profiles = {}
     for op in OPERATORS.values():
@@ -497,7 +511,7 @@ class CheckSpec:
     title: str
     claim: str
     expected_status: str
-    runner: Callable[[CheckConfig, random.Random, _Tally], _Outcome]
+    runner: Callable[[CheckConfig, Random, _Tally, _Window], _Outcome]
 
 
 CATALOG: tuple[CheckSpec, ...] = (
@@ -605,11 +619,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_spec(config: CheckConfig, spec: CheckSpec) -> CheckResult:
-    """Run one check on its own generator and derive its status from its tally."""
+def _run_spec(config: CheckConfig, spec: CheckSpec, window: _Window) -> CheckResult:
+    """Run one check on its own generator and the report's window; its tally gives its status."""
     tally = _Tally()
     start = time.perf_counter()
-    witnesses, stats, notes = spec.runner(config, rng_for(config.seed, spec.name), tally)
+    witnesses, stats, notes = spec.runner(config, rng_for(config.seed, spec.name), tally, window)
     elapsed = time.perf_counter() - start
     status = REFUTED if tally.failures else spec.expected_status
     return CheckResult(
@@ -627,9 +641,9 @@ def _run_spec(config: CheckConfig, spec: CheckSpec) -> CheckResult:
 
 
 def _run_index(job: tuple[CheckConfig, int]) -> CheckResult:
-    """A worker's job: the check at this index of the catalog it inherited."""
+    """A worker's job: the check at this index of the catalog it inherited, on a fresh window."""
     config, index = job
-    return _run_spec(config, CATALOG[index])
+    return _run_spec(config, CATALOG[index], _Window(config.truncation))
 
 
 def run_checks(config: CheckConfig) -> ReportDoc:
@@ -652,7 +666,8 @@ def run_checks(config: CheckConfig) -> ReportDoc:
         if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
             jobs = 1
     if jobs < 2:
-        results = [_run_spec(config, spec) for spec in specs]
+        window = _Window(config.truncation)
+        results = [_run_spec(config, spec, window) for spec in specs]
         return ReportDoc(ARTIFACT_VERSION, config, tuple(results))
     # Fork, whatever the platform default: workers inherit the catalog and
     # its runners as they are, and import nothing again.

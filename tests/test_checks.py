@@ -179,8 +179,8 @@ def test_small_window_report_bytes_are_pinned():
 
 
 def test_ci_pins_the_digests_pinned_here():
-    # The CI workflow re-checks six of these digests through the CLI; a
-    # re-pin must change both files.
+    # The CI workflow re-checks six of these digests through the CLI, two of
+    # them also on one CPU; a re-pin must change both files.
     path = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tier1.yml")
     with open(path) as handle:
         workflow = handle.read()
@@ -196,8 +196,9 @@ def test_ci_pins_the_digests_pinned_here():
     assert wide == WIDE_WINDOW_REPORT_SHA256
     small = ci_digest(r"^ *check 0 json ([0-9a-f]{64}) --truncation 8 --trials 50$")
     assert small == SMALL_WINDOW_REPORT_SHA256
-    one_cpu = ci_digest(r'^ *test "\$digest" = ([0-9a-f]{64})$')
-    assert one_cpu == DEFAULT_REPORT_SHA256
+    assert ci_digest(r"^ *one_cpu ([0-9a-f]{64})$") == DEFAULT_REPORT_SHA256
+    one_cpu_wide = ci_digest(r"^ *one_cpu ([0-9a-f]{64}) --truncation 128 --trials 200$")
+    assert one_cpu_wide == WIDE_WINDOW_REPORT_SHA256
 
 
 def test_single_check_run():
@@ -399,12 +400,12 @@ def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch, cpu
     from gossez_lab.sampling import rng_for
 
     # The draws come back through the stats: a worker's memory is its own.
-    def failing(cfg, rng, tally):
+    def failing(cfg, rng, tally, window):
         for k in range(5):
             tally.record("p", k == 0, {"k": k})
         return (), {"n": 1, "draw": rng.random()}, ()
 
-    def passing(cfg, rng, tally):
+    def passing(cfg, rng, tally, window):
         tally.record("p", True)
         return ({"w": 1},), {"draw": rng.random()}, ("note",)
 
@@ -433,7 +434,7 @@ def test_run_checks_owns_each_checks_generator_tally_and_status(monkeypatch, cpu
 # ------------------------------------------------------------ worker pool
 
 
-def _pid_runner(cfg, rng, tally):
+def _pid_runner(cfg, rng, tally, window):
     tally.record("p", True)
     return (), {"pid": os.getpid()}, ()
 
@@ -525,7 +526,7 @@ def test_a_fault_in_a_worker_is_one_internal_error_line(monkeypatch, capsys):
 
     import gossez_lab.checks as checks
 
-    def crash(config, rng, tally):
+    def crash(config, rng, tally, window):
         raise RuntimeError("kernel exploded")
 
     broken = dataclasses.replace(checks.CATALOG[3], runner=crash)
@@ -542,7 +543,7 @@ def test_a_fault_in_a_worker_is_one_internal_error_line(monkeypatch, capsys):
 def test_no_worker_outlives_run_checks(monkeypatch):
     import gossez_lab.checks as checks
 
-    def crash(config, rng, tally):
+    def crash(config, rng, tally, window):
         raise RuntimeError(f"pid {os.getpid()}")
 
     catalog = tuple(dataclasses.replace(spec, runner=_pid_runner) for spec in CATALOG)
@@ -579,7 +580,7 @@ def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
     import gossez_lab.checks as checks
 
-    def crash(config, rng, tally):
+    def crash(config, rng, tally, window):
         raise RuntimeError("kernel exploded")
 
     broken = dataclasses.replace(checks.CATALOG[3], runner=crash)
@@ -595,7 +596,7 @@ def test_cli_emit_fault_is_an_internal_error(monkeypatch, capsys, tmp_path):
 
     import gossez_lab.checks as checks
 
-    def float_stat(config, rng, tally):
+    def float_stat(config, rng, tally, window):
         tally.record("p", True)
         return (), {"ratio": 0.5}, ()  # a finite float is not exact
 

@@ -1,12 +1,14 @@
 """Planted defects: each must fail a check of the report, naming what broke.
 
-Each window defect rebinds one kernel in ``gossez_lab.checks`` so that it
-is wrong at one basis vector of a window, and runs one check on one CPU, in
-this process.  The decision that reads that vector must fail and name it in
-the check's failures; the same check without the defect passes.  Each scan
-defect breaks a kernel that no window decision reads (the closed form, the
-NI and representability scans, the measure pairing and embedding) wherever
-the report binds it, and a named property of one check must fail.
+Each window defect rebinds one kernel in ``gossez_lab.checks`` (or in the
+module named before a dot) so that it is wrong at one basis vector of a
+window, and runs one check on one CPU, in this process.  The decision that
+reads that vector must fail and name it in the check's failures; the same
+check without the defect passes.  Each scan defect breaks a kernel that no
+window decision reads (the closed form, the NI and representability scans,
+the measure pairing and embedding) wherever the report binds it, or breaks
+G or G* only on inputs with several support points, which every unit
+vector misses; a named property of one check must fail.
 """
 
 import math
@@ -42,6 +44,25 @@ def oscillating_column(x):
     return gx + TailSeq.periodic([0, 1]) if x == SparseSeq.unit(7) else gx
 
 
+def far_bump(x):
+    """(G e_4)_66 is -1, past the indices 1..65 the window's columns read; this G reads -2 there."""
+    gx = apply_G(x)
+    return gx - TailSeq.constant(0, [0] * 65 + [1]) if x == SparseSeq.unit(4) else gx
+
+
+def far_limit_shift(x):
+    """G e_6 raised by 1 past index 65, where the window's columns stop: it converges to 0."""
+    gx = apply_G(x)
+    return gx + TailSeq.constant(1, [0] * 65) if x == SparseSeq.unit(6) else gx
+
+
+def adjacent_support_shift(x):
+    """G that adds 1 at index 1 when x has two adjacent support indices: exact on unit vectors."""
+    gx = apply_G(x)
+    adjacent = any(j - i == 1 for i, j in zip(x.indices, x.indices[1:]))
+    return gx + TailSeq.constant(0, [1]) if adjacent else gx
+
+
 def flipped_mass(mu):
     """+(mass at infinity) * ones - G(atoms): the mass term's sign flipped."""
     return _shifted_G(mu.atomic, -1, mu.infinity_mass)
@@ -50,6 +71,27 @@ def flipped_mass(mu):
 def atom_to_zero(mu):
     """G* that maps the unit atom at 9 to zero."""
     return TailSeq.zero() if mu == ModelMeasure.from_atomic(SparseSeq.unit(9)) else apply_Gstar(mu)
+
+
+def oscillating_atom_image(mu):
+    """G* of the unit atom at 3 with an oscillating tail added: the image has no limit."""
+    y = apply_Gstar(mu)
+    return y + TailSeq.periodic([0, 1]) if mu == ModelMeasure.from_atomic(SparseSeq.unit(3)) else y
+
+
+def late_oscillating_atom_image(mu):
+    """G* of the unit atom at 3, exact at 1..64 (the window), with no limit past it."""
+    y = apply_Gstar(mu)
+    late = TailSeq.periodic([0, 1], [0] * 64)
+    return y + late if mu == ModelMeasure.from_atomic(SparseSeq.unit(3)) else y
+
+
+def massive_multi_atom_shift(mu):
+    """G* that adds 1 at index 1 on measures with two or more atoms and a mass:
+    exact on the unit atoms and the unit mass."""
+    y = apply_Gstar(mu)
+    several = len(mu.atomic.indices) >= 2 and mu.infinity_mass
+    return y + TailSeq.constant(0, [1]) if several else y
 
 
 def far_atom_to_zero(mu):
@@ -152,6 +194,37 @@ DEFECTS = [
         {"property": "graph-orthogonal-to-negGstar", "basis_pair": [1, "mass"]},
     ),
     (atom_to_zero, "apply_Gstar", "gstar", {"property": "model-kernel", "column": 9}),
+    # Past the window's indices only norm-bound, range-law and negation read G e_k.
+    (far_bump, "apply_G", "g-basic", {"property": "norm-bound", "column": 4}),
+    (far_limit_shift, "apply_G", "g-basic", {"property": "range-law", "column": 6}),
+    # negation compares -G of the OPERATORS table, which looks apply_G up in fitz.
+    (perturbed_entry, "fitz.apply_G", "g-basic", {"property": "negation", "column": 5}),
+    # A G* image without a limit fails the coupling form at the first pair that
+    # reads it, never raising: on the window's values, or at its limit alone.
+    (
+        oscillating_atom_image,
+        "apply_Gstar",
+        "sds-i",
+        {"property": "coupling-is-mass-squared", "basis_pair": [2, 3]},
+    ),
+    (
+        oscillating_atom_image,
+        "apply_Gstar",
+        "sds-ii",
+        {"property": "coupling-on-Gstar", "basis_pair": [2, 3]},
+    ),
+    (
+        late_oscillating_atom_image,
+        "apply_Gstar",
+        "sds-i",
+        {"property": "coupling-is-mass-squared", "basis_pair": [3, "mass"]},
+    ),
+    (
+        late_oscillating_atom_image,
+        "apply_Gstar",
+        "sds-ii",
+        {"property": "coupling-on-Gstar", "basis_pair": [3, "mass"]},
+    ),
 ]
 
 
@@ -191,6 +264,11 @@ SCAN_DEFECTS = [
     # Only restriction-consistency meets a measure without mass and an oscillating tail.
     (unguarded_measure_terms, (spaces,), "_measure_terms", "gstar", "restriction-consistency"),
     (massive_embedding, (ModelMeasure,), "from_atomic", "sds-i", "coupling-is-mass-squared"),
+    # Exact on every unit vector, so no window decision sees them: only the
+    # sampled laws, which draw several support points, do.
+    (adjacent_support_shift, (checks,), "apply_G", "g-basic", "linearity"),
+    (adjacent_support_shift, (checks,), "apply_G", "g-basic", "injectivity-roundtrip"),
+    (massive_multi_atom_shift, (checks,), "apply_Gstar", "gstar", "linearity"),
 ]
 
 
@@ -206,7 +284,8 @@ def run_one(name):
 )
 def test_a_planted_defect_fails_its_window_decision(monkeypatch, defect, kernel, name, failure):
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(checks, kernel, defect)
+    owner, _, binding = kernel.rpartition(".")
+    monkeypatch.setattr(f"gossez_lab.{owner or 'checks'}.{binding}", defect)
     result = run_one(name)
     assert not result.passed
     assert failure in result.stats["failures"]
@@ -241,7 +320,9 @@ def test_the_unpatched_check_passes(monkeypatch, name):
 
 
 def test_the_defects_are_wrong_only_where_planted():
-    # Each defect differs from its kernel at the one planted vector.
+    # Each window defect differs from its kernel at the one planted vector,
+    # and the multi-point defects at no unit vector.
+    mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
     for k in range(1, 10):
         e = SparseSeq.unit(k)
         mu = ModelMeasure.from_atomic(e)
@@ -251,9 +332,26 @@ def test_the_defects_are_wrong_only_where_planted():
         assert (atom_to_zero(mu) == apply_Gstar(mu)) == (k != 9)
         assert far_atom_to_zero(mu) == apply_Gstar(mu)
         assert flipped_mass(mu) == apply_Gstar(mu)
+        assert (far_bump(e) == apply_G(e)) == (k != 4)
+        assert (far_limit_shift(e) == apply_G(e)) == (k != 6)
+        assert adjacent_support_shift(e) == apply_G(e)
+        assert (oscillating_atom_image(mu) == apply_Gstar(mu)) == (k != 3)
+        assert (late_oscillating_atom_image(mu) == apply_Gstar(mu)) == (k != 3)
+        assert massive_multi_atom_shift(mu) == apply_Gstar(mu)
+    # The far defects agree with G on the 65 indices that the window's columns read.
+    for defect, k in ((far_bump, 4), (far_limit_shift, 6)):
+        e = SparseSeq.unit(k)
+        assert (defect(e) - apply_G(e))._dense(65) == [0] * 65
+    late = late_oscillating_atom_image(ModelMeasure.from_atomic(SparseSeq.unit(3)))
+    assert late._dense(64) == apply_Gstar(ModelMeasure.from_atomic(SparseSeq.unit(3)))._dense(64)
+    assert not late.is_convergent()
+    pair = SparseSeq.from_values([1, 1])
+    assert adjacent_support_shift(pair) != apply_G(pair)
+    assert massive_multi_atom_shift(mass) == apply_Gstar(mass)
+    spread = ModelMeasure(pair, Fraction(1))
+    assert massive_multi_atom_shift(spread) != apply_Gstar(spread)
     far = ModelMeasure.from_atomic(SparseSeq.unit(40))
     assert far_atom_to_zero(far) == TailSeq.zero() != apply_Gstar(far)
     e40 = SparseSeq.unit(40)
     assert far_perturbed_entry(e40) - apply_G(e40) == -TailSeq.constant(0, [0, 0, 1])
-    mass = ModelMeasure(SparseSeq.zero(), Fraction(1))
     assert flipped_mass(mass) == -apply_Gstar(mass)
