@@ -189,7 +189,7 @@ def _symmetric_cases(cols: list[list]) -> Iterable[tuple[list, bool]]:
     """([i, j], holds) for i <= j counted from 1: whether (M + M^T)_ij is 0, for M
     with columns ``cols``; an entry None (a pairing without a limit) breaks it."""
     return (
-        ([i + 1, j + 1], col[i] is not None is not cols[i][j] and col[i] + cols[i][j] == 0)
+        ([i + 1, j + 1], None not in (col[i], cols[i][j]) and col[i] + cols[i][j] == 0)
         for j, col in enumerate(cols)
         for i in range(j + 1)
     )
